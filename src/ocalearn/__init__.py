@@ -17,12 +17,11 @@ from .errors import (ConstructionConflict, GenerationFailure, InvalidInput,
 from .generate import GenConfig, derive_seed, generate_droca, reachable_count, splitmix64
 from .io import load, load_file, store, store_file
 from .learning import (LearnConfig, SimulatedTeacher, Stats, Teacher,
-                       actions_vector, construct_droca, learn,
-                       simulated_teacher)
+                       construct_droca, learn)
 from .minsepdfa import (Apta, SampleSet, build_apta, build_samples,
                         encode_size_n, find_min_sep_dfa, strip_operations)
 from .sat import CnfInstance, SolverConfig, sat_solve, solve_builtin
-from .table import ActionsVector, ObservationTable, similar
+from .table import ActionsVector, ObservationTable
 from .bench import BenchConfig, CSV_HEADER, run_benchmark
 
 __all__ = [name for name in dir() if not name.startswith("_")]

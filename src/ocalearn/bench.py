@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidInput, LearnTimeout, WorkbenchError
 from .generate import GenConfig, derive_seed, generate_droca
-from .learning import LearnConfig, SimulatedTeacher, Stats, learn
+from .learning import STATS_FIELDS, LearnConfig, SimulatedTeacher, Stats, learn
 from .sat import SolverConfig
 
-CSV_HEADER = ("seed", "target_states", "alphabet", "success", "wall_ms",
-              "learnt_states", "n_seq", "n_mq", "n_cv", "n_sat",
-              "max_ce_len", "final_d", "reason")
+CSV_HEADER = STATS_FIELDS + ("reason",)
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ def run_sample(n_states: int, alphabet_size: int, seed: int, restricted: bool,
     except WorkbenchError as exc:
         reason = type(exc).__name__
         stats.wall_ms = int((time.monotonic() - start) * 1000)
-    row = {name: getattr(stats, name) for name in CSV_HEADER if name != "reason"}
+    row = {name: getattr(stats, name) for name in STATS_FIELDS}
     row["reason"] = reason
     return row
 

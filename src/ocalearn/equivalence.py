@@ -6,9 +6,8 @@ and equivalent" and otherwise produces the length-lex-minimal violating
 word; a bounded breadth-first search over the synchronized product
 suffices because a minimal witness for machines of at most K states has
 height at most K^4 and length at most 2*K^5.  For visibly one-counter
-automata the much smaller caps height 2(K+K^2) and length 4K(K+K^2)
-apply and the decision itself runs as a near-linear union-find
-equivalence check on truncated configuration graphs.
+automata ``voca_check_equiv`` runs the same search under the much
+smaller caps height 2(K+K^2) and length 4K(K+K^2).
 """
 
 from __future__ import annotations
@@ -65,11 +64,12 @@ def voca_check_equiv(a: Droca, b: Droca) -> Verdict:
     """Equivalence of two visibly one-counter automata.
 
     Machines with the same (letter, sign) -> action map are
-    counter-synchronous by construction, so only acceptance can differ;
-    the decision runs as a union-find DFA-equivalence check on the
-    configuration graphs truncated at counter 2(K+K^2).  Machines with
-    different action maps fall back to the general synchronous check,
-    which reports the counter desynchronization.
+    counter-synchronous by construction, so only acceptance can differ,
+    and a minimal acceptance witness has height at most 2(K+K^2) and
+    length at most 4K(K+K^2).  The decision is one product search under
+    those caps, returning the length-lex-minimal counterexample.
+    Machines with different action maps fall back to the general
+    synchronous check, which reports the counter desynchronization.
     """
     for m in (a, b):
         if not m.is_voca():
@@ -79,12 +79,7 @@ def voca_check_equiv(a: Droca, b: Droca) -> Verdict:
         return check_sync_equiv(a, b)
     k = max(a.size, b.size)
     height_cap = 2 * (k + k * k)
-    if _truncated_union_find_equiv(a, b, height_cap):
-        return EQUIVALENT
-    verdict = _bounded_product_search(a, b, height_cap + 1, 4 * k * (k + k * k))
-    if verdict.equivalent:
-        raise AssertionError("union-find refuted equivalence but no witness found")
-    return verdict
+    return _bounded_product_search(a, b, height_cap + 1, 4 * k * (k + k * k))
 
 
 def brute_force_equiv(a: Droca, b: Droca, max_len: int) -> Verdict:
@@ -240,64 +235,3 @@ def _bounded_product_search(a: Droca, b: Droca, counter_cap: int,
     if pending_word is not None:
         return Verdict(False, Counterexample(materialize(pending_word), pending_kind))
     return EQUIVALENT
-
-
-def _truncated_union_find_equiv(a: Droca, b: Droca, height_cap: int) -> bool:
-    """Hopcroft-Karp equivalence of the configuration graphs truncated at
-    ``height_cap``, with one non-accepting overflow sink per machine."""
-    trans_a, accept_a, init_a = _truncated_config_dfa(a, height_cap)
-    trans_b, accept_b, init_b = _truncated_config_dfa(b, height_cap)
-    offset = len(accept_a)
-    accept = accept_a + accept_b
-    size = len(accept)
-    parent = list(range(size))
-    rank = [0] * size
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    k = len(a.alphabet)
-    stack = [(init_a, offset + init_b)]
-    while stack:
-        x, y = stack.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        if accept[x] != accept[y]:
-            return False
-        if rank[rx] < rank[ry]:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        if rank[rx] == rank[ry]:
-            rank[rx] += 1
-        for ai in range(k):
-            tx = trans_a[x][ai] if x < offset else offset + trans_b[x - offset][ai]
-            ty = trans_a[y][ai] if y < offset else offset + trans_b[y - offset][ai]
-            stack.append((tx, ty))
-    return True
-
-
-def _truncated_config_dfa(m: Droca, height_cap: int):
-    """Configuration graph of ``m`` up to counter ``height_cap`` as a DFA
-    over the plain alphabet; transitions past the cap go to a sink."""
-    d0, d1, fin, init = m.indexed_tables()
-    k = len(m.alphabet)
-    levels = height_cap + 1
-    sink = m.size * levels
-    trans = [[sink] * k for _ in range(sink + 1)]
-    accept = [False] * (sink + 1)
-    for q in range(m.size):
-        for n in range(levels):
-            sid = q * levels + n
-            accept[sid] = fin[q]
-            row = d0[q] if n == 0 else d1[q]
-            for ai in range(k):
-                t, e = row[ai]
-                nn = n + e
-                trans[sid][ai] = t * levels + nn if nn <= height_cap else sink
-    return trans, accept, init * levels

@@ -22,7 +22,7 @@ from .equivalence import Counterexample, check_sync_equiv, voca_check_equiv
 from .errors import ConstructionConflict, LearnTimeout, SolverTimeout
 from .minsepdfa import build_samples, find_min_sep_dfa, strip_operations
 from .sat import SolverConfig, sat_solve
-from .table import ActionsVector, ObservationTable
+from .table import ObservationTable
 
 STATS_FIELDS = ("seed", "target_states", "alphabet", "success", "wall_ms",
                 "learnt_states", "n_seq", "n_mq", "n_cv", "n_sat",
@@ -34,9 +34,9 @@ class CeRecord:
     """Instrumentation for one counterexample.
 
     Row counts are numbers of distinct row values among the table rows
-    whose counter-value is at most the given level; ``rows_before`` is
-    taken when the counterexample arrives and ``rows_after`` once the
-    grown table is repaired again.
+    whose counter-value is at most ``height``; ``rows_before`` is taken
+    when the counterexample arrives and ``rows_after`` once the grown
+    table is repaired again.
     """
 
     word: str
@@ -44,12 +44,6 @@ class CeRecord:
     height: int
     rows_before: int
     rows_after: int | None = None
-    d_before: int = 0
-    d_after: int = 0
-    at_d_before: int = 0
-    at_d_after: int | None = None
-    total_before: int = 0
-    total_after: int | None = None
 
 
 @dataclass
@@ -116,24 +110,6 @@ class SimulatedTeacher:
 
     def voca_action_map(self) -> dict[tuple[str, int], int]:
         return self.hidden.voca_action_map()
-
-
-def simulated_teacher(hidden: Droca, stats: Stats | None = None) -> SimulatedTeacher:
-    return SimulatedTeacher(hidden, stats)
-
-
-def actions_vector(teacher, word: str,
-                   table: ObservationTable | None = None) -> ActionsVector:
-    """Action vector of a word, issuing cv queries cache-first when a
-    table is supplied."""
-    if table is not None:
-        base = table.ensure_cv(word, teacher)
-        deltas = tuple(table.ensure_cv(word + a, teacher) - base
-                       for a in table.alphabet)
-    else:
-        base = teacher.cv(word)
-        deltas = tuple(teacher.cv(word + a) - base for a in teacher.alphabet)
-    return ActionsVector(sgn(base), deltas)
 
 
 @dataclass(frozen=True)
@@ -296,8 +272,6 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
         table.repair(d, view)
         if pending is not None:
             pending.rows_after = table.distinct_rows_at(pending.height)
-            pending.at_d_after = table.distinct_rows_at(pending.d_before)
-            pending.total_after = table.distinct_rows_at(None)
             pending = None
         while True:
             try:
@@ -326,12 +300,8 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
         word = ce.word
         stats.max_ce_len = max(stats.max_ce_len, len(word))
         height = max(table.ensure_cv(word[:i], view) for i in range(len(word) + 1))
-        d_after = max(d, height) + (1 if config.increment_d_after_seq else 0)
         pending = CeRecord(word=word, kind=ce.kind, height=height,
-                           rows_before=table.distinct_rows_at(height),
-                           d_before=d, d_after=d_after,
-                           at_d_before=table.distinct_rows_at(d),
-                           total_before=table.distinct_rows_at(None))
+                           rows_before=table.distinct_rows_at(height))
         stats.counterexamples.append(pending)
         table.add_prefix(word)
-        d = d_after
+        d = max(d, height) + (1 if config.increment_d_after_seq else 0)

@@ -48,10 +48,6 @@ class ActionsVector:
         return f"({self.sign},{body})"
 
 
-def similar(u: ActionsVector, v: ActionsVector) -> bool:
-    return u.similar(v)
-
-
 class ObservationTable:
     """The learner's entire knowledge about the hidden machine.
 
@@ -160,11 +156,10 @@ class ObservationTable:
                 tuple((self.membership(label + s), self.actions(label + s))
                       for s in self.suffixes))
 
-    def distinct_rows_at(self, level: int | None) -> int:
-        """Number of distinct row values with counter-value <= level
-        (all levels when level is None)."""
+    def distinct_rows_at(self, level: int) -> int:
+        """Number of distinct row values with counter-value <= level."""
         return len({self.row(r) for r in self.boundary()
-                    if level is None or self.counter_value(r) <= level})
+                    if self.counter_value(r) <= level})
 
     # -- closedness and consistency ------------------------------------
 

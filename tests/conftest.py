@@ -84,6 +84,26 @@ def random_voca(seed: int, max_states: int = 5, alphabet_size: int = 2,
                  delta0=delta0, delta1=delta1, finals=finals)
 
 
+def split_copy(m: Droca, rng: random.Random) -> Droca:
+    """Copy of ``m`` with one state duplicated: the duplicate keeps the
+    state's rows and finality and takes a random half of the state's
+    incoming transitions, so the copy is one state larger and
+    equivalent to ``m`` by construction."""
+    old = rng.choice(m.states)
+    new = f"{old}s"
+    delta0, delta1 = dict(m.delta0), dict(m.delta1)
+    for delta in (delta0, delta1):
+        for key, (target, action) in list(delta.items()):
+            if target == old and rng.random() < 0.5:
+                delta[key] = (new, action)
+        for a in m.alphabet:
+            delta[(new, a)] = delta[(old, a)]
+    finals = set(m.finals) | ({new} if old in m.finals else set())
+    return Droca(states=list(m.states) + [new], alphabet=m.alphabet,
+                 initial=m.initial, delta0=delta0, delta1=delta1,
+                 finals=finals)
+
+
 @pytest.fixture
 def anbna() -> Droca:
     return make_anbna()

@@ -5,7 +5,7 @@ import pytest
 from ocalearn import (ACCEPT_MISMATCH, COUNTER_DESYNC, Droca, InvalidInput,
                       brute_force_equiv, check_sync_equiv, derive_seed,
                       reach_witness, voca_check_equiv)
-from conftest import make_anbna, random_machine, random_voca
+from conftest import make_anbna, random_machine, random_voca, split_copy
 
 
 def test_reflexive(anbna):
@@ -137,14 +137,19 @@ def test_voca_cross_validation():
         a = random_voca(derive_seed(77, i, 0), action_map=shared)
         b = random_voca(derive_seed(77, i, 1),
                         action_map=None if i % 4 == 0 else shared)
-        fast = voca_check_equiv(a, b)
-        sync = check_sync_equiv(a, b)
-        assert fast.equivalent == sync.equivalent
-        if not fast.equivalent:
-            assert fast.counterexample == sync.counterexample
-            k = max(a.size, b.size)
-            assert len(fast.counterexample.word) <= 4 * k * (k + k * k)
-            assert a.height(fast.counterexample.word) <= 2 * (k + k * k)
+        # state-split copies are larger and equivalent by construction
+        split = split_copy(split_copy(a, rng), rng)
+        for left, right in ((a, b), (split, a)):
+            fast = voca_check_equiv(left, right)
+            sync = check_sync_equiv(left, right)
+            assert fast.equivalent == sync.equivalent
+            if left is split:
+                assert fast.equivalent
+            if not fast.equivalent:
+                assert fast.counterexample == sync.counterexample
+                k = max(left.size, right.size)
+                assert len(fast.counterexample.word) <= 4 * k * (k + k * k)
+                assert left.height(fast.counterexample.word) <= 2 * (k + k * k)
 
 
 def test_reach_witness_examples(anbna):

@@ -3,13 +3,13 @@ import pytest
 from ocalearn import (Droca, GenConfig, LearnConfig, LearnTimeout,
                       ObservationTable, SimulatedTeacher, brute_force_equiv,
                       check_sync_equiv, construct_droca, derive_seed,
-                      generate_droca, learn, simulated_teacher)
+                      generate_droca, learn)
 from conftest import make_anbna, random_voca
 from test_table import golden_table
 
 
 def test_teacher_examples(anbna):
-    teacher = simulated_teacher(anbna)
+    teacher = SimulatedTeacher(anbna)
     assert teacher.mq("aba") == 1
     assert teacher.cv("aa") == 2
     assert teacher.seq(anbna) is None

@@ -4,7 +4,7 @@ import pytest
 
 from ocalearn import (ActionsVector, SampleConflict, SampleSet, build_apta,
                       build_samples, encode_size_n, find_min_sep_dfa,
-                      sat_solve, similar, strip_operations)
+                      sat_solve, strip_operations)
 from ocalearn.minsepdfa import decode_dfa
 from test_table import golden_table
 from oracles import min_sep_dfa_size
@@ -103,7 +103,7 @@ def test_separation_and_merging_semantics(anbna):
     for vectors in by_state.values():
         for u in vectors:
             for v in vectors:
-                assert similar(u, v)
+                assert u.similar(v)
 
 
 def test_strip_noop_without_ops():

@@ -1,8 +1,7 @@
 import pytest
 
 from ocalearn import (ActionsVector, InvalidInput, ObservationTable,
-                      SimulatedTeacher, TableIncomplete, actions_vector,
-                      similar)
+                      SimulatedTeacher, TableIncomplete)
 
 
 def golden_table(machine):
@@ -19,18 +18,21 @@ def golden_table(machine):
 
 def test_actions_vector_examples(anbna):
     teacher = SimulatedTeacher(anbna)
-    assert actions_vector(teacher, "") == ActionsVector(0, (1, 1))
-    assert actions_vector(teacher, "ab") == ActionsVector(0, (0, 1))
-    assert actions_vector(teacher, "a") == ActionsVector(1, (1, -1))
+    table = ObservationTable(anbna.alphabet)
+    table.add_prefix("ab")
+    table.fill(teacher)
+    assert table.actions("") == ActionsVector(0, (1, 1))
+    assert table.actions("ab") == ActionsVector(0, (0, 1))
+    assert table.actions("a") == ActionsVector(1, (1, -1))
 
 
 def test_similar_examples():
-    assert similar(ActionsVector(0, (1, 1)), ActionsVector(1, (1, -1)))
-    assert not similar(ActionsVector(0, (1, 1)), ActionsVector(0, (0, 1)))
+    assert ActionsVector(0, (1, 1)).similar(ActionsVector(1, (1, -1)))
+    assert not ActionsVector(0, (1, 1)).similar(ActionsVector(0, (0, 1)))
     v = ActionsVector(1, (1, 0))
-    assert similar(v, v)
+    assert v.similar(v)
     with pytest.raises(InvalidInput):
-        similar(ActionsVector(0, (1,)), ActionsVector(0, (1, 1)))
+        ActionsVector(0, (1,)).similar(ActionsVector(0, (1, 1)))
 
 
 def test_actions_vector_invariants():
