@@ -57,7 +57,7 @@ class Droca:
         self.delta1: dict[tuple[str, str], tuple[str, int]] = dict(delta1)
         self.finals: frozenset[str] = frozenset(finals)
         self._state_index = {q: i for i, q in enumerate(self.states)}
-        self._letter_index = {a: i for i, a in enumerate(self.alphabet)}
+        self._letter_pos = {a: i for i, a in enumerate(self.alphabet)}
         self._indexed = None
 
     @property
@@ -78,12 +78,6 @@ class Droca:
         return (f"Droca(states={len(self.states)}, alphabet={''.join(self.alphabet)}, "
                 f"initial={self.initial!r}, finals={sorted(self.finals)})")
 
-    def letter_index(self, letter: str) -> int:
-        try:
-            return self._letter_index[letter]
-        except KeyError:
-            raise InvalidInput(f"letter {letter!r} not in alphabet") from None
-
     def indexed_tables(self):
         """Dense transition tables for search code.
 
@@ -96,9 +90,9 @@ class Droca:
             d0 = [[None] * k for _ in self.states]
             d1 = [[None] * k for _ in self.states]
             for (q, a), (t, e) in self.delta0.items():
-                d0[idx[q]][self._letter_index[a]] = (idx[t], e)
+                d0[idx[q]][self._letter_pos[a]] = (idx[t], e)
             for (q, a), (t, e) in self.delta1.items():
-                d1[idx[q]][self._letter_index[a]] = (idx[t], e)
+                d1[idx[q]][self._letter_pos[a]] = (idx[t], e)
             final_mask = [q in self.finals for q in self.states]
             self._indexed = (d0, d1, final_mask, idx[self.initial])
         return self._indexed
@@ -107,7 +101,7 @@ class Droca:
         """One transition from ``config`` on ``letter``."""
         if config.state not in self._state_index:
             raise InvalidInput(f"unknown state {config.state!r}")
-        if letter not in self._letter_index:
+        if letter not in self._letter_pos:
             raise InvalidInput(f"letter {letter!r} not in alphabet")
         delta = self.delta0 if config.counter == 0 else self.delta1
         target, action = delta[(config.state, letter)]

@@ -14,7 +14,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .errors import InvalidInput, LearnTimeout, WorkbenchError
+from .errors import InvalidInput, LearnTimeout
 from .generate import GenConfig, derive_seed, generate_droca
 from .learning import STATS_FIELDS, LearnConfig, SimulatedTeacher, Stats, learn
 from .sat import SolverConfig
@@ -63,7 +63,7 @@ def run_sample(n_states: int, alphabet_size: int, seed: int, restricted: bool,
         learn(teacher, config)
     except LearnTimeout:
         reason = "timeout"
-    except WorkbenchError as exc:
+    except Exception as exc:
         reason = type(exc).__name__
         stats.wall_ms = int((time.monotonic() - start) * 1000)
     row = {name: getattr(stats, name) for name in STATS_FIELDS}

@@ -50,7 +50,7 @@ def _build_parser():
     p = sub.add_parser("learn", help="learn a machine from a simulated teacher")
     p.add_argument("--target", required=True, help="JSON automaton to learn")
     p.add_argument("--voca", action="store_true",
-                   help="use the visibly-one-counter equivalence and skip cv queries")
+                   help="derive counter values from the action map (no cv queries)")
     p.add_argument("--seed", type=int, default=None, help="recorded in the stats")
     p.add_argument("--timeout-s", type=float, default=None)
     p.add_argument("--sat", default=None, help="builtin | external:<path>")
@@ -109,7 +109,7 @@ def _cmd_learn(args) -> int:
     target = io.load_file(args.target, complete_with_sink=args.complete_with_sink)
     stats = Stats(seed=args.seed, target_states=target.size,
                   alphabet=len(target.alphabet))
-    teacher = SimulatedTeacher(target, stats, use_voca_equiv=args.voca)
+    teacher = SimulatedTeacher(target, stats)
     config = LearnConfig(voca=args.voca, timeout_s=args.timeout_s,
                          solver=_solver_config(args.sat))
     hypothesis, stats = learn(teacher, config)

@@ -81,18 +81,18 @@ class Teacher(Protocol):
 class SimulatedTeacher:
     """Teacher backed by a hidden automaton.
 
-    Membership and counter-value queries run the hidden machine;
-    synchronous-equivalence queries run the bounded product search (or
-    the faster visibly-one-counter check) and hand back its minimal
-    counterexample.  Every call increments the session statistics.
+    Membership and counter-value queries run the hidden machine.
+    Synchronous-equivalence queries hand back a minimal counterexample:
+    from the faster visibly-one-counter check when both the hidden
+    machine and the hypothesis are VOCAs, and from the bounded product
+    search otherwise.  Every call increments the session statistics.
     """
 
-    def __init__(self, hidden: Droca, stats: Stats | None = None,
-                 use_voca_equiv: bool = False):
+    def __init__(self, hidden: Droca, stats: Stats | None = None):
         self.hidden = hidden
         self.alphabet = hidden.alphabet
         self.stats = stats if stats is not None else Stats()
-        self.use_voca_equiv = use_voca_equiv
+        self._hidden_is_voca = hidden.is_voca()
 
     def mq(self, word: str) -> int:
         self.stats.n_mq += 1
@@ -104,7 +104,8 @@ class SimulatedTeacher:
 
     def seq(self, hypothesis: Droca) -> Counterexample | None:
         self.stats.n_seq += 1
-        check = voca_check_equiv if self.use_voca_equiv else check_sync_equiv
+        voca = self._hidden_is_voca and hypothesis.is_voca()
+        check = voca_check_equiv if voca else check_sync_equiv
         verdict = check(hypothesis, self.hidden)
         return None if verdict.equivalent else verdict.counterexample
 
@@ -120,8 +121,8 @@ class LearnConfig:
     solver: SolverConfig = SolverConfig()
 
 
-def construct_droca(table: ObservationTable, config: SolverConfig | None = None,
-                    *, action_map: dict[tuple[str, int], int] | None = None,
+def construct_droca(table: ObservationTable, *,
+                    action_map: dict[tuple[str, int], int] | None = None,
                     solve=sat_solve) -> Droca:
     """Build a one-counter hypothesis agreeing with the table.
 
@@ -144,7 +145,7 @@ def construct_droca(table: ObservationTable, config: SolverConfig | None = None,
     and every transition takes its action from the map.
     """
     samples = build_samples(table)
-    full = find_min_sep_dfa(samples, config, solve=solve)
+    full = find_min_sep_dfa(samples, solve=solve)
     skeleton = strip_operations(full, samples.ops)
     names = {q: f"s{q}" for q in skeleton.states}
 
@@ -247,11 +248,12 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
         stats.final_d = d
         stats.wall_ms = int((time.monotonic() - start) * 1000)
 
-    def checked_solve(cnf, solver_config):
+    def checked_solve(cnf):
         if deadline is not None and time.monotonic() > deadline:
             finish(d)
             raise LearnTimeout("deadline reached before a SAT call", stats)
         stats.n_sat += 1
+        solver_config = config.solver
         if deadline is not None:
             remaining = max(deadline - time.monotonic(), 0.01)
             limit = remaining if solver_config.time_limit_s is None \
@@ -275,8 +277,7 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
             pending = None
         while True:
             try:
-                hypothesis = construct_droca(table, config.solver,
-                                             action_map=action_map,
+                hypothesis = construct_droca(table, action_map=action_map,
                                              solve=checked_solve)
                 break
             except PrefixConflict as conflict:

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, doubled
+from .automata import Dfa, doubled_alphabet
 from .errors import SampleConflict, SolverError
-from .sat import CnfInstance, SolverConfig, sat_solve
+from .sat import CnfInstance, sat_solve
 from .table import ActionsVector
 
 
@@ -65,8 +65,8 @@ def build_samples(table) -> SampleSet:
         for op in ops:
             if not vector.similar(op):
                 neg[enc + (op,)] = None
-    base = tuple(doubled(a, s) for a in table.alphabet for s in (0, 1))
-    return SampleSet(pos=tuple(pos), neg=tuple(neg), ops=ops, base_alphabet=base)
+    return SampleSet(pos=tuple(pos), neg=tuple(neg), ops=ops,
+                     base_alphabet=doubled_alphabet(table.alphabet))
 
 
 class Apta:
@@ -114,20 +114,30 @@ def _word_sort_key(word):
     return (len(word), tuple(str(sym) for sym in word))
 
 
+def _variables(apta: Apta, n: int):
+    """The variables of :func:`encode_size_n`, numbered by formula:
+    color(v,i) = v·n + i + 1, then accepting(i), then trans(a,i,j) by the
+    index of symbol a.  Returns the three by index, and their count."""
+    nodes = apta.num_nodes
+    color = [[v * n + i + 1 for i in range(n)] for v in range(nodes)]
+    accepting = [nodes * n + i + 1 for i in range(n)]
+    first = (nodes + 1) * n + 1
+    trans = {sym: [[first + (a * n + i) * n + j for j in range(n)] for i in range(n)]
+             for a, sym in enumerate(apta.alphabet)}
+    return color, accepting, trans, first - 1 + len(apta.alphabet) * n * n
+
+
 def encode_size_n(apta: Apta, n: int) -> CnfInstance:
     """CNF satisfiable iff some complete n-state DFA matches every label.
 
     Variables: color(v,i) assigns node v to state i, accepting(i) marks
     state i final, and trans(a,i,j) fixes the successor of state i on
-    symbol a.  The root's color is pinned to 0 as symmetry breaking.
+    symbol a, numbered in that order by :func:`_variables`, which
+    :func:`decode_dfa` shares.  The root's color is pinned to 0 as
+    symmetry breaking.
     """
     cnf = CnfInstance()
-    color = [[cnf.new_var(("color", v, i)) for i in range(n)]
-             for v in range(apta.num_nodes)]
-    accepting = [cnf.new_var(("accepting", i)) for i in range(n)]
-    trans = {sym: [[cnf.new_var(("trans", sym, i, j)) for j in range(n)]
-                   for i in range(n)]
-             for sym in apta.alphabet}
+    color, accepting, trans, cnf.num_vars = _variables(apta, n)
 
     cnf.add(color[0][0])
     for v in range(apta.num_nodes):
@@ -157,32 +167,26 @@ def encode_size_n(apta: Apta, n: int) -> CnfInstance:
     return cnf
 
 
-def decode_dfa(apta: Apta, assignment: dict[int, bool], cnf: CnfInstance,
-               n: int) -> Dfa:
-    finals = set()
-    transition = {}
-    for var, meaning in cnf.decode.items():
-        if not assignment.get(var):
-            continue
-        if meaning[0] == "accepting":
-            finals.add(meaning[1])
-        elif meaning[0] == "trans":
-            _, sym, i, j = meaning
-            transition[(i, sym)] = j
+def decode_dfa(apta: Apta, assignment: dict[int, bool], n: int) -> Dfa:
+    """The n-state DFA of a model of ``encode_size_n(apta, n)``."""
+    _, accepting, trans, _ = _variables(apta, n)
+    finals = frozenset(i for i in range(n) if assignment[accepting[i]])
+    transition = {(i, sym): j for sym, rows in trans.items()
+                  for i in range(n) for j in range(n) if assignment[rows[i][j]]}
     return Dfa(states=tuple(range(n)), alphabet=apta.alphabet, initial=0,
-               transition=transition, finals=frozenset(finals))
+               transition=transition, finals=finals)
 
 
-def find_min_sep_dfa(samples: SampleSet, config: SolverConfig | None = None,
-                     solve=sat_solve) -> Dfa:
+def find_min_sep_dfa(samples: SampleSet, solve=sat_solve) -> Dfa:
     """Smallest complete DFA accepting every positive and rejecting every
-    negative sample, found by growing the state count from 1."""
+    negative sample, found by growing the state count from 1.  ``solve``
+    maps a :class:`CnfInstance` to a model or None."""
     apta = build_apta(samples)
     for n in range(1, apta.num_nodes + 2):
         cnf = encode_size_n(apta, n)
-        assignment = solve(cnf, config)
+        assignment = solve(cnf)
         if assignment is not None:
-            dfa = decode_dfa(apta, assignment, cnf, n)
+            dfa = decode_dfa(apta, assignment, n)
             _check_separates(dfa, samples)
             return dfa
     raise SolverError("no separating DFA up to the prefix-tree size; "

@@ -9,6 +9,7 @@ stdout.  Both are deterministic for a fixed input.
 
 from __future__ import annotations
 
+import heapq
 import os
 import subprocess
 import tempfile
@@ -19,16 +20,19 @@ from .errors import InvalidInput, SolverError, SolverTimeout
 
 
 class CnfInstance:
-    """A CNF formula plus a decode map from variables to their meanings."""
+    """A CNF formula over the variables ``1..num_vars``.
+
+    Variables carry no stored meaning: an encoder that builds an instance
+    numbers its variables by a fixed formula and reads a model back with
+    the same formula.  Clauses may only mention declared variables.
+    """
 
     def __init__(self):
         self.num_vars = 0
         self.clauses: list[tuple[int, ...]] = []
-        self.decode: dict[int, tuple] = {}
 
-    def new_var(self, meaning) -> int:
+    def new_var(self) -> int:
         self.num_vars += 1
-        self.decode[self.num_vars] = meaning
         return self.num_vars
 
     def add(self, *literals: int) -> None:
@@ -102,18 +106,15 @@ def solve_builtin(num_vars: int, clauses, time_limit_s: float | None = None):
 
     Watched-literal propagation, first-UIP clause learning, activity-based
     decisions with phase saving, and geometric restarts.  Deterministic:
-    ties break on variable index and there is no randomization.
+    ties break on variable index and there is no randomization.  A literal
+    that is 0 or names a variable above ``num_vars`` raises
+    :class:`InvalidInput`.
     """
-    solver = _Cdcl(num_vars, clauses, time_limit_s)
-    return solver.solve()
+    return _Cdcl(num_vars, clauses, time_limit_s).solve()
 
 
 class _Cdcl:
     def __init__(self, num_vars, clauses, time_limit_s):
-        for clause in clauses:
-            for lit in clause:
-                if abs(lit) > num_vars:
-                    num_vars = abs(lit)
         self.nvars = num_vars
         self.deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
         n = num_vars + 1
@@ -131,9 +132,8 @@ class _Cdcl:
         self.units: list[int] = []
         for clause in clauses:
             self._ingest(clause)
-        # order[] is a lazy max-heap of (-activity, var) pairs
-        import heapq
-        self._heapq = heapq
+        # order[] is a lazy max-heap of (-activity, var) pairs; every
+        # unassigned variable has an entry in it
         self.order = [(0.0, v) for v in range(1, n)]
         heapq.heapify(self.order)
 
@@ -147,12 +147,17 @@ class _Cdcl:
     def _ingest(self, clause):
         seen = set()
         lits = []
+        tautology = False
         for lit in clause:
+            if not 0 < abs(lit) <= self.nvars:
+                raise InvalidInput(f"literal {lit} outside variables 1..{self.nvars}")
             if -lit in seen:
-                return  # tautology
-            if lit not in seen:
+                tautology = True
+            elif lit not in seen:
                 seen.add(lit)
                 lits.append(lit)
+        if tautology:
+            return
         if not lits:
             self.unsat = True
         elif len(lits) == 1:
@@ -217,7 +222,7 @@ class _Cdcl:
             for v in range(1, self.nvars + 1):
                 self.activity[v] *= 1e-100
             self.var_inc *= 1e-100
-        self._heapq.heappush(self.order, (-self.activity[var], var))
+        heapq.heappush(self.order, (-self.activity[var], var))
 
     def _analyze(self, conflict):
         learnt = []
@@ -264,15 +269,12 @@ class _Cdcl:
                 self.phase[var] = lit > 0
                 self.assign[var] = 0
                 self.reason[var] = None
-                self._heapq.heappush(self.order, (-self.activity[var], var))
+                heapq.heappush(self.order, (-self.activity[var], var))
         self.qhead = min(self.qhead, len(self.trail))
 
     def _decide(self):
         while self.order:
-            _, var = self._heapq.heappop(self.order)
-            if self.assign[var] == 0:
-                return var
-        for var in range(1, self.nvars + 1):
+            _, var = heapq.heappop(self.order)
             if self.assign[var] == 0:
                 return var
         return None
@@ -285,7 +287,6 @@ class _Cdcl:
                 return None
             if self._value(lit) == 0:
                 self._enqueue(lit)
-        conflicts = 0
         restart_limit = 100.0
         since_restart = 0
         while True:
@@ -293,10 +294,8 @@ class _Cdcl:
             if conflict is not None:
                 if not self.trail_lim:
                     return None
-                conflicts += 1
                 since_restart += 1
-                if conflicts % 256 == 0 and self.deadline is not None \
-                        and time.monotonic() > self.deadline:
+                if self.deadline is not None and time.monotonic() > self.deadline:
                     raise SolverTimeout("builtin solver exceeded its time limit")
                 learnt, back_level = self._analyze(conflict)
                 self._backtrack(back_level)

@@ -2,10 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from ocalearn import BenchConfig, CSV_HEADER, InvalidInput, run_benchmark, store
+from ocalearn import (BenchConfig, CSV_HEADER, InvalidInput, bench,
+                      run_benchmark, store)
 from ocalearn.cli import main
 from conftest import make_anbna
 
@@ -46,6 +48,22 @@ def test_bench_records_timeouts_without_aborting():
     for row in rows:
         assert row["success"] == 0
         assert row["reason"] == "timeout"
+
+
+def test_bench_records_any_exception_without_aborting(monkeypatch):
+    def broken(teacher, config):
+        time.sleep(0.01)
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(bench, "learn", broken)
+    config = BenchConfig(min_states=2, max_states=3, samples=2, seed=5,
+                         timeout_s=60, jobs=1)
+    rows = run_benchmark(config)
+    assert len(rows) == 4
+    for row in rows:
+        assert row["success"] == 0
+        assert row["reason"] == "RuntimeError"
+        assert row["wall_ms"] >= 10
 
 
 def test_bench_config_validation():

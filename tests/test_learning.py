@@ -1,9 +1,11 @@
+import time
+
 import pytest
 
 from ocalearn import (Droca, GenConfig, LearnConfig, LearnTimeout,
                       ObservationTable, SimulatedTeacher, brute_force_equiv,
                       check_sync_equiv, construct_droca, derive_seed,
-                      generate_droca, learn)
+                      generate_droca, learn, learning)
 from conftest import make_anbna, random_voca
 from test_table import golden_table
 
@@ -102,7 +104,7 @@ def test_learn_timeout_carries_stats():
 
 def test_learn_voca_mode_uses_no_cv_queries():
     target = random_voca(8, max_states=4)
-    teacher = SimulatedTeacher(target, use_voca_equiv=True)
+    teacher = SimulatedTeacher(target)
     hypothesis, stats = learn(teacher, LearnConfig(voca=True))
     assert stats.n_cv == 0
     assert stats.success == 1
@@ -114,11 +116,46 @@ def test_learn_voca_mode_uses_no_cv_queries():
 def test_learn_voca_mode_many():
     for i in range(12):
         target = random_voca(derive_seed(31, i), max_states=5)
-        teacher = SimulatedTeacher(target, use_voca_equiv=True)
+        teacher = SimulatedTeacher(target)
         hypothesis, stats = learn(teacher, LearnConfig(voca=True))
         assert stats.n_cv == 0
         assert check_sync_equiv(hypothesis, target).equivalent
         assert hypothesis.size <= target.size
+
+
+def test_teacher_picks_voca_check_from_the_machines(monkeypatch):
+    # default-mode hypotheses of VOCA targets need not be VOCAs, and those
+    # must never reach voca_check_equiv, which rejects them
+    calls = []
+    voca_check_equiv = learning.voca_check_equiv
+
+    def counted(a, b):
+        calls.append((a, b))
+        return voca_check_equiv(a, b)
+
+    monkeypatch.setattr(learning, "voca_check_equiv", counted)
+    for i in range(20):
+        target = random_voca(derive_seed(31, i), max_states=5)
+        hypothesis, stats = learn(SimulatedTeacher(target))
+        assert stats.success == 1
+        assert check_sync_equiv(hypothesis, target).equivalent
+    assert calls
+    assert all(a.is_voca() and b.is_voca() for a, b in calls)
+    calls.clear()
+    learn(SimulatedTeacher(make_anbna()))
+    assert not calls
+
+
+def test_learn_deadline_overshoot_is_bounded():
+    for i in range(4):
+        target = generate_droca(GenConfig(n_states=8, alphabet_size=2,
+                                          seed=derive_seed(555, 8, i)))
+        start = time.monotonic()
+        try:
+            learn(SimulatedTeacher(target), LearnConfig(timeout_s=3))
+        except LearnTimeout:
+            pass
+        assert time.monotonic() - start <= 3 + 0.25
 
 
 def test_counterexamples_never_repeat():

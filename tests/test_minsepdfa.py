@@ -55,7 +55,7 @@ def test_encode_size_examples():
     cnf = encode_size_n(apta, 2)
     model = sat_solve(cnf)
     assert model is not None
-    dfa = decode_dfa(apta, model, cnf, 2)
+    dfa = decode_dfa(apta, model, 2)
     assert dfa.accepts(()) and not dfa.accepts(("a0",))
 
     apta_pos_only = build_apta(SampleSet(pos=((),), neg=(),

@@ -6,20 +6,20 @@ import sys
 
 import pytest
 
-from ocalearn import (CnfInstance, SolverConfig, SolverError, sat_solve,
-                      solve_builtin)
+from ocalearn import (CnfInstance, InvalidInput, SolverConfig, SolverError,
+                      sat_solve, solve_builtin)
 
 
 def test_single_positive_unit():
     cnf = CnfInstance()
-    x1 = cnf.new_var(("x", 1))
+    x1 = cnf.new_var()
     cnf.add(x1)
     assert sat_solve(cnf) == {x1: True}
 
 
 def test_contradictory_units():
     cnf = CnfInstance()
-    x1 = cnf.new_var(("x", 1))
+    x1 = cnf.new_var()
     cnf.add(x1)
     cnf.add(-x1)
     assert sat_solve(cnf) is None
@@ -31,8 +31,8 @@ def test_empty_clause_list_is_satisfiable():
 
 def test_dimacs_format():
     cnf = CnfInstance()
-    a = cnf.new_var(("a",))
-    b = cnf.new_var(("b",))
+    a = cnf.new_var()
+    b = cnf.new_var()
     cnf.add(a, -b)
     cnf.add(b)
     assert cnf.to_dimacs() == "p cnf 2 2\n1 -2 0\n2 0\n"
@@ -60,6 +60,15 @@ def test_builtin_agrees_with_enumeration():
         if model is not None:
             assert all(any((lit > 0) == model[abs(lit)] for lit in clause)
                        for clause in clauses)
+
+
+def test_builtin_rejects_undeclared_literals():
+    with pytest.raises(InvalidInput):
+        solve_builtin(1, [(0,)])
+    with pytest.raises(InvalidInput):
+        solve_builtin(1, [(3,), (-1,)])
+    with pytest.raises(InvalidInput):
+        solve_builtin(1, [(1, -1, 2)])
 
 
 def test_builtin_handles_pigeonhole_unsat():
@@ -119,7 +128,7 @@ def test_external_backend_agreement(external_solver):
         cnf = CnfInstance()
         num_vars = rng.randrange(2, 12)
         for v in range(num_vars):
-            cnf.new_var(("x", v))
+            cnf.new_var()
         for _ in range(rng.randrange(1, 40)):
             width = rng.randrange(1, 4)
             cnf.add(*(rng.choice((-1, 1)) * rng.randrange(1, num_vars + 1)
@@ -158,7 +167,7 @@ def test_external_backend_agrees_on_identification_instances(external_solver):
 
 def test_external_backend_missing_executable():
     cnf = CnfInstance()
-    cnf.add(cnf.new_var(("x",)))
+    cnf.add(cnf.new_var())
     with pytest.raises(SolverError):
         sat_solve(cnf, SolverConfig(backend="external:/nonexistent/solver"))
 
