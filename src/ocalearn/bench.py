@@ -3,15 +3,18 @@
 Each (state count, alphabet size, sample index) cell gets its own
 derived seed, its own generated target and an isolated learning session
 under a per-sample timeout.  One CSV row per sample; failures are
-recorded in the row, never abort the sweep.  Row order follows the
-(states, alphabet, sample) grid regardless of completion order.
+recorded in the row, never abort the sweep, and neither does a worker
+process that dies.  Row order follows the (states, alphabet, sample)
+grid regardless of completion order.
 """
 
 from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from .errors import InvalidInput, LearnTimeout
@@ -66,6 +69,10 @@ def run_sample(n_states: int, alphabet_size: int, seed: int, restricted: bool,
     except Exception as exc:
         reason = type(exc).__name__
         stats.wall_ms = int((time.monotonic() - start) * 1000)
+    return _row(stats, reason)
+
+
+def _row(stats: Stats, reason: str) -> dict:
     row = {name: getattr(stats, name) for name in STATS_FIELDS}
     row["reason"] = reason
     return row
@@ -73,6 +80,41 @@ def run_sample(n_states: int, alphabet_size: int, seed: int, restricted: bool,
 
 def _run_sample_args(args):
     return run_sample(*args)
+
+
+def _run_parallel(tasks, jobs: int) -> list[dict]:
+    """Rows of ``tasks`` run in worker processes, at most ``jobs`` at a
+    time.  A worker that dies breaks its pool: the samples in flight are
+    lost with it and become ``BrokenProcessPool`` rows, and a fresh pool
+    runs the rest."""
+    rows: list[dict | None] = [None] * len(tasks)
+    todo = deque(range(len(tasks)))
+    while todo:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            running = {}
+            broken = False
+            while running or (todo and not broken):
+                while todo and not broken and len(running) < jobs:
+                    index = todo.popleft()
+                    try:
+                        running[pool.submit(_run_sample_args, tasks[index])] = index
+                    except BrokenProcessPool:
+                        todo.appendleft(index)
+                        broken = True
+                if not running:
+                    break
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    index = running.pop(future)
+                    try:
+                        rows[index] = future.result()
+                    except BrokenProcessPool:
+                        n_states, alphabet_size, seed = tasks[index][:3]
+                        rows[index] = _row(Stats(seed=seed, target_states=n_states,
+                                                 alphabet=alphabet_size),
+                                           "BrokenProcessPool")
+                        broken = True
+    return rows
 
 
 def run_benchmark(config: BenchConfig) -> list[dict]:
@@ -88,8 +130,7 @@ def run_benchmark(config: BenchConfig) -> list[dict]:
     if config.jobs == 1:
         rows = [run_sample(*task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(_run_sample_args, tasks))
+        rows = _run_parallel(tasks, config.jobs)
     if config.out_path is not None:
         write_csv(rows, config.out_path)
     return rows

@@ -123,14 +123,16 @@ class LearnConfig:
 
 def construct_droca(table: ObservationTable, *,
                     action_map: dict[tuple[str, int], int] | None = None,
-                    solve=sat_solve) -> Droca:
+                    solve=sat_solve, at_least: int = 1) -> Droca:
     """Build a one-counter hypothesis agreeing with the table.
 
     The minimal separating DFA of the table's samples, restricted to the
-    doubled alphabet, is the hypothesis skeleton.  Counter-actions come
-    from replaying every table word through the skeleton: each step
-    demands its observed counter delta, and each end state additionally
-    demands the word's whole action vector.  Transitions never exercised
+    doubled alphabet, is the hypothesis skeleton; its search starts at
+    ``at_least`` states, which must be a lower bound on the minimal size
+    (see :func:`find_min_sep_dfa`).  Counter-actions come from replaying
+    every table word through the skeleton: each step demands its observed
+    counter delta, and each end state additionally demands the word's
+    whole action vector.  Transitions never exercised
     by a table word keep the skeleton target with action 0.  Conflicting
     demands abort the session: they mean the sample constraints failed
     to keep dissimilar rows apart.
@@ -145,7 +147,7 @@ def construct_droca(table: ObservationTable, *,
     and every transition takes its action from the map.
     """
     samples = build_samples(table)
-    full = find_min_sep_dfa(samples, solve=solve)
+    full = find_min_sep_dfa(samples, solve=solve, at_least=at_least)
     skeleton = strip_operations(full, samples.ops)
     names = {q: f"s{q}" for q in skeleton.states}
 
@@ -269,6 +271,7 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
 
     table = ObservationTable(view.alphabet)
     d = 0
+    size = 1    # the table only grows, so hypothesis sizes never drop
     pending: CeRecord | None = None
     while True:
         table.repair(d, view)
@@ -278,7 +281,7 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
         while True:
             try:
                 hypothesis = construct_droca(table, action_map=action_map,
-                                             solve=checked_solve)
+                                             solve=checked_solve, at_least=size)
                 break
             except PrefixConflict as conflict:
                 table.add_prefix(conflict.prefix)
@@ -289,6 +292,7 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
                     raise LearnTimeout("SAT call ran into the deadline",
                                        stats) from None
                 raise
+        size = hypothesis.size
         if deadline is not None and time.monotonic() > deadline:
             finish(d)
             raise LearnTimeout("deadline reached before an equivalence query", stats)

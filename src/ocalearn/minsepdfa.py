@@ -11,8 +11,9 @@ table words with dissimilar action vectors -- precisely what hypothesis
 construction needs.
 
 Identification is exact: build the prefix-tree acceptor, encode
-"n states suffice" as a graph-coloring CNF, and grow n until the SAT
-backend finds a model.
+"n states suffice" as a graph-coloring CNF, and grow n from a known
+lower bound (1, or the size of the previous hypothesis of a learning
+session) until the SAT backend finds a model.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import Dfa, doubled_alphabet
-from .errors import SampleConflict, SolverError
+from .errors import InvalidInput, SampleConflict, SolverError
 from .sat import CnfInstance, sat_solve
 from .table import ActionsVector
 
@@ -177,20 +178,32 @@ def decode_dfa(apta: Apta, assignment: dict[int, bool], n: int) -> Dfa:
                transition=transition, finals=finals)
 
 
-def find_min_sep_dfa(samples: SampleSet, solve=sat_solve) -> Dfa:
+def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1) -> Dfa:
     """Smallest complete DFA accepting every positive and rejecting every
-    negative sample, found by growing the state count from 1.  ``solve``
-    maps a :class:`CnfInstance` to a model or None."""
+    negative sample, found by growing the state count from ``at_least``.
+    ``solve`` maps a :class:`CnfInstance` to a model or None.
+
+    ``at_least`` must not exceed the minimal size; then the first
+    satisfiable rung, its CNF and its model are those of the search from
+    1.  Within a learning session the size of the previous hypothesis is
+    such a bound: the table never loses a word and its query caches hold
+    fixed answers, so every sample set contains the previous one (and
+    its op letters), and any DFA separating the new samples, restricted
+    to the old alphabet, separates the old ones too: the minimal size
+    never drops.
+    """
+    if at_least < 1:
+        raise InvalidInput(f"at_least must be at least 1, got {at_least!r}")
     apta = build_apta(samples)
-    for n in range(1, apta.num_nodes + 2):
+    for n in range(at_least, apta.num_nodes + 2):
         cnf = encode_size_n(apta, n)
         assignment = solve(cnf)
         if assignment is not None:
             dfa = decode_dfa(apta, assignment, n)
             _check_separates(dfa, samples)
             return dfa
-    raise SolverError("no separating DFA up to the prefix-tree size; "
-                      "backend is unsound")
+    raise SolverError(f"no separating DFA of {at_least} to {apta.num_nodes + 1} "
+                      "states; the backend is unsound or the lower bound too high")
 
 
 def strip_operations(dfa: Dfa, ops) -> Dfa:

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import time
@@ -7,7 +8,7 @@ import time
 import pytest
 
 from ocalearn import (BenchConfig, CSV_HEADER, InvalidInput, bench,
-                      run_benchmark, store)
+                      derive_seed, run_benchmark, store)
 from ocalearn.cli import main
 from conftest import make_anbna
 
@@ -64,6 +65,32 @@ def test_bench_records_any_exception_without_aborting(monkeypatch):
         assert row["success"] == 0
         assert row["reason"] == "RuntimeError"
         assert row["wall_ms"] >= 10
+
+
+def test_bench_survives_a_dead_worker(monkeypatch):
+    # the forked workers inherit the patched run_sample
+    doomed = derive_seed(9, 2, 2, 1)
+    run_sample = bench.run_sample
+
+    def dying(n_states, alphabet_size, seed, *rest):
+        if seed == doomed:
+            os._exit(1)
+        return run_sample(n_states, alphabet_size, seed, *rest)
+
+    monkeypatch.setattr(bench, "run_sample", dying)
+    config = BenchConfig(min_states=2, max_states=2, samples=6, seed=9,
+                         timeout_s=60, jobs=2)
+    rows = run_benchmark(config)
+    assert [row["seed"] for row in rows] == \
+        [derive_seed(9, 2, 2, i) for i in range(6)]
+    lost = [i for i, row in enumerate(rows) if row["reason"] == "BrokenProcessPool"]
+    # the pool holds at most jobs samples in flight, and only those are lost
+    assert 1 in lost and len(lost) <= 2
+    for i, row in enumerate(rows):
+        if i not in lost:
+            assert row["success"] == 1 and row["reason"] == ""
+        else:
+            assert row["success"] == 0
 
 
 def test_bench_config_validation():

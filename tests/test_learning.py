@@ -1,6 +1,7 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocalearn import (Droca, GenConfig, LearnConfig, LearnTimeout,
                       ObservationTable, SimulatedTeacher, brute_force_equiv,
@@ -200,3 +201,49 @@ def test_end_to_end_soundness_to_length_12():
     for target in targets:
         hypothesis, _ = learn(SimulatedTeacher(target))
         assert brute_force_equiv(hypothesis, target, 12).equivalent
+
+
+def test_warm_ladder_returns_the_cold_ladder_dfa(monkeypatch):
+    # every hypothesis's DFA must be the one the search from one state
+    # finds, while the sessions make fewer SAT calls than those searches
+    find_min_sep_dfa = learning.find_min_sep_dfa
+    cold_calls = []
+
+    def cross_checked(samples, solve, at_least):
+        warm = find_min_sep_dfa(samples, solve=solve, at_least=at_least)
+        cold = find_min_sep_dfa(samples, at_least=1)
+        assert (warm.states, warm.transition, warm.finals) == \
+            (cold.states, cold.transition, cold.finals)
+        cold_calls.append(cold.size)
+        return warm
+
+    monkeypatch.setattr(learning, "find_min_sep_dfa", cross_checked)
+    sessions = [(make_anbna(), LearnConfig())]
+    for i in range(10):
+        seed = derive_seed(424242, i)
+        target = generate_droca(GenConfig(n_states=2 + seed % 5,
+                                          alphabet_size=2, seed=seed))
+        sessions.append((target, LearnConfig()))
+    for i in range(4):
+        sessions.append((random_voca(derive_seed(31, i), max_states=5),
+                         LearnConfig(voca=True)))
+    n_sat = 0
+    for target, config in sessions:
+        hypothesis, stats = learn(SimulatedTeacher(target), config)
+        assert check_sync_equiv(hypothesis, target).equivalent
+        n_sat += stats.n_sat
+    assert n_sat < sum(cold_calls)
+
+
+@settings(deadline=None, max_examples=25)
+@given(n_states=st.integers(2, 4), alphabet_size=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1), restricted=st.booleans())
+def test_learn_property_equivalent_and_no_larger(n_states, alphabet_size,
+                                                 seed, restricted):
+    target = generate_droca(GenConfig(n_states=n_states,
+                                      alphabet_size=alphabet_size, seed=seed,
+                                      restricted=restricted))
+    hypothesis, stats = learn(SimulatedTeacher(target))
+    assert stats.success == 1
+    assert check_sync_equiv(hypothesis, target).equivalent
+    assert hypothesis.size <= target.size

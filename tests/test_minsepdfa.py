@@ -2,10 +2,12 @@ import sys
 
 import pytest
 
-from ocalearn import (ActionsVector, SampleConflict, SampleSet, build_apta,
+from ocalearn import (ActionsVector, InvalidInput, ObservationTable,
+                      SampleConflict, SampleSet, SimulatedTeacher, build_apta,
                       build_samples, encode_size_n, find_min_sep_dfa,
                       sat_solve, strip_operations)
 from ocalearn.minsepdfa import decode_dfa
+from conftest import make_anbna, random_machine
 from test_table import golden_table
 from oracles import min_sep_dfa_size
 
@@ -120,3 +122,32 @@ def test_strip_removes_op_columns():
     assert stripped.alphabet == ("a0",)
     assert stripped.size == dfa.size
     assert all(sym == "a0" for (_, sym) in stripped.transition)
+
+
+def test_ladder_start_below_the_minimum_changes_nothing():
+    # a lower bound only skips UNSAT rungs: the first satisfiable rung, its
+    # CNF and so its model are those of the search from one state
+    tables = []
+    for machine in (make_anbna(), random_machine(3), random_machine(7)):
+        teacher = SimulatedTeacher(machine)
+        table = ObservationTable(machine.alphabet)
+        table.repair(2, teacher)
+        tables.append(table)
+    tables.append(golden_table(make_anbna())[0])
+    sizes = []
+    for table in tables:
+        samples = build_samples(table)
+        cold = find_min_sep_dfa(samples)
+        sizes.append(cold.size)
+        for k in range(1, cold.size + 1):
+            warm = find_min_sep_dfa(samples, at_least=k)
+            assert (warm.states, warm.transition, warm.finals) == \
+                (cold.states, cold.transition, cold.finals)
+    assert max(sizes) >= 3
+
+
+def test_ladder_start_must_be_positive():
+    samples = SampleSet(pos=((),), neg=(), ops=(), base_alphabet=("a0",))
+    for k in (0, -1):
+        with pytest.raises(InvalidInput):
+            find_min_sep_dfa(samples, at_least=k)
