@@ -7,7 +7,10 @@ word; a bounded breadth-first search over the synchronized product
 suffices because a minimal witness for machines of at most K states has
 height at most K^4 and length at most 2*K^5.  For visibly one-counter
 automata ``voca_check_equiv`` runs the same search under the much
-smaller caps height 2(K+K^2) and length 4K(K+K^2).
+smaller caps height 2(K+K^2) and length 4K(K+K^2).  The search checks
+each word where it generates it, which is length-lex order, and reads
+the witness back from its parent map with the helper that
+``reach_witness`` uses.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ def check_sync_equiv(a: Droca, b: Droca) -> Verdict:
 
     On failure returns the length-lex-minimal counterexample (letters
     ordered by the shared alphabet order).  The search walks the product
-    of configurations with one shared counter; a branch halts at the
-    first counter-action disagreement, which is sound because prefixes
-    of any surviving branch are fully synchronized.
+    of configurations with one shared counter and stops at the first
+    counter-action disagreement, which is sound because every word it
+    extends is fully synchronized.
     """
     _require_same_alphabet(a, b)
     k = max(a.size, b.size)
@@ -166,72 +169,41 @@ def _bounded_product_search(a: Droca, b: Droca, counter_cap: int,
                             length_cap: int) -> Verdict:
     """BFS over (state_a, state_b, shared counter) in length-lex order.
 
-    Acceptance mismatches are detected when a node is dequeued; a
-    counter-action disagreement during expansion yields a desync word one
-    letter longer, so it is kept as a pending candidate until every
-    length-lex-earlier word has been dequeued and checked.
+    Expanding nodes breadth-first, letters in alphabet order, generates
+    words in length-lex order, so each word is checked where it is
+    generated: a letter on which the counter actions differ is a counter
+    desync, and a new node whose acceptance bits differ is an acceptance
+    mismatch.  A node already in ``parents`` was checked under a smaller
+    word, so the first violation found is the length-lex-minimal one
+    within the caps.
     """
     d0a, d1a, fin_a, init_a = a.indexed_tables()
     d0b, d1b, fin_b, init_b = b.indexed_tables()
-    k = len(a.alphabet)
-
+    alphabet = a.alphabet
+    if fin_a[init_a] != fin_b[init_b]:
+        return Verdict(False, Counterexample("", ACCEPT_MISMATCH))
     start = (init_a, init_b, 0)
-    ids = {start: 0}
-    nodes = [start]
-    parents = [(-1, -1)]  # node id -> (parent id, letter index)
-    depths = [0]
-    queue = deque([0])
-    pending_word: tuple[int, ...] | None = None
-    pending_kind = None
-
-    def letters_back(nid):
-        out = []
-        while nid != 0:
-            parent, ai = parents[nid]
-            out.append(ai)
-            nid = parent
-        out.reverse()
-        return tuple(out)
-
-    def materialize(letter_indices):
-        return "".join(a.alphabet[i] for i in letter_indices)
-
+    parents = {start: (None, -1)}
+    queue = deque([(start, 0)])
     while queue:
-        nid = queue.popleft()
-        depth = depths[nid]
-        if pending_word is not None:
-            if depth > len(pending_word):
-                break
-            if depth == len(pending_word) and letters_back(nid) >= pending_word:
-                break
-        pa, pb, n = nodes[nid]
-        if fin_a[pa] != fin_b[pb]:
-            return Verdict(False, Counterexample(materialize(letters_back(nid)),
-                                                 ACCEPT_MISMATCH))
+        node, depth = queue.popleft()
         if depth >= length_cap:
             continue
+        pa, pb, n = node
         row_a = d0a[pa] if n == 0 else d1a[pa]
         row_b = d0b[pb] if n == 0 else d1b[pb]
-        for ai in range(k):
+        for ai in range(len(alphabet)):
             ta, ea = row_a[ai]
             tb, eb = row_b[ai]
             if ea != eb:
-                if pending_word is None:
-                    pending_word = letters_back(nid) + (ai,)
-                    pending_kind = COUNTER_DESYNC
+                word = _words_back(parents, node, alphabet) + alphabet[ai]
+                return Verdict(False, Counterexample(word, COUNTER_DESYNC))
+            child = (ta, tb, n + ea)
+            if child[2] > counter_cap or child in parents:
                 continue
-            if pending_word is not None and depth + 1 > len(pending_word):
-                continue
-            m = n + ea
-            if m > counter_cap:
-                continue
-            child = (ta, tb, m)
-            if child not in ids:
-                ids[child] = len(nodes)
-                nodes.append(child)
-                parents.append((nid, ai))
-                depths.append(depth + 1)
-                queue.append(ids[child])
-    if pending_word is not None:
-        return Verdict(False, Counterexample(materialize(pending_word), pending_kind))
+            parents[child] = (node, ai)
+            if fin_a[ta] != fin_b[tb]:
+                word = _words_back(parents, child, alphabet)
+                return Verdict(False, Counterexample(word, ACCEPT_MISMATCH))
+            queue.append((child, depth + 1))
     return EQUIVALENT

@@ -251,17 +251,8 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
         stats.wall_ms = int((time.monotonic() - start) * 1000)
 
     def checked_solve(cnf):
-        if deadline is not None and time.monotonic() > deadline:
-            finish(d)
-            raise LearnTimeout("deadline reached before a SAT call", stats)
         stats.n_sat += 1
-        solver_config = config.solver
-        if deadline is not None:
-            remaining = max(deadline - time.monotonic(), 0.01)
-            limit = remaining if solver_config.time_limit_s is None \
-                else min(remaining, solver_config.time_limit_s)
-            solver_config = SolverConfig(solver_config.backend, limit)
-        return sat_solve(cnf, solver_config)
+        return sat_solve(cnf, config.solver, deadline)
 
     action_map = None
     view = teacher
@@ -287,11 +278,8 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
                 table.add_prefix(conflict.prefix)
                 table.repair(d, view)
             except SolverTimeout:
-                if deadline is not None and time.monotonic() >= deadline:
-                    finish(d)
-                    raise LearnTimeout("SAT call ran into the deadline",
-                                       stats) from None
-                raise
+                finish(d)
+                raise LearnTimeout("SAT call ran into the deadline", stats) from None
         size = hypothesis.size
         if deadline is not None and time.monotonic() > deadline:
             finish(d)

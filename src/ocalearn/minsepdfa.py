@@ -100,19 +100,12 @@ class Apta:
 
 
 def build_apta(samples: SampleSet) -> Apta:
-    conflict = set(samples.pos) & set(samples.neg)
-    if conflict:
-        raise SampleConflict("".join(map(str, sorted(conflict, key=_word_sort_key)[0])))
     apta = Apta(samples.alphabet)
     for word in samples.pos:
         apta.insert(word, True)
     for word in samples.neg:
         apta.insert(word, False)
     return apta
-
-
-def _word_sort_key(word):
-    return (len(word), tuple(str(sym) for sym in word))
 
 
 def _variables(apta: Apta, n: int):

@@ -50,7 +50,6 @@ class SolverConfig:
     """Backend selection: ``"builtin"`` or ``"external:<executable>"``."""
 
     backend: str = "builtin"
-    time_limit_s: float | None = None
 
     def external_path(self) -> str | None:
         if self.backend == "builtin":
@@ -63,27 +62,38 @@ class SolverConfig:
         raise InvalidInput(f"unknown SAT backend {self.backend!r}")
 
 
-def sat_solve(cnf: CnfInstance, config: SolverConfig | None = None) -> dict[int, bool] | None:
-    """A satisfying assignment (total over declared variables) or None."""
-    config = config or SolverConfig()
-    path = config.external_path()
+def sat_solve(cnf: CnfInstance, config: SolverConfig | None = None,
+              deadline: float | None = None) -> dict[int, bool] | None:
+    """A satisfying assignment (total over declared variables) or None.
+
+    ``deadline`` is a :func:`time.monotonic` instant; past it the call
+    raises :class:`SolverTimeout`, at entry as well as while solving.
+    """
+    path = (config or SolverConfig()).external_path()
     if path is None:
-        return solve_builtin(cnf.num_vars, cnf.clauses, config.time_limit_s)
-    return _solve_external(cnf, path, config.time_limit_s)
+        return solve_builtin(cnf.num_vars, cnf.clauses, deadline)
+    return _solve_external(cnf, path, deadline)
 
 
-def _solve_external(cnf, exe, time_limit):
+def _check_deadline(deadline):
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolverTimeout("SAT solver ran past its deadline")
+
+
+def _solve_external(cnf, exe, deadline):
+    _check_deadline(deadline)
     with tempfile.TemporaryDirectory(prefix="ocalearn_sat_") as tmp:
         path = os.path.join(tmp, "instance.cnf")
         with open(path, "w", encoding="ascii") as handle:
             handle.write(cnf.to_dimacs())
         try:
+            timeout = None if deadline is None else deadline - time.monotonic()
             proc = subprocess.run([exe, path], capture_output=True, text=True,
-                                  timeout=time_limit)
+                                  timeout=timeout)
         except FileNotFoundError:
             raise SolverError(f"external solver not found: {exe}") from None
         except subprocess.TimeoutExpired:
-            raise SolverTimeout(f"external solver exceeded {time_limit}s") from None
+            raise SolverTimeout("external solver ran past its deadline") from None
     status = None
     values: dict[int, bool] = {}
     for line in proc.stdout.splitlines():
@@ -101,22 +111,25 @@ def _solve_external(cnf, exe, time_limit):
     raise SolverError(f"no status line in solver output (exit {proc.returncode})")
 
 
-def solve_builtin(num_vars: int, clauses, time_limit_s: float | None = None):
+def solve_builtin(num_vars: int, clauses, deadline: float | None = None):
     """Conflict-driven clause-learning solver.
 
     Watched-literal propagation, first-UIP clause learning, activity-based
     decisions with phase saving, and geometric restarts.  Deterministic:
     ties break on variable index and there is no randomization.  A literal
     that is 0 or names a variable above ``num_vars`` raises
-    :class:`InvalidInput`.
+    :class:`InvalidInput`.  Past ``deadline`` (a :func:`time.monotonic`
+    instant), checked at entry and on every conflict, it raises
+    :class:`SolverTimeout`.
     """
-    return _Cdcl(num_vars, clauses, time_limit_s).solve()
+    _check_deadline(deadline)
+    return _Cdcl(num_vars, clauses, deadline).solve()
 
 
 class _Cdcl:
-    def __init__(self, num_vars, clauses, time_limit_s):
+    def __init__(self, num_vars, clauses, deadline):
         self.nvars = num_vars
-        self.deadline = None if time_limit_s is None else time.monotonic() + time_limit_s
+        self.deadline = deadline
         n = num_vars + 1
         self.assign = [0] * n          # 0 unassigned, 1 true, -1 false
         self.level = [0] * n
@@ -295,8 +308,7 @@ class _Cdcl:
                 if not self.trail_lim:
                     return None
                 since_restart += 1
-                if self.deadline is not None and time.monotonic() > self.deadline:
-                    raise SolverTimeout("builtin solver exceeded its time limit")
+                _check_deadline(self.deadline)
                 learnt, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
                 if len(learnt) >= 2:

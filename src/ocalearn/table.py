@@ -181,7 +181,7 @@ class ObservationTable:
         The returned suffix s satisfies Memb(pas) != Memb(qas) or
         Actions(pas) != Actions(qas).  Because the empty suffix is always
         a column, equal rows force equal counter-values on extensions, so
-        such an s always exists; s = '' is returned defensively otherwise.
+        such an s always exists.
         """
         for i, p in enumerate(self.prefixes):
             cvp = self.counter_value(p)
@@ -198,7 +198,6 @@ class ObservationTable:
                         if (self.membership(p + a + s) != self.membership(q + a + s)
                                 or self.actions(p + a + s) != self.actions(q + a + s)):
                             return p, q, a, s
-                    return p, q, a, ""
         return None
 
     def repair(self, d: int, teacher) -> "ObservationTable":

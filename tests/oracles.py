@@ -7,6 +7,16 @@ node colors with forced-transition propagation.  A complete DFA with n
 states consistent with the samples exists iff the prefix tree is
 n-colorable, since unconstrained transitions and acceptance bits can be
 filled arbitrarily.
+
+The search prunes with the conflict graph of Heule & Verwer, "Exact DFA
+identification using SAT solvers" (ICGI 2010): two nodes are
+incompatible when some common suffix leads them to opposite labels, so
+no coloring may give them one color.  A color holding a node
+incompatible with the one being placed is skipped, and a node whose
+transition is fixed is colored as soon as it is fixed, not when its turn
+in breadth-first order comes, so a clash shows before the next branch.
+Both only cut colorings that cannot be completed, so the search stays
+exact.
 """
 
 from __future__ import annotations
@@ -39,8 +49,9 @@ def min_sep_dfa_size(pos, neg, max_states=12):
     rejecting all of ``neg``, by exhaustive coloring search."""
     children, parent, labels = _build_trie(pos, neg)
     order = _bfs_order(children)
+    conflicts = _conflicts(children, labels)
     for n in range(1, max_states + 1):
-        if _colorable(order, children, parent, labels, n):
+        if _colorable(order, children, parent, conflicts, n):
             return n
     raise ValueError(f"no separating DFA with up to {max_states} states")
 
@@ -52,51 +63,91 @@ def _bfs_order(children):
     return order
 
 
-def _colorable(order, children, parent, labels, n):
-    color = {}
-    acc: dict[int, bool] = {}
-    trans: dict[tuple[int, object], int] = {}
-    used = [0]
+def _conflicts(children, labels):
+    """Bitmask per node of the nodes incompatible with it."""
+    memo = {}
 
-    def place(index):
+    def incompatible(u, v):
+        key = (u, v) if u < v else (v, u)
+        if key not in memo:
+            memo[key] = (labels[u] is not None and labels[v] is not None
+                         and labels[u] != labels[v]) or any(
+                sym in children[v] and incompatible(child, children[v][sym])
+                for sym, child in children[u].items())
+        return memo[key]
+
+    nodes = range(len(children))
+    return [sum(1 << v for v in nodes if incompatible(u, v)) for u in nodes]
+
+
+def _colorable(order, children, parent, conflicts, n):
+    color = [None] * len(order)
+    members = [0] * n                   # bitmask of the nodes of each color
+    by_color = [[] for _ in range(n)]   # the same nodes, in coloring order
+    trans: dict[tuple[int, object], int] = {}
+    trail = []                          # colored nodes and fixed transitions
+
+    def assign(node, c):
+        """Color ``node`` with ``c``, and every node whose color that
+        forces; False on a clash.  Each change goes on the trail for
+        ``undo``."""
+        stack = [(node, c)]
+        while stack:
+            v, c = stack.pop()
+            if color[v] is not None:
+                if color[v] != c:
+                    return False
+                continue
+            if conflicts[v] & members[c]:
+                return False
+            color[v] = c
+            members[c] |= 1 << v
+            by_color[c].append(v)
+            trail.append(v)
+            if v != 0:
+                p, sym = parent[v]
+                edge = (color[p], sym)
+                target = trans.get(edge)
+                if target is None:
+                    trans[edge] = c
+                    trail.append(edge)
+                    for w in by_color[edge[0]]:
+                        child = children[w].get(sym)
+                        if child is not None:
+                            stack.append((child, c))
+                elif target != c:
+                    return False
+            for sym, child in children[v].items():
+                target = trans.get((c, sym))
+                if target is not None:
+                    stack.append((child, target))
+        return True
+
+    def undo(mark):
+        while len(trail) > mark:
+            item = trail.pop()
+            if isinstance(item, tuple):
+                del trans[item]
+            else:
+                c = color[item]
+                members[c] &= ~(1 << item)
+                by_color[c].pop()
+                color[item] = None
+
+    def search(index):
+        # every uncolored node has a colored parent whose transition on
+        # its symbol is still free, or ``assign`` would have colored it;
+        # a new color is only ever the next unused one
+        while index < len(order) and color[order[index]] is not None:
+            index += 1
         if index == len(order):
             return True
-        node = order[index]
-        if node == 0:
-            candidates = [0]
-        else:
-            parent_node, sym = parent[node]
-            forced = trans.get((color[parent_node], sym))
-            if forced is not None:
-                candidates = [forced]
-            else:
-                candidates = range(min(used[0] + 1, n))
-        label = labels[node]
-        for c in candidates:
-            if label is not None and c in acc and acc[c] != label:
-                continue
-            added_acc = label is not None and c not in acc
-            if added_acc:
-                acc[c] = label
-            edge = None
-            if node != 0:
-                parent_node, sym = parent[node]
-                if (color[parent_node], sym) not in trans:
-                    edge = (color[parent_node], sym)
-                    trans[edge] = c
-            bumped = c == used[0] and used[0] < n
-            if bumped:
-                used[0] += 1
-            color[node] = c
-            if place(index + 1):
+        used = sum(1 for m in members if m)
+        for c in range(min(used + 1, n)):
+            mark = len(trail)
+            if assign(order[index], c) and search(index + 1):
                 return True
-            del color[node]
-            if bumped:
-                used[0] -= 1
-            if edge is not None:
-                del trans[edge]
-            if added_acc:
-                del acc[c]
+            undo(mark)
         return False
 
-    return place(0)
+    return assign(0, 0) and search(1)

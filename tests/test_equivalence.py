@@ -68,7 +68,35 @@ def test_brute_force_examples(anbna):
     assert verdict.counterexample.kind == ACCEPT_MISMATCH
 
 
+def _same_length_pair(desync, mismatch):
+    """A one-state machine that keeps the counter at zero and rejects
+    everything, and a machine that differs from it first on two words of
+    length two: its counter moves on the last letter of ``desync`` and it
+    accepts ``mismatch``.  The states ``a`` and ``b`` are reached by the
+    letters of the same name."""
+    states = ("i", "a", "b", "f", "s")
+    delta0 = {(q, x): ("s", 0) for q in states for x in "ab"}
+    delta0[("i", "a")] = ("a", 0)
+    delta0[("i", "b")] = ("b", 0)
+    delta0[(desync[0], desync[1])] = ("s", 1)
+    delta0[(mismatch[0], mismatch[1])] = ("f", 0)
+    delta1 = {key: ("s", 0) for key in delta0}
+    other = Droca(states, ("a", "b"), "i", delta0, delta1, ["f"])
+    flat = {("p", x): ("p", 0) for x in "ab"}
+    return Droca(["p"], ("a", "b"), "p", flat, flat, []), other
+
+
 def test_cross_validation_random_pairs():
+    # hand-built pairs first: a counter desync and an acceptance mismatch
+    # first appear at the same length, one at ab and the other at ba, so
+    # only the length-lex order of the two decides the witness
+    ab_mismatch = _same_length_pair(desync="ba", mismatch="ab")
+    ab_desync = _same_length_pair(desync="ab", mismatch="ba")
+    for (a, b), kind in ((ab_mismatch, ACCEPT_MISMATCH), (ab_desync, COUNTER_DESYNC)):
+        for left, right in ((a, b), (b, a)):
+            slow = brute_force_equiv(left, right, 2).counterexample
+            assert (slow.word, slow.kind) == ("ab", kind)
+            assert check_sync_equiv(left, right).counterexample == slow
     agree = 0
     for i in range(150):
         a = random_machine(derive_seed(900, i, 0), max_states=5)

@@ -76,6 +76,20 @@ def test_learn_one_state_all_accepting():
     assert stats.n_seq <= 2
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: every table word w makes enc(w) followed by its own "
+    "action-vector letter a positive sample, so the minimal separating DFA "
+    "of an empty-language target needs an accepting state beside the "
+    "rejecting one and the hypothesis has 2 states"))
+def test_learn_one_state_empty_language():
+    target = Droca(states=["q"], alphabet=["a"], initial="q",
+                   delta0={("q", "a"): ("q", 1)}, delta1={("q", "a"): ("q", 1)},
+                   finals=[])
+    hypothesis, _ = learn(SimulatedTeacher(target))
+    assert check_sync_equiv(hypothesis, target).equivalent
+    assert hypothesis.size == 1
+
+
 def test_learn_stats_json_fields(anbna):
     _, stats = learn(SimulatedTeacher(anbna))
     import json

@@ -3,11 +3,12 @@ import os
 import random
 import stat
 import sys
+import time
 
 import pytest
 
 from ocalearn import (CnfInstance, InvalidInput, SolverConfig, SolverError,
-                      sat_solve, solve_builtin)
+                      SolverTimeout, sat_solve, solve_builtin)
 
 
 def test_single_positive_unit():
@@ -123,7 +124,8 @@ def external_solver(tmp_path):
 
 def test_external_backend_agreement(external_solver):
     rng = random.Random(5)
-    config = SolverConfig(backend=f"external:{external_solver}", time_limit_s=60)
+    config = SolverConfig(backend=f"external:{external_solver}")
+    deadline = time.monotonic() + 60
     for _ in range(25):
         cnf = CnfInstance()
         num_vars = rng.randrange(2, 12)
@@ -133,7 +135,7 @@ def test_external_backend_agreement(external_solver):
             width = rng.randrange(1, 4)
             cnf.add(*(rng.choice((-1, 1)) * rng.randrange(1, num_vars + 1)
                       for _ in range(width)))
-        external = sat_solve(cnf, config)
+        external = sat_solve(cnf, config, deadline)
         builtin = sat_solve(cnf)
         assert (external is None) == (builtin is None)
         if external is not None:
@@ -156,13 +158,23 @@ def test_external_backend_agrees_on_identification_instances(external_solver):
     table.add_suffix("a")
     table.fill(teacher)
     apta = build_apta(build_samples(table))
-    config = SolverConfig(backend=f"external:{external_solver}", time_limit_s=120)
+    config = SolverConfig(backend=f"external:{external_solver}")
+    deadline = time.monotonic() + 120
     for n in range(1, 6):
         cnf = encode_size_n(apta, n)
         assert len(cnf.clauses) <= 5000
-        external = sat_solve(cnf, config)
+        external = sat_solve(cnf, config, deadline)
         builtin = sat_solve(cnf)
         assert (external is None) == (builtin is None)
+
+
+def test_passed_deadline_raises_on_both_backends(external_solver):
+    cnf = CnfInstance()
+    cnf.add(cnf.new_var())
+    passed = time.monotonic() - 1
+    for config in (SolverConfig(), SolverConfig(backend=f"external:{external_solver}")):
+        with pytest.raises(SolverTimeout):
+            sat_solve(cnf, config, passed)
 
 
 def test_external_backend_missing_executable():
