@@ -11,9 +11,12 @@ table words with dissimilar action vectors -- precisely what hypothesis
 construction needs.
 
 Identification is exact: build the prefix-tree acceptor, encode
-"n states suffice" as a graph-coloring CNF, and grow n from a known
-lower bound (1, or the size of the previous hypothesis of a learning
-session) until the SAT backend finds a model.
+"n states suffice" as a graph-coloring CNF, and grow n until the SAT
+backend finds a model.  n starts at the larger of two lower bounds: the
+size of the previous hypothesis of a learning session, and a clique of
+pairwise incompatible prefix-tree nodes (Heule & Verwer, "Exact DFA
+identification using SAT solvers", ICGI 2010), which need distinct
+states.
 """
 
 from __future__ import annotations
@@ -108,6 +111,47 @@ def build_apta(samples: SampleSet) -> Apta:
     return apta
 
 
+def clique_bound(apta: Apta) -> int:
+    """A lower bound on the size of any DFA consistent with the labels.
+
+    Two nodes are incompatible when some common suffix leads them to
+    opposite labels; no DFA may give them one state, so a set of pairwise
+    incompatible nodes needs as many states.  Nodes with equal labelled
+    subtrees are interchangeable and never incompatible, so the nodes are
+    hash-consed into subtree classes, children first: a class's children
+    are numbered before it, and the incompatibility of any two earlier
+    classes is known when it is numbered.  The clique is picked greedily
+    among the classes, in order of descending degree.
+    """
+    class_of = [0] * apta.num_nodes
+    classes: dict[tuple, int] = {}
+    labels: list[bool | None] = []
+    edges: list[dict] = []              # symbol -> child class
+    conflicts: list[int] = []           # bitmask of the classes each one clashes with
+    for v in reversed(range(apta.num_nodes)):   # a child is numbered after its parent
+        label = apta.labels[v]
+        out = {sym: class_of[child] for sym, child in apta.children[v].items()}
+        key = (label, frozenset(out.items()))
+        if key not in classes:
+            c = classes[key] = len(labels)
+            mask = 0
+            for d in range(c):
+                if {label, labels[d]} == {True, False} or any(
+                        sym in edges[d] and conflicts[child] >> edges[d][sym] & 1
+                        for sym, child in out.items()):
+                    mask |= 1 << d
+                    conflicts[d] |= 1 << c
+            labels.append(label)
+            edges.append(out)
+            conflicts.append(mask)
+        class_of[v] = classes[key]
+    clique = 0
+    for c in sorted(range(len(labels)), key=lambda c: -conflicts[c].bit_count()):
+        if clique & ~conflicts[c] == 0:
+            clique |= 1 << c
+    return clique.bit_count()
+
+
 def _variables(apta: Apta, n: int):
     """The variables of :func:`encode_size_n`, numbered by formula:
     color(v,i) = v·n + i + 1, then accepting(i), then trans(a,i,j) by the
@@ -173,29 +217,32 @@ def decode_dfa(apta: Apta, assignment: dict[int, bool], n: int) -> Dfa:
 
 def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1) -> Dfa:
     """Smallest complete DFA accepting every positive and rejecting every
-    negative sample, found by growing the state count from ``at_least``.
-    ``solve`` maps a :class:`CnfInstance` to a model or None.
+    negative sample, found by growing the state count from the larger of
+    ``at_least`` and :func:`clique_bound`.  ``solve`` maps a
+    :class:`CnfInstance` to a model or None.
 
-    ``at_least`` must not exceed the minimal size; then the first
-    satisfiable rung, its CNF and its model are those of the search from
-    1.  Within a learning session the size of the previous hypothesis is
-    such a bound: the table never loses a word and its query caches hold
-    fixed answers, so every sample set contains the previous one (and
-    its op letters), and any DFA separating the new samples, restricted
-    to the old alphabet, separates the old ones too: the minimal size
-    never drops.
+    Both must be lower bounds on the minimal size: then every skipped rung
+    is unsatisfiable, and the first satisfiable rung, its CNF and so its
+    model are those of the search from 1.  The clique bound is one, as no
+    DFA gives two incompatible nodes one state.  Within a learning
+    session the size of the previous hypothesis is one too: the table
+    never loses a word and its query caches hold fixed answers, so every
+    sample set contains the previous one (and its op letters), and any
+    DFA separating the new samples, restricted to the old alphabet,
+    separates the old ones too: the minimal size never drops.
     """
     if at_least < 1:
         raise InvalidInput(f"at_least must be at least 1, got {at_least!r}")
     apta = build_apta(samples)
-    for n in range(at_least, apta.num_nodes + 2):
+    start = max(at_least, clique_bound(apta))
+    for n in range(start, apta.num_nodes + 2):
         cnf = encode_size_n(apta, n)
         assignment = solve(cnf)
         if assignment is not None:
             dfa = decode_dfa(apta, assignment, n)
             _check_separates(dfa, samples)
             return dfa
-    raise SolverError(f"no separating DFA of {at_least} to {apta.num_nodes + 1} "
+    raise SolverError(f"no separating DFA of {start} to {apta.num_nodes + 1} "
                       "states; the backend is unsound or the lower bound too high")
 
 

@@ -1,12 +1,14 @@
+import random
 import sys
+from itertools import count
 
 import pytest
 
 from ocalearn import (ActionsVector, InvalidInput, ObservationTable,
-                      SampleConflict, SampleSet, SimulatedTeacher, build_apta,
-                      build_samples, encode_size_n, find_min_sep_dfa,
-                      sat_solve, strip_operations)
-from ocalearn.minsepdfa import decode_dfa
+                      SampleConflict, SampleSet, SimulatedTeacher, SolverError,
+                      build_apta, build_samples, encode_size_n,
+                      find_min_sep_dfa, sat_solve, strip_operations)
+from ocalearn.minsepdfa import clique_bound, decode_dfa
 from conftest import make_anbna, random_machine
 from test_table import golden_table
 from oracles import min_sep_dfa_size
@@ -124,9 +126,17 @@ def test_strip_removes_op_columns():
     assert all(sym == "a0" for (_, sym) in stripped.transition)
 
 
-def test_ladder_start_below_the_minimum_changes_nothing():
-    # a lower bound only skips UNSAT rungs: the first satisfiable rung, its
-    # CNF and so its model are those of the search from one state
+def cold_ladder(samples):
+    """The search from one state, every rung solved: the reference that a
+    ladder starting at any lower bound must reproduce."""
+    apta = build_apta(samples)
+    for n in count(1):
+        model = sat_solve(encode_size_n(apta, n))
+        if model is not None:
+            return decode_dfa(apta, model, n)
+
+
+def filled_tables():
     tables = []
     for machine in (make_anbna(), random_machine(3), random_machine(7)):
         teacher = SimulatedTeacher(machine)
@@ -134,10 +144,16 @@ def test_ladder_start_below_the_minimum_changes_nothing():
         table.repair(2, teacher)
         tables.append(table)
     tables.append(golden_table(make_anbna())[0])
+    return tables
+
+
+def test_ladder_start_below_the_minimum_changes_nothing():
+    # a lower bound only skips UNSAT rungs: the first satisfiable rung, its
+    # CNF and so its model are those of the search from one state
     sizes = []
-    for table in tables:
+    for table in filled_tables():
         samples = build_samples(table)
-        cold = find_min_sep_dfa(samples)
+        cold = cold_ladder(samples)
         sizes.append(cold.size)
         for k in range(1, cold.size + 1):
             warm = find_min_sep_dfa(samples, at_least=k)
@@ -151,3 +167,52 @@ def test_ladder_start_must_be_positive():
     for k in (0, -1):
         with pytest.raises(InvalidInput):
             find_min_sep_dfa(samples, at_least=k)
+
+
+def test_clique_bound_at_most_the_oracle_size():
+    # the criterion-9 generator under its own seed
+    rng = random.Random(27182)
+    hits = []
+    for trial in range(100):
+        symbols = "abcdef"[:rng.randrange(2, 7)]
+        seen = {}
+        for _ in range(rng.randrange(1, 31)):
+            word = tuple(rng.choice(symbols) for _ in range(rng.randrange(0, 7)))
+            seen.setdefault(word, rng.random() < 0.5)
+        pos = tuple(w for w, lab in seen.items() if lab)
+        neg = tuple(w for w, lab in seen.items() if not lab)
+        samples = SampleSet(pos=pos, neg=neg, ops=(), base_alphabet=tuple(symbols))
+        bound = clique_bound(build_apta(samples))
+        size = min_sep_dfa_size(pos, neg)
+        assert 1 <= bound <= size
+        if bound == size:
+            hits.append(size)
+    assert any(size >= 3 for size in hits)
+
+
+def test_clique_bound_at_most_the_size_on_filled_tables():
+    # op letters included; a random machine of each alphabet size
+    tables = filled_tables()
+    for seed, letters in ((11, 1), (12, 2), (13, 3), (14, 2)):
+        machine = random_machine(seed, alphabet_size=letters)
+        table = ObservationTable(machine.alphabet)
+        table.repair(2, SimulatedTeacher(machine))
+        tables.append(table)
+    for table in tables:
+        samples = build_samples(table)
+        assert samples.ops
+        assert clique_bound(build_apta(samples)) <= cold_ladder(samples).size
+
+
+def test_clique_bound_of_a_three_state_language():
+    # (aaa)*: a common suffix of ε, a and aa leads each pair to opposite
+    # labels, so they need three states
+    samples = SampleSet(pos=((), ("a",) * 3), neg=(("a",), ("a",) * 2),
+                        ops=(), base_alphabet=("a",))
+    assert clique_bound(build_apta(samples)) == 3
+    assert find_min_sep_dfa(samples).size == cold_ladder(samples).size == 3
+    # the error names the rung the search started from
+    with pytest.raises(SolverError, match="of 3 to"):
+        find_min_sep_dfa(samples, solve=lambda cnf: None)
+    with pytest.raises(SolverError, match="of 4 to"):
+        find_min_sep_dfa(samples, solve=lambda cnf: None, at_least=4)
