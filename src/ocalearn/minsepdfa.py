@@ -176,32 +176,29 @@ def encode_size_n(apta: Apta, n: int) -> CnfInstance:
     """
     cnf = CnfInstance()
     color, accepting, trans, cnf.num_vars = _variables(apta, n)
-
-    cnf.add(color[0][0])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    negated = [[-x for x in row] for row in color]
+    rejecting = [-x for x in accepting]
+    negated_trans = {sym: [[-x for x in row] for row in rows] for sym, rows in trans.items()}
+    clauses = cnf.clauses
+    clauses.append((color[0][0],))
     for v in range(apta.num_nodes):
-        cnf.add(*color[v])
-        for i in range(n):
-            for j in range(i + 1, n):
-                cnf.add(-color[v][i], -color[v][j])
+        not_v = negated[v]
+        clauses.append(tuple(color[v]))
+        clauses.extend([(not_v[i], not_v[j]) for i, j in pairs])
         if apta.labels[v] is True:
-            for i in range(n):
-                cnf.add(-color[v][i], accepting[i])
+            clauses.extend(zip(not_v, accepting))
         elif apta.labels[v] is False:
-            for i in range(n):
-                cnf.add(-color[v][i], -accepting[i])
+            clauses.extend(zip(not_v, rejecting))
     for sym in apta.alphabet:
-        rows = trans[sym]
-        for i in range(n):
-            cnf.add(*rows[i])
-            for j in range(n):
-                for j2 in range(j + 1, n):
-                    cnf.add(-rows[i][j], -rows[i][j2])
+        for row, not_row in zip(trans[sym], negated_trans[sym]):
+            clauses.append(tuple(row))
+            clauses.extend([(not_row[j], not_row[j2]) for j, j2 in pairs])
     for v in range(1, apta.num_nodes):
         parent, sym = apta.parent_edges[v]
-        rows = trans[sym]
-        for i in range(n):
-            for j in range(n):
-                cnf.add(-color[parent][i], -rows[i][j], color[v][j])
+        clauses.extend([(not_p, not_t, c)
+                        for not_p, not_row in zip(negated[parent], negated_trans[sym])
+                        for not_t, c in zip(not_row, color[v])])
     return cnf
 
 

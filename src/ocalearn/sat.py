@@ -119,11 +119,22 @@ def solve_builtin(num_vars: int, clauses, deadline: float | None = None):
     ties break on variable index and there is no randomization.  A literal
     that is 0 or names a variable above ``num_vars`` raises
     :class:`InvalidInput`.  Past ``deadline`` (a :func:`time.monotonic`
-    instant), checked at entry and on every conflict, it raises
+    instant), checked at entry, every few thousand clauses while the
+    clauses are read, and on every conflict, it raises
     :class:`SolverTimeout`.
+
+    Values, watch lists, decision levels and reasons live in arrays
+    indexed by the signed literal itself (``-v`` lands in a slot of its
+    own through Python's negative indexing).  The decision heap is lazy
+    but keeps at most one live entry per variable: an entry is live while
+    it carries the variable's current activity, and an activity rescale
+    rebuilds the heap from the current activities.
     """
     _check_deadline(deadline)
     return _Cdcl(num_vars, clauses, deadline).solve()
+
+
+_INGEST_CHECK_EVERY = 4096      # clauses read between two deadline checks
 
 
 class _Cdcl:
@@ -131,174 +142,193 @@ class _Cdcl:
         self.nvars = num_vars
         self.deadline = deadline
         n = num_vars + 1
-        self.assign = [0] * n          # 0 unassigned, 1 true, -1 false
-        self.level = [0] * n
-        self.reason: list[list | None] = [None] * n
+        slots = 2 * num_vars + 1        # one per literal; -v indexes slot slots - v
+        self.value = [0] * slots        # 1 true, -1 false, 0 unassigned
+        self.watches: list[list] = [[] for _ in range(slots)]
+        # a variable's level and reason sit in the slot of its true literal
+        self.level = [0] * slots
+        self.reason: list[list | None] = [None] * slots
+        self.seen = bytearray(slots)    # _analyze's marks by true literal, all 0 between calls
         self.activity = [0.0] * n
         self.phase = [False] * n
         self.var_inc = 1.0
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches: list[list] = [[] for _ in range(2 * n)]
         self.unsat = False
         self.units: list[int] = []
-        for clause in clauses:
-            self._ingest(clause)
-        # order[] is a lazy max-heap of (-activity, var) pairs; every
-        # unassigned variable has an entry in it
+        watches, units = self.watches, self.units
+        for k, clause in enumerate(clauses):
+            if k % _INGEST_CHECK_EVERY == 0:
+                _check_deadline(deadline)
+            seen = set()
+            lits = []
+            tautology = False
+            for lit in clause:
+                if not 0 < abs(lit) <= num_vars:
+                    raise InvalidInput(f"literal {lit} outside variables 1..{num_vars}")
+                if -lit in seen:
+                    tautology = True
+                elif lit not in seen:
+                    seen.add(lit)
+                    lits.append(lit)
+            if tautology:
+                continue
+            if len(lits) >= 2:
+                watches[lits[0]].append(lits)
+                watches[lits[1]].append(lits)
+            elif lits:
+                units.append(lits[0])
+            else:
+                self.unsat = True
+        # order is a lazy min-heap of (-activity, var) pairs.  in_order[v]
+        # records that v's entry at its current activity is in it; every
+        # unassigned variable has one, so the first unassigned variable
+        # popped has the highest activity (ties on the lowest index).
         self.order = [(0.0, v) for v in range(1, n)]
-        heapq.heapify(self.order)
-
-    def _lit_id(self, lit):
-        return 2 * abs(lit) + (1 if lit < 0 else 0)
-
-    def _value(self, lit):
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
-
-    def _ingest(self, clause):
-        seen = set()
-        lits = []
-        tautology = False
-        for lit in clause:
-            if not 0 < abs(lit) <= self.nvars:
-                raise InvalidInput(f"literal {lit} outside variables 1..{self.nvars}")
-            if -lit in seen:
-                tautology = True
-            elif lit not in seen:
-                seen.add(lit)
-                lits.append(lit)
-        if tautology:
-            return
-        if not lits:
-            self.unsat = True
-        elif len(lits) == 1:
-            self.units.append(lits[0])
-        else:
-            self._attach(lits)
-
-    def _attach(self, lits):
-        self.watches[self._lit_id(lits[0])].append(lits)
-        self.watches[self._lit_id(lits[1])].append(lits)
+        self.in_order = bytearray(b"\x01") * n
 
     def _enqueue(self, lit, reason=None):
-        var = abs(lit)
-        self.assign[var] = 1 if lit > 0 else -1
-        self.level[var] = len(self.trail_lim)
-        self.reason[var] = reason
+        self.value[lit] = 1
+        self.value[-lit] = -1
+        self.level[lit] = len(self.trail_lim)
+        self.reason[lit] = reason
         self.trail.append(lit)
 
     def _propagate(self):
-        while self.qhead < len(self.trail):
-            falsified = -self.trail[self.qhead]
-            self.qhead += 1
-            ws = self.watches[self._lit_id(falsified)]
+        trail, value, watches = self.trail, self.value, self.watches
+        level, reason = self.level, self.reason
+        current = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            falsified = -trail[qhead]
+            qhead += 1
+            ws = watches[falsified]
             i = j = 0
             n_ws = len(ws)
             while i < n_ws:
                 c = ws[i]
                 i += 1
                 if c[0] == falsified:
-                    c[0], c[1] = c[1], c[0]
+                    c[0], c[1] = c[1], falsified
                 first = c[0]
-                if self._value(first) == 1:
+                first_value = value[first]
+                if first_value == 1:
                     ws[j] = c
                     j += 1
                     continue
-                moved = False
                 for idx in range(2, len(c)):
-                    if self._value(c[idx]) != -1:
-                        c[1], c[idx] = c[idx], c[1]
-                        self.watches[self._lit_id(c[1])].append(c)
-                        moved = True
+                    lit = c[idx]
+                    if value[lit] != -1:
+                        c[1], c[idx] = lit, falsified
+                        watches[lit].append(c)
                         break
-                if moved:
-                    continue
-                ws[j] = c
-                j += 1
-                if self._value(first) == -1:
-                    while i < n_ws:
-                        ws[j] = ws[i]
-                        i += 1
-                        j += 1
-                    del ws[j:]
-                    self.qhead = len(self.trail)
-                    return c
-                self._enqueue(first, c)
+                else:
+                    ws[j] = c
+                    j += 1
+                    if first_value == -1:
+                        del ws[j:i]
+                        self.qhead = len(trail)
+                        return c
+                    value[first] = 1
+                    value[-first] = -1
+                    level[first] = current
+                    reason[first] = c
+                    trail.append(first)
             del ws[j:]
+        self.qhead = qhead
         return None
 
-    def _bump(self, var):
-        self.activity[var] += self.var_inc
-        if self.activity[var] > 1e100:
-            for v in range(1, self.nvars + 1):
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-        heapq.heappush(self.order, (-self.activity[var], var))
+    def _rescale(self):
+        activity, value, in_order = self.activity, self.value, self.in_order
+        for v in range(1, self.nvars + 1):
+            activity[v] *= 1e-100
+            in_order[v] = value[v] == 0
+        self.var_inc *= 1e-100
+        self.order[:] = [(-activity[v], v) for v in range(1, self.nvars + 1) if in_order[v]]
+        heapq.heapify(self.order)
 
     def _analyze(self, conflict):
-        learnt = []
-        seen = bytearray(self.nvars + 1)
+        trail, level, reason, seen = self.trail, self.level, self.reason, self.seen
+        activity, order, in_order = self.activity, self.order, self.in_order
+        var_inc = self.var_inc
+        learnt = [0]            # slot 0 takes the asserting literal
         counter = 0
-        p = None
-        idx = len(self.trail) - 1
+        p = 0
+        idx = len(trail) - 1
         current = len(self.trail_lim)
         while True:
-            start = 0 if p is None else 1
-            for j in range(start, len(conflict)):
+            for j in range(1 if p else 0, len(conflict)):
                 q = conflict[j]
-                var = abs(q)
-                if not seen[var] and self.level[var] > 0:
-                    seen[var] = 1
-                    self._bump(var)
-                    if self.level[var] == current:
+                if not seen[-q] and level[-q] > 0:
+                    seen[-q] = 1
+                    var = -q if q < 0 else q
+                    act = activity[var] + var_inc
+                    activity[var] = act
+                    if act > 1e100:
+                        self._rescale()
+                        var_inc, act = self.var_inc, activity[var]
+                    heapq.heappush(order, (-act, var))
+                    in_order[var] = 1
+                    if level[-q] == current:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[trail[idx]]:
                 idx -= 1
-            p = self.trail[idx]
-            var = abs(p)
-            conflict = self.reason[var]
-            seen[var] = 0
+            p = trail[idx]
+            conflict = reason[p]
+            seen[p] = 0
             counter -= 1
             idx -= 1
             if counter == 0:
                 break
-        learnt.insert(0, -p)
+        learnt[0] = -p
+        for q in learnt[1:]:
+            seen[-q] = 0
         if len(learnt) == 1:
             return learnt, 0
-        mi = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
+        mi = max(range(1, len(learnt)), key=lambda i: level[-learnt[i]])
         learnt[1], learnt[mi] = learnt[mi], learnt[1]
-        return learnt, self.level[abs(learnt[1])]
+        return learnt, level[-learnt[1]]
 
     def _backtrack(self, target_level):
-        while len(self.trail_lim) > target_level:
-            limit = self.trail_lim.pop()
-            while len(self.trail) > limit:
-                lit = self.trail.pop()
-                var = abs(lit)
-                self.phase[var] = lit > 0
-                self.assign[var] = 0
-                self.reason[var] = None
-                heapq.heappush(self.order, (-self.activity[var], var))
-        self.qhead = min(self.qhead, len(self.trail))
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target_level:
+            return
+        limit = trail_lim[target_level]
+        del trail_lim[target_level:]
+        trail, value, phase = self.trail, self.value, self.phase
+        activity, order, in_order = self.activity, self.order, self.in_order
+        for k in range(len(trail) - 1, limit - 1, -1):
+            lit = trail[k]
+            var = -lit if lit < 0 else lit
+            phase[var] = lit > 0
+            value[lit] = value[-lit] = 0
+            if not in_order[var]:
+                heapq.heappush(order, (-activity[var], var))
+                in_order[var] = 1
+        del trail[limit:]
+        self.qhead = min(self.qhead, limit)
 
     def _decide(self):
-        while self.order:
-            _, var = heapq.heappop(self.order)
-            if self.assign[var] == 0:
+        order, activity, in_order, value = self.order, self.activity, self.in_order, self.value
+        while order:
+            key, var = heapq.heappop(order)
+            if key == -activity[var]:
+                in_order[var] = 0
+            if value[var] == 0:
                 return var
         return None
 
     def solve(self):
         if self.unsat:
             return None
+        value = self.value
         for lit in self.units:
-            if self._value(lit) == -1:
+            if value[lit] == -1:
                 return None
-            if self._value(lit) == 0:
+            if value[lit] == 0:
                 self._enqueue(lit)
         restart_limit = 100.0
         since_restart = 0
@@ -312,7 +342,8 @@ class _Cdcl:
                 learnt, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
                 if len(learnt) >= 2:
-                    self._attach(learnt)
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
                     self._enqueue(learnt[0], learnt)
                 else:
                     self._enqueue(learnt[0])
@@ -324,6 +355,6 @@ class _Cdcl:
             else:
                 var = self._decide()
                 if var is None:
-                    return {v: self.assign[v] > 0 for v in range(1, self.nvars + 1)}
+                    return {v: value[v] > 0 for v in range(1, self.nvars + 1)}
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(var if self.phase[var] else -var)

@@ -163,8 +163,9 @@ def test_teacher_picks_voca_check_from_the_machines(monkeypatch):
 
 
 def test_learn_deadline_overshoot_is_bounded():
-    # 10-state targets whose sessions run far past the deadline (14 s and
-    # more on a shared 2-core host); derive_seed(555, 10, 1) takes 3.4 s
+    # 10-state targets whose sessions run well past the deadline on a
+    # shared 2-core host: 5.4 s, 5.8 s and more than 120 s for i = 3, 2
+    # and 0; derive_seed(555, 10, 1) takes 2.1 s
     for i in (0, 2, 3):
         target = generate_droca(GenConfig(n_states=10, alphabet_size=2,
                                           seed=derive_seed(555, 10, i)))

@@ -72,17 +72,18 @@ def test_builtin_rejects_undeclared_literals():
         solve_builtin(1, [(1, -1, 2)])
 
 
-def test_builtin_handles_pigeonhole_unsat():
-    n = 5
-    clauses = []
+def _pigeonhole(n):
     var = lambda p, h: p * n + h + 1
-    for p in range(n + 1):
-        clauses.append(tuple(var(p, h) for h in range(n)))
+    clauses = [tuple(var(p, h) for h in range(n)) for p in range(n + 1)]
     for h in range(n):
         for p1 in range(n + 1):
             for p2 in range(p1 + 1, n + 1):
                 clauses.append((-var(p1, h), -var(p2, h)))
-    assert solve_builtin((n + 1) * n, clauses) is None
+    return (n + 1) * n, clauses
+
+
+def test_builtin_handles_pigeonhole_unsat():
+    assert solve_builtin(*_pigeonhole(5)) is None
 
 
 STUB = """#!{python}
@@ -143,11 +144,9 @@ def test_external_backend_agreement(external_solver):
                        for clause in cnf.clauses)
 
 
-def test_external_backend_agrees_on_identification_instances(external_solver):
-    # instances produced by the DFA-identification encoder, up to a few
-    # thousand clauses
+def _anbna_apta():
     from ocalearn import ObservationTable, SimulatedTeacher, build_samples
-    from ocalearn.minsepdfa import build_apta, encode_size_n
+    from ocalearn.minsepdfa import build_apta
     from conftest import make_anbna
 
     machine = make_anbna()
@@ -157,7 +156,15 @@ def test_external_backend_agrees_on_identification_instances(external_solver):
         table.add_prefix(p)
     table.add_suffix("a")
     table.fill(teacher)
-    apta = build_apta(build_samples(table))
+    return build_apta(build_samples(table))
+
+
+def test_external_backend_agrees_on_identification_instances(external_solver):
+    # instances produced by the DFA-identification encoder, up to a few
+    # thousand clauses
+    from ocalearn.minsepdfa import encode_size_n
+
+    apta = _anbna_apta()
     config = SolverConfig(backend=f"external:{external_solver}")
     deadline = time.monotonic() + 120
     for n in range(1, 6):
@@ -166,6 +173,83 @@ def test_external_backend_agrees_on_identification_instances(external_solver):
         external = sat_solve(cnf, config, deadline)
         builtin = sat_solve(cnf)
         assert (external is None) == (builtin is None)
+
+
+# The DFA the builtin solver's model decodes to at each rung of the table
+# above: accepting states, then the successor of every state on each
+# symbol of the prefix tree's alphabet, in alphabet order.  Rungs 1 to 3
+# are unsatisfiable.
+ANBNA_RUNG_DFAS = {
+    1: None,
+    2: None,
+    3: None,
+    4: ((3,), (2, 0, 0, 0, 3, 2, 2, 3, 3, 0, 0, 3, 2, 3, 3, 2,
+               3, 2, 3, 1, 3, 3, 3, 2, 0, 3, 0, 3, 3, 3, 2, 3)),
+    5: ((1, 4), (3, 0, 0, 0, 4, 3, 3, 1, 4, 4, 4, 4, 4, 4, 4, 4, 4, 0, 0, 4,
+                 3, 1, 4, 3, 4, 3, 4, 2, 4, 4, 4, 3, 0, 4, 0, 4, 4, 4, 3, 4)),
+}
+
+
+def test_builtin_search_is_pinned_on_identification_instances():
+    # any change to the builtin solver's decisions shows here as a
+    # different model, not only as a different hypothesis downstream
+    from ocalearn.minsepdfa import decode_dfa, encode_size_n
+
+    apta = _anbna_apta()
+    for n, expected in ANBNA_RUNG_DFAS.items():
+        model = sat_solve(encode_size_n(apta, n))
+        if expected is None:
+            assert model is None
+            continue
+        dfa = decode_dfa(apta, model, n)
+        successors = tuple(dfa.transition[(i, sym)] for i in range(n) for sym in apta.alphabet)
+        assert (tuple(sorted(dfa.finals)), successors) == expected
+
+
+def test_builtin_decision_order_survives_activity_rescales():
+    # Activities are rescaled once one passes 1e100, which takes thousands
+    # of conflicts from var_inc = 1; starting var_inc just below the
+    # threshold forces a rescale within the first conflicts.  Every
+    # decision must still pick the unassigned variable of highest activity
+    # (ties on the lowest index), which needs the decision heap rebuilt
+    # from the rescaled activities.
+    from ocalearn.sat import _Cdcl
+
+    rescales = []
+
+    class CheckedCdcl(_Cdcl):
+        def _rescale(self):
+            rescales.append(self.nvars)
+            super()._rescale()
+
+        def _decide(self):
+            var = super()._decide()
+            free = [v for v in range(1, self.nvars + 1) if self.value[v] == 0]
+            assert var == min(free, key=lambda v: (-self.activity[v], v), default=None)
+            return var
+
+    def solve_near_rescale(num_vars, clauses, var_inc):
+        solver = CheckedCdcl(num_vars, clauses, None)
+        solver.var_inc = var_inc
+        return solver.solve()
+
+    rng = random.Random(23)
+    for var_inc in (0.99e100, 1e99):
+        for n in (4, 5):
+            before = len(rescales)
+            assert solve_near_rescale(*_pigeonhole(n), var_inc) is None
+            assert len(rescales) > before
+        for _ in range(20):
+            num_vars = rng.randrange(20, 60)
+            clauses = [tuple(rng.choice((-1, 1)) * v
+                             for v in rng.sample(range(1, num_vars + 1), 3))
+                       for _ in range(int(4.2 * num_vars))]
+            model = solve_near_rescale(num_vars, clauses, var_inc)
+            assert (model is None) == (solve_builtin(num_vars, clauses) is None)
+            if model is not None:
+                assert all(any((lit > 0) == model[abs(lit)] for lit in clause)
+                           for clause in clauses)
+    assert len(rescales) >= 30
 
 
 def test_passed_deadline_raises_on_both_backends(external_solver):
