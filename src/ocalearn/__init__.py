@@ -19,8 +19,8 @@ from .io import load, load_file, store, store_file
 from .learning import (LearnConfig, SimulatedTeacher, Stats, Teacher,
                        construct_droca, learn)
 from .minsepdfa import (Apta, SampleSet, build_apta, build_samples,
-                        encode_size_n, find_min_sep_dfa, strip_operations)
-from .sat import CnfInstance, SolverConfig, sat_solve, solve_builtin
+                        encode_size_n, find_min_sep_dfa)
+from .sat import CnfInstance, external_path, sat_solve, solve_builtin
 from .table import ActionsVector, ObservationTable
 from .bench import BenchConfig, CSV_HEADER, run_benchmark
 

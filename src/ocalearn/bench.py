@@ -15,12 +15,11 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidInput, LearnTimeout
 from .generate import GenConfig, derive_seed, generate_droca
 from .learning import STATS_FIELDS, LearnConfig, SimulatedTeacher, Stats, learn
-from .sat import SolverConfig
 
 CSV_HEADER = STATS_FIELDS + ("reason",)
 
@@ -37,7 +36,7 @@ class BenchConfig:
     restricted: bool = False
     jobs: int = 1
     out_path: str | None = None
-    solver: SolverConfig = field(default=SolverConfig())
+    solver: str = "builtin"     # a sat_solve backend
 
     def __post_init__(self):
         if self.max_states < self.min_states or self.max_alphabet < self.min_alphabet:
@@ -61,9 +60,7 @@ def run_sample(n_states: int, alphabet_size: int, seed: int, restricted: bool,
                                           alphabet_size=alphabet_size,
                                           seed=seed, restricted=restricted))
         teacher = SimulatedTeacher(target, stats)
-        config = LearnConfig(timeout_s=timeout_s,
-                             solver=SolverConfig(backend=backend))
-        learn(teacher, config)
+        learn(teacher, LearnConfig(timeout_s=timeout_s, solver=backend))
     except LearnTimeout:
         reason = "timeout"
     except Exception as exc:
@@ -126,7 +123,7 @@ def run_benchmark(config: BenchConfig) -> list[dict]:
             for index in range(config.samples):
                 seed = derive_seed(config.seed, n_states, alphabet_size, index)
                 tasks.append((n_states, alphabet_size, seed, config.restricted,
-                              config.timeout_s, config.solver.backend))
+                              config.timeout_s, config.solver))
     if config.jobs == 1:
         rows = [run_sample(*task) for task in tasks]
     else:

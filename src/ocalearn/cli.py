@@ -24,7 +24,7 @@ from .equivalence import check_sync_equiv, voca_check_equiv
 from .errors import LearnTimeout, WorkbenchError
 from .generate import GenConfig, generate_droca
 from .learning import LearnConfig, SimulatedTeacher, Stats, learn
-from .sat import SolverConfig
+from .sat import external_path
 
 
 def main(argv=None) -> int:
@@ -98,11 +98,10 @@ def _build_parser():
     return parser
 
 
-def _solver_config(flag_value) -> SolverConfig:
+def _solver_config(flag_value) -> str:
     backend = flag_value or os.environ.get("OCALEARN_SAT_BACKEND") or "builtin"
-    config = SolverConfig(backend=backend)
-    config.external_path()  # validates the selector early
-    return config
+    external_path(backend)  # validates the selector early
+    return backend
 
 
 def _cmd_learn(args) -> int:

@@ -103,6 +103,28 @@ def brute_force_equiv(a: Droca, b: Droca, max_len: int) -> Verdict:
     return EQUIVALENT
 
 
+def reachable_configurations(a: Droca, parents: dict):
+    """Configurations ``(state index, counter)`` reachable from the
+    initial one with counter at most ``|a|**2``, yielded in breadth-first
+    order, letters in alphabet order.  ``parents`` receives each
+    configuration's (parent, letter index), which :func:`_words_back`
+    reads.
+    """
+    d0, d1, _, init = a.indexed_tables()
+    cap = a.size ** 2
+    parents[(init, 0)] = (None, -1)
+    queue = deque([(init, 0)])
+    while queue:
+        node = queue.popleft()
+        yield node
+        q, n = node
+        for ai, (t, e) in enumerate(d0[q] if n == 0 else d1[q]):
+            child = (t, n + e)
+            if child[1] <= cap and child not in parents:
+                parents[child] = (node, ai)
+                queue.append(child)
+
+
 def reach_witness(a: Droca, state: str) -> tuple[str, int] | None:
     """A short word reaching ``state``, by BFS over configurations with
     counter at most ``|a|**2``.
@@ -116,35 +138,18 @@ def reach_witness(a: Droca, state: str) -> tuple[str, int] | None:
     """
     if state not in set(a.states):
         raise InvalidInput(f"unknown state {state!r}")
-    d0, d1, _, init = a.indexed_tables()
     target = a.states.index(state)
-    cap = a.size ** 2
-    k = len(a.alphabet)
-    parents: dict[tuple[int, int], tuple[tuple[int, int] | None, int]] = {(init, 0): (None, -1)}
-    queue = deque([(init, 0)])
-    first_low = None   # earliest visit with arrival counter < |a|
-    by_counter = {}    # arrival counter -> earliest visiting node
-    while queue:
-        node = queue.popleft()
-        q, n = node
-        if q == target:
-            if n == 0:
+    parents = {}
+    hits = []
+    for node in reachable_configurations(a, parents):
+        if node[0] == target:
+            if node[1] == 0:
                 return _words_back(parents, node, a.alphabet), 0
-            if n < a.size and first_low is None:
-                first_low = node
-            by_counter.setdefault(n, node)
-        table = d0[q] if n == 0 else d1[q]
-        for ai in range(k):
-            t, e = table[ai]
-            child = (t, n + e)
-            if child[1] <= cap and child not in parents:
-                parents[child] = (node, ai)
-                queue.append(child)
-    if first_low is not None:
-        return _words_back(parents, first_low, a.alphabet), first_low[1]
-    if not by_counter:
+            hits.append(node)
+    if not hits:
         return None
-    node = by_counter[min(by_counter)]
+    low = [node for node in hits if node[1] < a.size]
+    node = low[0] if low else min(hits, key=lambda node: node[1])
     return _words_back(parents, node, a.alphabet), node[1]
 
 

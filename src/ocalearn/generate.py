@@ -14,10 +14,10 @@ final state plus empty counter.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .automata import Droca
+from .equivalence import reachable_configurations
 from .errors import GenerationFailure, InvalidInput
 
 _MASK = (1 << 64) - 1
@@ -101,21 +101,11 @@ def _restricted_ok(finals, delta0, delta1) -> bool:
 
 def reachable_count(automaton: Droca) -> int:
     """Distinct states visited by BFS over configurations with counter
-    at most ``|A|**2``, starting from the initial configuration."""
-    d0, d1, _, init = automaton.indexed_tables()
-    cap = automaton.size ** 2
-    k = len(automaton.alphabet)
-    seen_states = {init}
-    seen = {(init, 0)}
-    queue = deque([(init, 0)])
-    while queue:
-        q, counter = queue.popleft()
-        row = d0[q] if counter == 0 else d1[q]
-        for ai in range(k):
-            target, action = row[ai]
-            child = (target, counter + action)
-            if child[1] <= cap and child not in seen:
-                seen.add(child)
-                seen_states.add(target)
-                queue.append(child)
-    return len(seen_states)
+    at most ``|A|**2``, starting from the initial configuration; the
+    search stops once every state has been seen."""
+    seen = set()
+    for q, _ in reachable_configurations(automaton, {}):
+        seen.add(q)
+        if len(seen) == automaton.size:
+            break
+    return len(seen)

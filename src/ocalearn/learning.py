@@ -6,8 +6,8 @@ d-consistent, mines a minimal separating DFA from the table's samples,
 reattaches counter-actions to obtain a one-counter hypothesis, and asks
 the teacher a minimal synchronous-equivalence query.  A counterexample
 and all its prefixes join the table; d grows to at least the
-counterexample's height (plus one per query by default) and the loop
-repeats until the teacher agrees.
+counterexample's height, plus one, and the loop repeats until the
+teacher agrees.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .automata import Droca, sgn
+from .automata import Droca, doubled, sgn
 from .equivalence import Counterexample, check_sync_equiv, voca_check_equiv
 from .errors import ConstructionConflict, LearnTimeout, SolverTimeout
-from .minsepdfa import build_samples, find_min_sep_dfa, strip_operations
-from .sat import SolverConfig, sat_solve
+from .minsepdfa import build_samples, find_min_sep_dfa
+from .sat import sat_solve
 from .table import ObservationTable
 
 STATS_FIELDS = ("seed", "target_states", "alphabet", "success", "wall_ms",
@@ -115,10 +115,9 @@ class SimulatedTeacher:
 
 @dataclass(frozen=True)
 class LearnConfig:
-    increment_d_after_seq: bool = True
     voca: bool = False
     timeout_s: float | None = None
-    solver: SolverConfig = SolverConfig()
+    solver: str = "builtin"     # a sat_solve backend
 
 
 def construct_droca(table: ObservationTable, *,
@@ -126,16 +125,18 @@ def construct_droca(table: ObservationTable, *,
                     solve=sat_solve, at_least: int = 1) -> Droca:
     """Build a one-counter hypothesis agreeing with the table.
 
-    The minimal separating DFA of the table's samples, restricted to the
-    doubled alphabet, is the hypothesis skeleton; its search starts at
-    ``at_least`` states, which must be a lower bound on the minimal size
-    (see :func:`find_min_sep_dfa`).  Counter-actions come from replaying
+    The minimal separating DFA of the table's samples is the hypothesis
+    skeleton, of which only the doubled-letter transitions are read; its
+    search starts at ``at_least`` states, which must be a lower bound on
+    the minimal size (see :func:`find_min_sep_dfa`), and calls ``solve``
+    on each CNF (:func:`learn` passes :func:`sat_solve` with the backend
+    string ``LearnConfig.solver``).  Counter-actions come from replaying
     every table word through the skeleton: each step demands its observed
     counter delta, and each end state additionally demands the word's
-    whole action vector.  Transitions never exercised
-    by a table word keep the skeleton target with action 0.  Conflicting
-    demands abort the session: they mean the sample constraints failed
-    to keep dissimilar rows apart.
+    whole action vector.  Transitions never exercised by a table word
+    keep the skeleton target with action 0.  Conflicting demands abort
+    the session: they mean the sample constraints failed to keep
+    dissimilar rows apart.
 
     Replay steps taken at words that are not themselves table rows or
     cells are weaker: when such a step clashes with another demand, the
@@ -146,9 +147,7 @@ def construct_droca(table: ObservationTable, *,
     With ``action_map`` (visibly one-counter mode) the replay is skipped
     and every transition takes its action from the map.
     """
-    samples = build_samples(table)
-    full = find_min_sep_dfa(samples, solve=solve, at_least=at_least)
-    skeleton = strip_operations(full, samples.ops)
+    skeleton = find_min_sep_dfa(build_samples(table), solve=solve, at_least=at_least)
     names = {q: f"s{q}" for q in skeleton.states}
 
     assignments: dict[tuple[int, int, str], tuple[int, bool, str]] = {}
@@ -156,19 +155,16 @@ def construct_droca(table: ObservationTable, *,
         word_set = set(table.words())
         for word in table.words():
             state = skeleton.initial
-            path = [state]
-            for sym in table.enc(word):
-                state = skeleton.transition[(state, sym)]
-                path.append(state)
             for i, letter in enumerate(word):
                 prefix = word[:i]
                 before = table.counter_value(prefix)
                 delta = table.counter_value(word[:i + 1]) - before
-                _demand(assignments, (path[i], sgn(before), letter), delta,
+                _demand(assignments, (state, sgn(before), letter), delta,
                         prefix, prefix in word_set)
+                state = skeleton.transition[(state, doubled(letter, sgn(before)))]
             vector = table.actions(word)
             for j, letter in enumerate(table.alphabet):
-                _demand(assignments, (path[-1], vector.sign, letter),
+                _demand(assignments, (state, vector.sign, letter),
                         vector.deltas[j], word, True)
 
     delta0 = {}
@@ -176,7 +172,7 @@ def construct_droca(table: ObservationTable, *,
     for q in skeleton.states:
         for a in table.alphabet:
             for sign, delta in ((0, delta0), (1, delta1)):
-                target = skeleton.transition[(q, f"{a}{sign}")]
+                target = skeleton.transition[(q, doubled(a, sign))]
                 if action_map is not None:
                     action = action_map[(a, sign)]
                 else:
@@ -297,4 +293,4 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
                            rows_before=table.distinct_rows_at(height))
         stats.counterexamples.append(pending)
         table.add_prefix(word)
-        d = max(d, height) + (1 if config.increment_d_after_seq else 0)
+        d = max(d, height) + 1

@@ -243,16 +243,6 @@ def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1) -> 
                       "states; the backend is unsound or the lower bound too high")
 
 
-def strip_operations(dfa: Dfa, ops) -> Dfa:
-    """Restrict a DFA to the doubled alphabet, dropping op-letter edges."""
-    op_set = set(ops)
-    alphabet = tuple(sym for sym in dfa.alphabet if sym not in op_set)
-    transition = {(q, sym): t for (q, sym), t in dfa.transition.items()
-                  if sym not in op_set}
-    return Dfa(states=dfa.states, alphabet=alphabet, initial=dfa.initial,
-               transition=transition, finals=dfa.finals)
-
-
 def _check_separates(dfa: Dfa, samples: SampleSet) -> None:
     for word in samples.pos:
         if not dfa.accepts(word):

@@ -14,7 +14,6 @@ import os
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
 
 from .errors import InvalidInput, SolverError, SolverTimeout
 
@@ -45,31 +44,28 @@ class CnfInstance:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Backend selection: ``"builtin"`` or ``"external:<executable>"``."""
-
-    backend: str = "builtin"
-
-    def external_path(self) -> str | None:
-        if self.backend == "builtin":
-            return None
-        if self.backend.startswith("external:"):
-            path = self.backend[len("external:"):]
-            if not path:
-                raise InvalidInput("external backend needs an executable path")
-            return path
-        raise InvalidInput(f"unknown SAT backend {self.backend!r}")
+def external_path(backend: str) -> str | None:
+    """The executable of an ``"external:<executable>"`` backend, None for
+    ``"builtin"``; any other string is rejected."""
+    if backend == "builtin":
+        return None
+    if backend.startswith("external:"):
+        path = backend[len("external:"):]
+        if not path:
+            raise InvalidInput("external backend needs an executable path")
+        return path
+    raise InvalidInput(f"unknown SAT backend {backend!r}")
 
 
-def sat_solve(cnf: CnfInstance, config: SolverConfig | None = None,
+def sat_solve(cnf: CnfInstance, backend: str = "builtin",
               deadline: float | None = None) -> dict[int, bool] | None:
     """A satisfying assignment (total over declared variables) or None.
 
+    ``backend`` is ``"builtin"`` or ``"external:<executable>"``.
     ``deadline`` is a :func:`time.monotonic` instant; past it the call
     raises :class:`SolverTimeout`, at entry as well as while solving.
     """
-    path = (config or SolverConfig()).external_path()
+    path = external_path(backend)
     if path is None:
         return solve_builtin(cnf.num_vars, cnf.clauses, deadline)
     return _solve_external(cnf, path, deadline)

@@ -59,10 +59,8 @@ class ObservationTable:
 
     def __init__(self, alphabet):
         self.alphabet = tuple(alphabet)
-        self.prefixes: list[str] = [""]
-        self.suffixes: list[str] = [""]
-        self._prefix_set = {""}
-        self._suffix_set = {""}
+        self.prefixes: dict[str, None] = {"": None}
+        self.suffixes: dict[str, None] = {"": None}
         self.memb: dict[str, int] = {}
         self.cv: dict[str, int] = {}
         self._actions_cache: dict[str, ActionsVector] = {}
@@ -71,15 +69,11 @@ class ObservationTable:
 
     def boundary(self) -> list[str]:
         """Row labels: P followed by its new one-letter extensions."""
-        rows = list(self.prefixes)
-        seen = set(rows)
+        rows = dict(self.prefixes)
         for p in self.prefixes:
             for a in self.alphabet:
-                w = p + a
-                if w not in seen:
-                    seen.add(w)
-                    rows.append(w)
-        return rows
+                rows.setdefault(p + a)
+        return list(rows)
 
     def words(self) -> list[str]:
         """All table words (row label + suffix), deduplicated in scan order."""
@@ -92,18 +86,12 @@ class ObservationTable:
     def add_prefix(self, word: str) -> None:
         """Add a word and all its prefixes to P (keeps P prefix-closed)."""
         for i in range(len(word) + 1):
-            prefix = word[:i]
-            if prefix not in self._prefix_set:
-                self._prefix_set.add(prefix)
-                self.prefixes.append(prefix)
+            self.prefixes.setdefault(word[:i])
 
     def add_suffix(self, word: str) -> None:
         """Add a word and all its suffixes to S (keeps S suffix-closed)."""
         for i in range(len(word), -1, -1):
-            suffix = word[i:]
-            if suffix not in self._suffix_set:
-                self._suffix_set.add(suffix)
-                self.suffixes.append(suffix)
+            self.suffixes.setdefault(word[i:])
 
     # -- filling -----------------------------------------------------
 
@@ -183,12 +171,13 @@ class ObservationTable:
         a column, equal rows force equal counter-values on extensions, so
         such an s always exists.
         """
-        for i, p in enumerate(self.prefixes):
+        prefixes = list(self.prefixes)
+        for i, p in enumerate(prefixes):
             cvp = self.counter_value(p)
             if cvp > d:
                 continue
             row_p = self.row(p)
-            for q in self.prefixes[i + 1:]:
+            for q in prefixes[i + 1:]:
                 if self.counter_value(q) != cvp or self.row(q) != row_p:
                     continue
                 for a in self.alphabet:

@@ -181,10 +181,10 @@ def test_cli_usage_error_exit_code():
 def test_sat_backend_env_var_with_flag_priority(monkeypatch):
     from ocalearn.cli import _solver_config
     monkeypatch.delenv("OCALEARN_SAT_BACKEND", raising=False)
-    assert _solver_config(None).backend == "builtin"
+    assert _solver_config(None) == "builtin"
     monkeypatch.setenv("OCALEARN_SAT_BACKEND", "external:/somewhere/solver")
-    assert _solver_config(None).backend == "external:/somewhere/solver"
-    assert _solver_config("builtin").backend == "builtin"
+    assert _solver_config(None) == "external:/somewhere/solver"
+    assert _solver_config("builtin") == "builtin"
 
 
 def test_cli_complete_with_sink(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from ocalearn import (ACCEPT_MISMATCH, COUNTER_DESYNC, Droca, InvalidInput,
                       brute_force_equiv, check_sync_equiv, derive_seed,
-                      reach_witness, voca_check_equiv)
+                      reach_witness, reachable_count, voca_check_equiv)
 from conftest import make_anbna, random_machine, random_voca, split_copy
 
 
@@ -215,6 +215,7 @@ def test_reach_witness_bounds_random():
                     reachable.add(state)
                     min_arrival[state] = min(min_arrival.get(state, child[1]), child[1])
                     queue.append(child)
+        assert reachable_count(machine) == len(reachable)
         for idx, state in enumerate(machine.states):
             witness = reach_witness(machine, state)
             assert (witness is not None) == (idx in reachable)

@@ -163,12 +163,11 @@ def test_teacher_picks_voca_check_from_the_machines(monkeypatch):
 
 
 def test_learn_deadline_overshoot_is_bounded():
-    # 10-state targets whose sessions run well past the deadline on a
-    # shared 2-core host: 5.4 s, 5.8 s and more than 120 s for i = 3, 2
-    # and 0; derive_seed(555, 10, 1) takes 2.1 s
-    for i in (0, 2, 3):
-        target = generate_droca(GenConfig(n_states=10, alphabet_size=2,
-                                          seed=derive_seed(555, 10, i)))
+    # targets whose sessions each ran past a 20 s deadline on a shared
+    # 2-core host, so a 3 s deadline still cuts them on a much faster one
+    for n, i in ((10, 0), (11, 7), (11, 9)):
+        target = generate_droca(GenConfig(n_states=n, alphabet_size=2,
+                                          seed=derive_seed(555, n, i)))
         start = time.monotonic()
         with pytest.raises(LearnTimeout):
             learn(SimulatedTeacher(target), LearnConfig(timeout_s=3))
@@ -200,13 +199,6 @@ def test_counterexamples_never_repeat():
         words = [r.word for r in stats.counterexamples]
         assert len(words) == len(set(words))
         assert check_sync_equiv(hypothesis, target).equivalent
-
-
-def test_increment_flag_off_still_converges(anbna):
-    hypothesis, stats = learn(SimulatedTeacher(anbna),
-                              LearnConfig(increment_d_after_seq=False))
-    assert hypothesis.size == 4
-    assert check_sync_equiv(hypothesis, anbna).equivalent
 
 
 def test_learn_unary_and_ternary_alphabets():

@@ -7,7 +7,7 @@ import pytest
 from ocalearn import (ActionsVector, InvalidInput, ObservationTable,
                       SampleConflict, SampleSet, SimulatedTeacher, SolverError,
                       build_apta, build_samples, encode_size_n,
-                      find_min_sep_dfa, sat_solve, strip_operations)
+                      find_min_sep_dfa, sat_solve)
 from ocalearn.minsepdfa import clique_bound, decode_dfa
 from conftest import make_anbna, random_machine
 from test_table import golden_table
@@ -93,37 +93,19 @@ def test_separation_and_merging_semantics(anbna):
         assert full.accepts(word)
     for word in samples.neg:
         assert not full.accepts(word)
-    stripped = strip_operations(full, samples.ops)
-    assert set(stripped.alphabet) == set(samples.base_alphabet)
-    # membership of every table cell is decided by the stripped DFA
+    # membership of every table cell is decided by the minimal DFA
     by_state = {}
     for word in table.words():
-        assert stripped.accepts(table.enc(word)) == bool(table.membership(word))
-        state = stripped.initial
+        assert full.accepts(table.enc(word)) == bool(table.membership(word))
+        state = full.initial
         for sym in table.enc(word):
-            state = stripped.transition[(state, sym)]
+            state = full.transition[(state, sym)]
         by_state.setdefault(state, []).append(table.actions(word))
     # words merged into one state carry pairwise similar action vectors
     for vectors in by_state.values():
         for u in vectors:
             for v in vectors:
                 assert u.similar(v)
-
-
-def test_strip_noop_without_ops():
-    dfa = find_min_sep_dfa(SampleSet(pos=(("a0",),), neg=((),),
-                                     ops=(), base_alphabet=("a0",)))
-    assert strip_operations(dfa, ()) == dfa
-
-
-def test_strip_removes_op_columns():
-    op = ActionsVector(0, (1,))
-    samples = SampleSet(pos=((op,),), neg=((),), ops=(op,), base_alphabet=("a0",))
-    dfa = find_min_sep_dfa(samples)
-    stripped = strip_operations(dfa, samples.ops)
-    assert stripped.alphabet == ("a0",)
-    assert stripped.size == dfa.size
-    assert all(sym == "a0" for (_, sym) in stripped.transition)
 
 
 def cold_ladder(samples):

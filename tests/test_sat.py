@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from ocalearn import (CnfInstance, InvalidInput, SolverConfig, SolverError,
-                      SolverTimeout, sat_solve, solve_builtin)
+from ocalearn import (CnfInstance, InvalidInput, SolverError, SolverTimeout,
+                      external_path, sat_solve, solve_builtin)
 
 
 def test_single_positive_unit():
@@ -125,7 +125,7 @@ def external_solver(tmp_path):
 
 def test_external_backend_agreement(external_solver):
     rng = random.Random(5)
-    config = SolverConfig(backend=f"external:{external_solver}")
+    backend = f"external:{external_solver}"
     deadline = time.monotonic() + 60
     for _ in range(25):
         cnf = CnfInstance()
@@ -136,7 +136,7 @@ def test_external_backend_agreement(external_solver):
             width = rng.randrange(1, 4)
             cnf.add(*(rng.choice((-1, 1)) * rng.randrange(1, num_vars + 1)
                       for _ in range(width)))
-        external = sat_solve(cnf, config, deadline)
+        external = sat_solve(cnf, backend, deadline)
         builtin = sat_solve(cnf)
         assert (external is None) == (builtin is None)
         if external is not None:
@@ -165,12 +165,12 @@ def test_external_backend_agrees_on_identification_instances(external_solver):
     from ocalearn.minsepdfa import encode_size_n
 
     apta = _anbna_apta()
-    config = SolverConfig(backend=f"external:{external_solver}")
+    backend = f"external:{external_solver}"
     deadline = time.monotonic() + 120
     for n in range(1, 6):
         cnf = encode_size_n(apta, n)
         assert len(cnf.clauses) <= 5000
-        external = sat_solve(cnf, config, deadline)
+        external = sat_solve(cnf, backend, deadline)
         builtin = sat_solve(cnf)
         assert (external is None) == (builtin is None)
 
@@ -256,19 +256,19 @@ def test_passed_deadline_raises_on_both_backends(external_solver):
     cnf = CnfInstance()
     cnf.add(cnf.new_var())
     passed = time.monotonic() - 1
-    for config in (SolverConfig(), SolverConfig(backend=f"external:{external_solver}")):
+    for backend in ("builtin", f"external:{external_solver}"):
         with pytest.raises(SolverTimeout):
-            sat_solve(cnf, config, passed)
+            sat_solve(cnf, backend, passed)
 
 
 def test_external_backend_missing_executable():
     cnf = CnfInstance()
     cnf.add(cnf.new_var())
     with pytest.raises(SolverError):
-        sat_solve(cnf, SolverConfig(backend="external:/nonexistent/solver"))
+        sat_solve(cnf, "external:/nonexistent/solver")
 
 
 def test_backend_selector_validation():
     with pytest.raises(Exception):
-        SolverConfig(backend="magic").external_path()
-    assert SolverConfig().external_path() is None
+        external_path("magic")
+    assert external_path("builtin") is None
