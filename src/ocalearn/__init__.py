@@ -13,7 +13,7 @@ from .equivalence import (ACCEPT_MISMATCH, COUNTER_DESYNC, Counterexample,
                           reach_witness, voca_check_equiv)
 from .errors import (ConstructionConflict, GenerationFailure, InvalidInput,
                      LearnTimeout, ParseError, SampleConflict, SolverError,
-                     SolverTimeout, TableIncomplete, WorkbenchError)
+                     SolverTimeout, WorkbenchError)
 from .generate import GenConfig, derive_seed, generate_droca, reachable_count, splitmix64
 from .io import load, load_file, store, store_file
 from .learning import (LearnConfig, SimulatedTeacher, Stats, Teacher,

@@ -17,10 +17,6 @@ class ParseError(WorkbenchError, ValueError):
         self.field = field
 
 
-class TableIncomplete(WorkbenchError):
-    """An observation-table cell was read before being filled; names the cell."""
-
-
 class SampleConflict(WorkbenchError):
     """A word is required to be both accepted and rejected."""
 

@@ -134,7 +134,8 @@ def construct_droca(table: ObservationTable, *,
     every table word through the skeleton: each step demands its observed
     counter delta, and each end state additionally demands the word's
     whole action vector.  Transitions never exercised by a table word
-    keep the skeleton target with action 0.  Conflicting demands abort
+    keep the skeleton target with the action of ``action_map`` (visibly
+    one-counter mode), else 0.  Conflicting demands abort
     the session: they mean the sample constraints failed to keep
     dissimilar rows apart.
 
@@ -144,39 +145,38 @@ def construct_droca(table: ObservationTable, *,
     repaired by promoting it into P (signalled via :class:`PrefixConflict`)
     instead of aborting.
 
-    With ``action_map`` (visibly one-counter mode) the replay is skipped
-    and every transition takes its action from the map.
+    In visibly one-counter mode every counter-value comes from the map,
+    so every demand is the map's action and no conflict can arise.
     """
     skeleton = find_min_sep_dfa(build_samples(table), solve=solve, at_least=at_least)
     names = {q: f"s{q}" for q in skeleton.states}
 
     assignments: dict[tuple[int, int, str], tuple[int, bool, str]] = {}
-    if action_map is None:
-        word_set = set(table.words())
-        for word in table.words():
-            state = skeleton.initial
-            for i, letter in enumerate(word):
-                prefix = word[:i]
-                before = table.counter_value(prefix)
-                delta = table.counter_value(word[:i + 1]) - before
-                _demand(assignments, (state, sgn(before), letter), delta,
-                        prefix, prefix in word_set)
-                state = skeleton.transition[(state, doubled(letter, sgn(before)))]
-            vector = table.actions(word)
-            for j, letter in enumerate(table.alphabet):
-                _demand(assignments, (state, vector.sign, letter),
-                        vector.deltas[j], word, True)
+    words = table.words()
+    word_set = set(words)
+    for word in words:
+        state = skeleton.initial
+        for i, letter in enumerate(word):
+            prefix = word[:i]
+            before = table.counter_value(prefix)
+            delta = table.counter_value(word[:i + 1]) - before
+            _demand(assignments, (state, sgn(before), letter), delta,
+                    prefix, prefix in word_set)
+            state = skeleton.transition[(state, doubled(letter, sgn(before)))]
+        vector = table.actions(word)
+        for j, letter in enumerate(table.alphabet):
+            _demand(assignments, (state, vector.sign, letter),
+                    vector.deltas[j], word, True)
 
+    defaults = action_map or {}
     delta0 = {}
     delta1 = {}
     for q in skeleton.states:
         for a in table.alphabet:
             for sign, delta in ((0, delta0), (1, delta1)):
                 target = skeleton.transition[(q, doubled(a, sign))]
-                if action_map is not None:
-                    action = action_map[(a, sign)]
-                else:
-                    action = assignments.get((q, sign, a), (0,))[0]
+                default = defaults.get((a, sign), 0)
+                action = assignments.get((q, sign, a), (default,))[0]
                 delta[(names[q], a)] = (names[target], action)
     return Droca(states=tuple(names[q] for q in skeleton.states),
                  alphabet=table.alphabet,
@@ -230,9 +230,6 @@ class _DerivedCvTeacher:
             counter += self.action_map[(letter, sgn(counter))]
         return counter
 
-    def seq(self, hypothesis: Droca):
-        return self.inner.seq(hypothesis)
-
 
 def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
     """Learn a machine counter-synchronous with and equivalent to the
@@ -256,12 +253,12 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
         action_map = teacher.voca_action_map()
         view = _DerivedCvTeacher(teacher, action_map)
 
-    table = ObservationTable(view.alphabet)
+    table = ObservationTable(view)
     d = 0
     size = 1    # the table only grows, so hypothesis sizes never drop
     pending: CeRecord | None = None
     while True:
-        table.repair(d, view)
+        table.repair(d)
         if pending is not None:
             pending.rows_after = table.distinct_rows_at(pending.height)
             pending = None
@@ -272,7 +269,7 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
                 break
             except PrefixConflict as conflict:
                 table.add_prefix(conflict.prefix)
-                table.repair(d, view)
+                table.repair(d)
             except SolverTimeout:
                 finish(d)
                 raise LearnTimeout("SAT call ran into the deadline", stats) from None
@@ -288,7 +285,7 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
             return hypothesis, stats
         word = ce.word
         stats.max_ce_len = max(stats.max_ce_len, len(word))
-        height = max(table.ensure_cv(word[:i], view) for i in range(len(word) + 1))
+        height = max(table.counter_value(word[:i]) for i in range(len(word) + 1))
         pending = CeRecord(word=word, kind=ce.kind, height=height,
                            rows_before=table.distinct_rows_at(height))
         stats.counterexamples.append(pending)

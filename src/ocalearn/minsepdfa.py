@@ -50,7 +50,8 @@ class SampleSet:
 
 
 def build_samples(table) -> SampleSet:
-    """Assemble the sample set of a filled observation table."""
+    """Assemble the sample set of an observation table; its reads ask
+    the teacher for every cell not yet cached."""
     words = table.words()
     ops_in_order = {}
     for w in words:

@@ -1,12 +1,13 @@
 """Observation tables for one-counter active learning.
 
 A table holds a prefix-closed set P of row labels, a suffix-closed set S
-of column labels, and teacher-backed caches of membership bits and
-counter-values.  Rows are labelled by P and its one-letter extensions;
-the cell at (p, s) carries the membership of ps together with the action
-vector of ps, and every row additionally carries the counter-value of
-its label.  Closedness and consistency are checked per counter level d,
-restricting attention to rows whose counter-value is at most d.
+of column labels, and read-through caches of membership bits and
+counter-values: the first read of a word asks the teacher.  Rows are
+labelled by P and its one-letter extensions; the cell at (p, s) carries
+the membership of ps together with the action vector of ps, and every
+row additionally carries the counter-value of its label.  Closedness and
+consistency are checked per counter level d, restricting attention to
+rows whose counter-value is at most d.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import doubled, sgn
-from .errors import InvalidInput, TableIncomplete
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,15 @@ class ActionsVector:
 class ObservationTable:
     """The learner's entire knowledge about the hidden machine.
 
-    ``memb`` and ``cv`` are caches fed by teacher queries; filling is
-    lazy, so repeated fills only query missing entries.  All scan orders
-    (P insertion, then alphabet, then S insertion) are fixed, which makes
-    a learning session deterministic for a given teacher.
+    ``memb`` and ``cv`` cache the teacher's answers: a word is queried
+    at its first read and never again.  All scan orders (P insertion,
+    then alphabet, then S insertion) are fixed, which makes a learning
+    session deterministic for a given teacher.
     """
 
-    def __init__(self, alphabet):
-        self.alphabet = tuple(alphabet)
+    def __init__(self, teacher):
+        self.teacher = teacher
+        self.alphabet = tuple(teacher.alphabet)
         self.prefixes: dict[str, None] = {"": None}
         self.suffixes: dict[str, None] = {"": None}
         self.memb: dict[str, int] = {}
@@ -93,37 +95,21 @@ class ObservationTable:
         for i in range(len(word), -1, -1):
             self.suffixes.setdefault(word[i:])
 
-    # -- filling -----------------------------------------------------
-
-    def fill(self, teacher) -> None:
-        """Extend the caches to cover every table word, its prefixes
-        (for encoding) and its one-letter extensions (for actions)."""
-        for word in self.words():
-            for i in range(len(word) + 1):
-                self.ensure_cv(word[:i], teacher)
-            if word not in self.memb:
-                self.memb[word] = int(teacher.mq(word))
-            for a in self.alphabet:
-                self.ensure_cv(word + a, teacher)
-
-    def ensure_cv(self, word: str, teacher) -> int:
-        if word not in self.cv:
-            self.cv[word] = teacher.cv(word)
-        return self.cv[word]
-
-    # -- derived views -----------------------------------------------
+    # -- cells (a miss asks the teacher) and derived views -----------
 
     def membership(self, word: str) -> int:
         try:
             return self.memb[word]
         except KeyError:
-            raise TableIncomplete(f"membership of {word!r} not filled") from None
+            bit = self.memb[word] = int(self.teacher.mq(word))
+            return bit
 
     def counter_value(self, word: str) -> int:
         try:
             return self.cv[word]
         except KeyError:
-            raise TableIncomplete(f"counter-value of {word!r} not filled") from None
+            value = self.cv[word] = self.teacher.cv(word)
+            return value
 
     def actions(self, word: str) -> ActionsVector:
         cached = self._actions_cache.get(word)
@@ -135,7 +121,7 @@ class ObservationTable:
         return cached
 
     def enc(self, word: str) -> tuple[str, ...]:
-        """Encoded form of a table word, read off the counter-value cache."""
+        """Encoded form of a table word, from its prefixes' counter-values."""
         return tuple(doubled(word[i], sgn(self.counter_value(word[:i])))
                      for i in range(len(word)))
 
@@ -169,44 +155,38 @@ class ObservationTable:
         The returned suffix s satisfies Memb(pas) != Memb(qas) or
         Actions(pas) != Actions(qas).  Because the empty suffix is always
         a column, equal rows force equal counter-values on extensions, so
-        such an s always exists.
+        such an s always exists.  Prefixes are grouped by row in P order
+        and each is compared with its group's first member only: two
+        members that both agree with it agree with each other.
         """
-        prefixes = list(self.prefixes)
-        for i, p in enumerate(prefixes):
-            cvp = self.counter_value(p)
-            if cvp > d:
-                continue
-            row_p = self.row(p)
-            for q in prefixes[i + 1:]:
-                if self.counter_value(q) != cvp or self.row(q) != row_p:
-                    continue
+        groups: dict[tuple, list[str]] = {}
+        for p in self.prefixes:
+            if self.counter_value(p) <= d:
+                groups.setdefault(self.row(p), []).append(p)
+        for p, *others in groups.values():
+            for q in others:
                 for a in self.alphabet:
-                    if self.row(p + a) == self.row(q + a):
-                        continue
                     for s in self.suffixes:
                         if (self.membership(p + a + s) != self.membership(q + a + s)
                                 or self.actions(p + a + s) != self.actions(q + a + s)):
                             return p, q, a, s
         return None
 
-    def repair(self, d: int, teacher) -> "ObservationTable":
+    def repair(self, d: int) -> "ObservationTable":
         """Grow the table until it is d-closed and d-consistent.
 
         Unclosed witnesses extend P, inconsistency witnesses extend S;
-        the caches are refilled after each addition.  Returns self.
+        the new cells are queried as the checks read them.  Returns self.
         """
-        self.fill(teacher)
         while True:
             unclosed = self.find_unclosed(d)
             if unclosed is not None:
                 p, a = unclosed
                 self.add_prefix(p + a)
-                self.fill(teacher)
                 continue
             witness = self.find_inconsistent(d)
             if witness is not None:
                 _, _, a, s = witness
                 self.add_suffix(a + s)
-                self.fill(teacher)
                 continue
             return self

@@ -5,16 +5,15 @@ criteria 6 and 7 share one corpus of 100 random learning sessions,
 built once per test run.
 """
 
-import itertools
 import time
 
 import pytest
 
-from ocalearn import (ACCEPT_MISMATCH, BenchConfig, COUNTER_DESYNC, GenConfig,
-                      LearnConfig, ObservationTable, SimulatedTeacher,
+from ocalearn import (ACCEPT_MISMATCH, BenchConfig, GenConfig, LearnConfig,
+                      ObservationTable, SimulatedTeacher,
                       brute_force_equiv, check_sync_equiv, derive_seed,
                       generate_droca, learn, run_benchmark, voca_check_equiv)
-from ocalearn.minsepdfa import SampleSet, build_samples, find_min_sep_dfa
+from ocalearn.minsepdfa import SampleSet, find_min_sep_dfa
 from conftest import make_anbna, make_five_state_a_plus, random_voca
 from oracles import min_sep_dfa_size
 
@@ -57,12 +56,10 @@ def _render_table(table):
 def test_criterion_1_golden_table():
     start = time.monotonic()
     machine = make_anbna()
-    teacher = SimulatedTeacher(machine)
-    table = ObservationTable(machine.alphabet)
+    table = ObservationTable(SimulatedTeacher(machine))
     for p in ("a", "ab", "aba", "b"):
         table.add_prefix(p)
     table.add_suffix("a")
-    table.fill(teacher)
     rendered = _render_table(table)
     elapsed = time.monotonic() - start
     ok = rendered == GOLDEN_TABLE and elapsed < 1.0

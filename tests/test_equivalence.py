@@ -5,7 +5,7 @@ import pytest
 from ocalearn import (ACCEPT_MISMATCH, COUNTER_DESYNC, Droca, InvalidInput,
                       brute_force_equiv, check_sync_equiv, derive_seed,
                       reach_witness, reachable_count, voca_check_equiv)
-from conftest import make_anbna, random_machine, random_voca, split_copy
+from conftest import random_machine, random_voca, split_copy
 
 
 def test_reflexive(anbna):

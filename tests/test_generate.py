@@ -1,9 +1,7 @@
 import pytest
 
-from ocalearn import (GenConfig, GenerationFailure, InvalidInput, derive_seed,
-                      generate_droca, reachable_count, splitmix64, store,
-                      validate)
-from conftest import make_anbna
+from ocalearn import (GenConfig, InvalidInput, derive_seed, generate_droca,
+                      reachable_count, splitmix64, store, validate)
 
 
 def test_reachable_count_golden(anbna):

@@ -1,0 +1,42 @@
+"""Every imported name is used in the file that imports it.
+
+No linter ships with the project, so this walks the syntax tree of each
+module, test and demo.  ``__init__.py`` re-exports what it imports and
+is not checked; an import line marked ``# noqa`` is exempt.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKED = sorted([p for p in (ROOT / "src" / "ocalearn").glob("*.py")
+                  if p.name != "__init__.py"]
+                 + list((ROOT / "tests").glob("*.py"))
+                 + list((ROOT / "demos").glob("*.py")))
+
+
+def unused_imports(path):
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "# noqa" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    assert {"learning.py", "conftest.py", "03_learning_walkthrough.py"} <= \
+        {p.name for p in CHECKED}
+    unused = [entry for path in CHECKED for entry in unused_imports(path)]
+    assert unused == []

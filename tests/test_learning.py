@@ -7,7 +7,7 @@ from ocalearn import (Droca, GenConfig, LearnConfig, LearnTimeout,
                       ObservationTable, SimulatedTeacher, brute_force_equiv,
                       check_sync_equiv, construct_droca, derive_seed,
                       generate_droca, learn, learning)
-from conftest import make_anbna, random_voca
+from conftest import make_anbna, make_five_state_a_plus, random_voca
 from test_minsepdfa import cold_ladder
 from test_table import golden_table
 
@@ -21,8 +21,8 @@ def test_teacher_examples(anbna):
 
 
 def test_construct_droca_agrees_with_table(anbna):
-    table, teacher = golden_table(anbna)
-    table.repair(2, teacher)
+    table, _ = golden_table(anbna)
+    table.repair(2)
     hypothesis = construct_droca(table)
     assert hypothesis.size <= anbna.size
     for word in table.words():
@@ -36,9 +36,8 @@ def test_construct_droca_agreement_random_sessions():
         seed = derive_seed(4242, i)
         target = generate_droca(GenConfig(n_states=2 + seed % 5,
                                           alphabet_size=2, seed=seed))
-        teacher = SimulatedTeacher(target)
-        table = ObservationTable(target.alphabet)
-        table.repair(1, teacher)
+        table = ObservationTable(SimulatedTeacher(target))
+        table.repair(1)
         from ocalearn.learning import PrefixConflict
         while True:
             try:
@@ -46,7 +45,7 @@ def test_construct_droca_agreement_random_sessions():
                 break
             except PrefixConflict as conflict:
                 table.add_prefix(conflict.prefix)
-                table.repair(1, teacher)
+                table.repair(1)
         for word in table.words():
             trace = hypothesis.run(word)
             assert trace.accepted == bool(table.membership(word))
@@ -267,3 +266,24 @@ def test_learn_property_equivalent_and_no_larger(n_states, alphabet_size,
     assert stats.success == 1
     assert check_sync_equiv(hypothesis, target).equivalent
     assert hypothesis.size <= target.size
+
+
+def _counts(stats):
+    return (stats.learnt_states, stats.n_seq, stats.n_mq, stats.n_cv,
+            stats.n_sat, stats.max_ce_len, stats.final_d)
+
+
+def test_session_query_counts_are_pinned():
+    # (learnt_states, n_seq, n_mq, n_cv, n_sat, max_ce_len, final_d): query
+    # counts are the complexity measure, so a change to the table or the
+    # hypothesis construction must not move them unnoticed
+    sessions = [(make_anbna(), LearnConfig(), (4, 3, 50, 101, 3, 5, 4)),
+                (make_five_state_a_plus(), LearnConfig(), (4, 3, 35, 71, 3, 6, 3))]
+    voca_counts = ((4, 4, 49, 0, 4, 5, 3), (3, 3, 43, 0, 3, 5, 3),
+                   (3, 3, 55, 0, 3, 4, 3))
+    for i, expected in enumerate(voca_counts):
+        sessions.append((random_voca(derive_seed(4711, i), max_states=5),
+                         LearnConfig(voca=True), expected))
+    for target, config, expected in sessions:
+        _, stats = learn(SimulatedTeacher(target), config)
+        assert _counts(stats) == expected

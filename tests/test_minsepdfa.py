@@ -1,5 +1,4 @@
 import random
-import sys
 from itertools import count
 
 import pytest
@@ -76,8 +75,8 @@ def test_find_min_sep_dfa_trivial():
 
 
 def test_min_dfa_size_matches_oracle_on_golden_table(anbna):
-    table, teacher = golden_table(anbna)
-    table.repair(2, teacher)
+    table, _ = golden_table(anbna)
+    table.repair(2)
     samples = build_samples(table)
     dfa = find_min_sep_dfa(samples)
     assert dfa.size <= 4
@@ -85,8 +84,8 @@ def test_min_dfa_size_matches_oracle_on_golden_table(anbna):
 
 
 def test_separation_and_merging_semantics(anbna):
-    table, teacher = golden_table(anbna)
-    table.repair(2, teacher)
+    table, _ = golden_table(anbna)
+    table.repair(2)
     samples = build_samples(table)
     full = find_min_sep_dfa(samples)
     for word in samples.pos:
@@ -121,9 +120,8 @@ def cold_ladder(samples):
 def filled_tables():
     tables = []
     for machine in (make_anbna(), random_machine(3), random_machine(7)):
-        teacher = SimulatedTeacher(machine)
-        table = ObservationTable(machine.alphabet)
-        table.repair(2, teacher)
+        table = ObservationTable(SimulatedTeacher(machine))
+        table.repair(2)
         tables.append(table)
     tables.append(golden_table(make_anbna())[0])
     return tables
@@ -177,8 +175,8 @@ def test_clique_bound_at_most_the_size_on_filled_tables():
     tables = filled_tables()
     for seed, letters in ((11, 1), (12, 2), (13, 3), (14, 2)):
         machine = random_machine(seed, alphabet_size=letters)
-        table = ObservationTable(machine.alphabet)
-        table.repair(2, SimulatedTeacher(machine))
+        table = ObservationTable(SimulatedTeacher(machine))
+        table.repair(2)
         tables.append(table)
     for table in tables:
         samples = build_samples(table)

@@ -150,12 +150,10 @@ def _anbna_apta():
     from conftest import make_anbna
 
     machine = make_anbna()
-    teacher = SimulatedTeacher(machine)
-    table = ObservationTable(machine.alphabet)
+    table = ObservationTable(SimulatedTeacher(machine))
     for p in ("a", "ab", "aba", "b", "aa"):
         table.add_prefix(p)
     table.add_suffix("a")
-    table.fill(teacher)
     return build_apta(build_samples(table))
 
 

@@ -1,26 +1,24 @@
 import pytest
 
 from ocalearn import (ActionsVector, InvalidInput, ObservationTable,
-                      SimulatedTeacher, TableIncomplete)
+                      SimulatedTeacher, build_samples)
 
 
 def golden_table(machine):
     """The walkthrough table of the a^n b^n a machine: P grown to
     {ε, a, ab, aba, b}, S = {ε, a}."""
     teacher = SimulatedTeacher(machine)
-    table = ObservationTable(machine.alphabet)
+    table = ObservationTable(teacher)
     for p in ("a", "ab", "aba", "b"):
         table.add_prefix(p)
     table.add_suffix("a")
-    table.fill(teacher)
     return table, teacher
 
 
 def test_actions_vector_examples(anbna):
     teacher = SimulatedTeacher(anbna)
-    table = ObservationTable(anbna.alphabet)
+    table = ObservationTable(teacher)
     table.add_prefix("ab")
-    table.fill(teacher)
     assert table.actions("") == ActionsVector(0, (1, 1))
     assert table.actions("ab") == ActionsVector(0, (0, 1))
     assert table.actions("a") == ActionsVector(1, (1, -1))
@@ -65,22 +63,14 @@ def test_golden_table_closedness(anbna):
 
 
 def test_fresh_table_zero_closed(anbna):
-    teacher = SimulatedTeacher(anbna)
-    table = ObservationTable(anbna.alphabet)
-    table.fill(teacher)
+    table = ObservationTable(SimulatedTeacher(anbna))
     # both one-letter extensions leave counter zero, so level 0 is vacuous
     assert table.find_unclosed(0) is None
 
 
-def test_unfilled_table_raises(anbna):
-    table = ObservationTable(anbna.alphabet)
-    with pytest.raises(TableIncomplete):
-        table.find_unclosed(0)
-
-
 def test_repair_adds_aa_at_level_two(anbna):
-    table, teacher = golden_table(anbna)
-    table.repair(2, teacher)
+    table, _ = golden_table(anbna)
+    table.repair(2)
     assert "aa" in table.prefixes
     assert table.find_unclosed(2) is None
     assert table.find_inconsistent(2) is None
@@ -88,17 +78,16 @@ def test_repair_adds_aa_at_level_two(anbna):
 
 def test_repair_is_fixpoint_without_new_queries(anbna):
     table, teacher = golden_table(anbna)
-    table.repair(1, teacher)
+    table.repair(1)
     before = (teacher.stats.n_mq, teacher.stats.n_cv)
-    table.repair(1, teacher)
+    table.repair(1)
     assert (teacher.stats.n_mq, teacher.stats.n_cv) == before
 
 
 def test_repair_row_bound(anbna):
     for d in range(5):
-        teacher = SimulatedTeacher(anbna)
-        table = ObservationTable(anbna.alphabet)
-        table.repair(d, teacher)
+        table = ObservationTable(SimulatedTeacher(anbna))
+        table.repair(d)
         assert table.distinct_rows_at(d) <= (d + 1) * anbna.size
 
 
@@ -112,10 +101,8 @@ def test_inconsistency_witness():
                     delta0={("e", "a"): ("o", 0), ("o", "a"): ("e", 0)},
                     delta1={("e", "a"): ("o", 0), ("o", "a"): ("e", 0)},
                     finals=["o"])
-    teacher = SimulatedTeacher(machine)
-    table = ObservationTable(machine.alphabet)
+    table = ObservationTable(SimulatedTeacher(machine))
     table.add_prefix("a")   # P = {'', 'a'}; rows differ on membership
-    table.fill(teacher)
     assert table.find_inconsistent(0) is None
     # force equal rows with different extensions via a bigger machine
     machine2 = Droca(states=["s0", "s1", "s2"], alphabet=["a"], initial="s0",
@@ -124,10 +111,8 @@ def test_inconsistency_witness():
                      delta1={("s0", "a"): ("s1", 0), ("s1", "a"): ("s2", 0),
                              ("s2", "a"): ("s2", 0)},
                      finals=["s2"])
-    teacher2 = SimulatedTeacher(machine2)
-    table2 = ObservationTable(machine2.alphabet)
+    table2 = ObservationTable(SimulatedTeacher(machine2))
     table2.add_prefix("aa")
-    table2.fill(teacher2)
     # rows '' and 'a' agree on the empty suffix (both rejected, same
     # actions) yet their a-successors differ in membership
     witness = table2.find_inconsistent(0)
@@ -135,7 +120,7 @@ def test_inconsistency_witness():
     p, q, a, s = witness
     assert (p, q, a, s) == ("", "a", "a", "")
     assert table2.membership(p + a + s) != table2.membership(q + a + s)
-    table2.repair(0, teacher2)
+    table2.repair(0)
     assert table2.find_inconsistent(0) is None
     assert "a" in table2.suffixes
 
@@ -145,3 +130,16 @@ def test_enc_reads_cache(anbna):
     assert table.enc("aba") == ("a0", "b1", "a0")
     assert table.enc("ab") == ("a0", "b1")
     assert table.enc("") == ()
+
+
+def test_samples_read_exactly_the_table_closure(anbna):
+    # the teacher is asked for the membership of every table word and the
+    # counter-value of every prefix and one-letter extension of one: the
+    # words a hypothesis is built from, and no others
+    table, _ = golden_table(anbna)
+    table.repair(2)
+    build_samples(table)
+    words = table.words()
+    assert set(table.memb) == set(words)
+    assert set(table.cv) == ({w[:i] for w in words for i in range(len(w) + 1)}
+                             | {w + a for w in words for a in table.alphabet})
