@@ -16,8 +16,7 @@ from .errors import (ConstructionConflict, GenerationFailure, InvalidInput,
                      SolverTimeout, WorkbenchError)
 from .generate import GenConfig, derive_seed, generate_droca, reachable_count, splitmix64
 from .io import load, load_file, store, store_file
-from .learning import (LearnConfig, SimulatedTeacher, Stats, Teacher,
-                       construct_droca, learn)
+from .learning import LearnConfig, SimulatedTeacher, Stats, construct_droca, learn
 from .minsepdfa import (Apta, SampleSet, build_apta, build_samples,
                         encode_size_n, find_min_sep_dfa)
 from .sat import CnfInstance, external_path, sat_solve, solve_builtin

@@ -145,11 +145,9 @@ class Droca:
         and the positive-mode one the transition on ``a1``.  It accepts
         ``encode(w)`` exactly when this machine accepts ``w``.
         """
-        transition = {}
-        for (q, a), (t, _) in self.delta0.items():
-            transition[(q, doubled(a, 0))] = t
-        for (q, a), (t, _) in self.delta1.items():
-            transition[(q, doubled(a, 1))] = t
+        transition = {(q, doubled(a, sign)): t
+                      for sign, delta in enumerate((self.delta0, self.delta1))
+                      for (q, a), (t, _) in delta.items()}
         return Dfa(states=self.states,
                    alphabet=doubled_alphabet(self.alphabet),
                    initial=self.initial,
@@ -158,23 +156,16 @@ class Droca:
 
     def is_voca(self) -> bool:
         """True when the counter-action is a function of (letter, counter sign)."""
-        for a in self.alphabet:
-            if len({self.delta0[(q, a)][1] for q in self.states}) > 1:
-                return False
-            if len({self.delta1[(q, a)][1] for q in self.states}) > 1:
-                return False
-        return True
+        return all(len({delta[(q, a)][1] for q in self.states}) <= 1
+                   for a in self.alphabet for delta in (self.delta0, self.delta1))
 
     def voca_action_map(self) -> dict[tuple[str, int], int]:
         """The (letter, sign) -> action map of a visibly one-counter automaton."""
         if not self.is_voca():
             raise InvalidInput("automaton is not visibly one-counter")
         q = self.states[0]
-        amap = {}
-        for a in self.alphabet:
-            amap[(a, 0)] = self.delta0[(q, a)][1]
-            amap[(a, 1)] = self.delta1[(q, a)][1]
-        return amap
+        return {(a, sign): delta[(q, a)][1] for a in self.alphabet
+                for sign, delta in enumerate((self.delta0, self.delta1))}
 
 
 def doubled(letter: str, sign: int) -> str:

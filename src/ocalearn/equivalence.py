@@ -74,11 +74,9 @@ def voca_check_equiv(a: Droca, b: Droca) -> Verdict:
     Machines with different action maps fall back to the general
     synchronous check, which reports the counter desynchronization.
     """
-    for m in (a, b):
-        if not m.is_voca():
-            raise InvalidInput("voca_check_equiv requires visibly one-counter automata")
+    a_map, b_map = a.voca_action_map(), b.voca_action_map()  # InvalidInput unless VOCAs
     _require_same_alphabet(a, b)
-    if a.voca_action_map() != b.voca_action_map():
+    if a_map != b_map:
         return check_sync_equiv(a, b)
     k = max(a.size, b.size)
     height_cap = 2 * (k + k * k)

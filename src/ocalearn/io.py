@@ -29,13 +29,8 @@ def store(automaton: Droca) -> str:
     """Serialize in canonical form: fixed key order, transitions sorted
     by state order then letter order."""
     def delta_obj(delta):
-        out = {}
-        for q in automaton.states:
-            for a in automaton.alphabet:
-                if (q, a) in delta:
-                    target, action = delta[(q, a)]
-                    out[f"{q},{a}"] = [target, action]
-        return out
+        return {f"{q},{a}": list(delta[(q, a)]) for q in automaton.states
+                for a in automaton.alphabet if (q, a) in delta}
 
     obj = {
         "type": "voca" if automaton.is_voca() else "droca",
@@ -81,20 +76,17 @@ def load(text: str, complete_with_sink: bool = False) -> Droca:
     delta1 = _parse_delta("delta1", obj["delta1"], states, letters)
 
     if complete_with_sink:
-        missing0 = [(q, a) for q in states for a in letters if (q, a) not in delta0]
-        missing1 = [(q, a) for q in states for a in letters if (q, a) not in delta1]
-        if missing0 or missing1:
+        missing = [(delta, (q, a)) for delta in (delta0, delta1)
+                   for q in states for a in letters if (q, a) not in delta]
+        if missing:
             sink = "sink"
             while sink in states:
                 sink += "_"
             states.append(sink)
-            for pair in missing0:
-                delta0[pair] = (sink, 0)
-            for pair in missing1:
-                delta1[pair] = (sink, 0)
+            for delta, pair in missing:
+                delta[pair] = (sink, 0)
             for a in letters:
-                delta0[(sink, a)] = (sink, 0)
-                delta1[(sink, a)] = (sink, 0)
+                delta0[(sink, a)] = delta1[(sink, a)] = (sink, 0)
 
     automaton = Droca(states=states, alphabet=letters, initial=obj["initial"],
                       delta0=delta0, delta1=delta1, finals=obj["finals"])

@@ -1,4 +1,4 @@
-"""The learning loop: teacher interface, hypothesis construction, and
+"""The learning loop: simulated teacher, hypothesis construction, and
 counterexample-driven refinement.
 
 The learner keeps an observation table, repairs it to be d-closed and
@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from .automata import Droca, doubled, sgn
 from .equivalence import Counterexample, check_sync_equiv, voca_check_equiv
@@ -66,16 +65,6 @@ class Stats:
 
     def to_json(self) -> str:
         return json.dumps({name: getattr(self, name) for name in STATS_FIELDS})
-
-
-class Teacher(Protocol):
-    alphabet: tuple[str, ...]
-
-    def mq(self, word: str) -> int: ...
-
-    def cv(self, word: str) -> int: ...
-
-    def seq(self, hypothesis: Droca) -> Counterexample | None: ...
 
 
 class SimulatedTeacher:

@@ -1,14 +1,13 @@
 """Minimal separating DFA from observation-table samples.
 
-The sample words live over the doubled alphabet extended with one fresh
-"operation" letter per distinct action vector.  For every table word w:
-its encoding is a positive or negative sample according to membership;
-the encoding followed by w's own action-vector letter is positive; and
-the encoding followed by any dissimilar action-vector letter is
-negative.  A minimal complete DFA consistent with the samples therefore
-(1) decides membership of encoded table words and (2) never merges two
-table words with dissimilar action vectors -- precisely what hypothesis
-construction needs.
+The sample words live over the doubled alphabet.  Every table word w
+gives one sample: its encoding, positive or negative according to
+membership, with w's action vector as its output.  A minimal complete
+DFA that matches every label and gives each state at most one output
+per counter sign therefore (1) decides membership of encoded table words
+and (2) never merges two table words with dissimilar action vectors --
+precisely what hypothesis construction needs.  This is Moore-machine
+identification (Giantamidis & Tripakis, FM 2016).
 
 Identification is exact: build the prefix-tree acceptor, encode
 "n states suffice" as a graph-coloring CNF, and grow n until the SAT
@@ -31,63 +30,58 @@ from .table import ActionsVector
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Positive/negative words over the doubled alphabet plus op letters.
+    """Positive/negative words over the doubled alphabet, and outputs.
 
     ``pos`` and ``neg`` are stored as deduplicated tuples in build order
-    so downstream construction is deterministic.  Operation letters are
-    the interned action vectors themselves and only ever occur as the
-    final symbol of a word.
+    so downstream construction is deterministic.  ``outputs`` pairs each
+    encoded table word with its action vector, in build order; plain
+    identification leaves it empty.
     """
 
     pos: tuple[tuple, ...]
     neg: tuple[tuple, ...]
-    ops: tuple[ActionsVector, ...]
-    base_alphabet: tuple[str, ...]
+    alphabet: tuple[str, ...]
+    outputs: tuple[tuple[tuple, ActionsVector], ...] = ()
 
     @property
-    def alphabet(self) -> tuple:
-        return self.base_alphabet + self.ops
+    def ops(self) -> tuple[ActionsVector, ...]:
+        """The distinct action vectors, in build order."""
+        return tuple(dict.fromkeys(vector for _, vector in self.outputs))
 
 
 def build_samples(table) -> SampleSet:
     """Assemble the sample set of an observation table; its reads ask
     the teacher for every cell not yet cached."""
-    words = table.words()
-    ops_in_order = {}
-    for w in words:
-        ops_in_order.setdefault(table.actions(w), None)
-    ops = tuple(ops_in_order)
     pos: dict[tuple, None] = {}
     neg: dict[tuple, None] = {}
-    for w in words:
+    outputs = []
+    for w in table.words():
         enc = table.enc(w)
-        vector = table.actions(w)
-        if table.membership(w):
-            pos[enc] = None
-        else:
-            neg[enc] = None
-        pos[enc + (vector,)] = None
-        for op in ops:
-            if not vector.similar(op):
-                neg[enc + (op,)] = None
-    return SampleSet(pos=tuple(pos), neg=tuple(neg), ops=ops,
-                     base_alphabet=doubled_alphabet(table.alphabet))
+        (pos if table.membership(w) else neg)[enc] = None
+        outputs.append((enc, table.actions(w)))
+    return SampleSet(pos=tuple(pos), neg=tuple(neg),
+                     alphabet=doubled_alphabet(table.alphabet), outputs=tuple(outputs))
 
 
 class Apta:
-    """Prefix-tree acceptor: one node per distinct sample prefix."""
+    """Prefix-tree acceptor: one node per distinct sample prefix.  A
+    node's output is a counter sign and the index of its vector among
+    that sign's distinct vectors, ``vectors[sign]``."""
 
     def __init__(self, alphabet):
         self.alphabet = tuple(alphabet)
         self.children: list[dict] = [{}]
         self.parent_edges: list[tuple[int, object] | None] = [None]
         self.labels: list[bool | None] = [None]
+        self.outputs: list[tuple[int, int] | None] = [None]
+        self.vectors: tuple[dict, dict] = ({}, {})     # vector -> index, per sign
 
     @property
     def num_nodes(self) -> int:
         return len(self.children)
 
-    def insert(self, word, label: bool) -> None:
+    def insert(self, word, label: bool | None = None,
+               vector: ActionsVector | None = None) -> None:
         node = 0
         for sym in word:
             nxt = self.children[node].get(sym)
@@ -97,10 +91,17 @@ class Apta:
                 self.children.append({})
                 self.parent_edges.append((node, sym))
                 self.labels.append(None)
+                self.outputs.append(None)
             node = nxt
-        if self.labels[node] is not None and self.labels[node] != label:
-            raise SampleConflict("".join(map(str, word)))
-        self.labels[node] = label
+        output = None
+        if vector is not None:
+            index = self.vectors[vector.sign]
+            output = (vector.sign, index.setdefault(vector, len(index)))
+        for values, value in ((self.labels, label), (self.outputs, output)):
+            if value is not None:
+                if values[node] not in (None, value):
+                    raise SampleConflict("".join(map(str, word)))
+                values[node] = value
 
 
 def build_apta(samples: SampleSet) -> Apta:
@@ -109,40 +110,48 @@ def build_apta(samples: SampleSet) -> Apta:
         apta.insert(word, True)
     for word in samples.neg:
         apta.insert(word, False)
+    for word, vector in samples.outputs:
+        apta.insert(word, vector=vector)
     return apta
 
 
 def clique_bound(apta: Apta) -> int:
-    """A lower bound on the size of any DFA consistent with the labels.
+    """A lower bound on the size of any DFA consistent with the labels
+    and outputs.
 
     Two nodes are incompatible when some common suffix leads them to
-    opposite labels; no DFA may give them one state, so a set of pairwise
-    incompatible nodes needs as many states.  Nodes with equal labelled
-    subtrees are interchangeable and never incompatible, so the nodes are
-    hash-consed into subtree classes, children first: a class's children
-    are numbered before it, and the incompatibility of any two earlier
-    classes is known when it is numbered.  The clique is picked greedily
-    among the classes, in order of descending degree.
+    opposite labels or to differing outputs of one sign; no DFA may give
+    them one state, so a set of pairwise incompatible nodes needs as many
+    states.  Nodes with equal labelled subtrees are interchangeable and
+    never incompatible, so the nodes are hash-consed into subtree classes,
+    children first: a class's children are numbered before it, and the
+    incompatibility of any two earlier classes is known when it is
+    numbered.  The clique is picked greedily among the classes, in order
+    of descending degree.
     """
     class_of = [0] * apta.num_nodes
     classes: dict[tuple, int] = {}
     labels: list[bool | None] = []
+    outputs: list[tuple[int, int] | None] = []
     edges: list[dict] = []              # symbol -> child class
     conflicts: list[int] = []           # bitmask of the classes each one clashes with
     for v in reversed(range(apta.num_nodes)):   # a child is numbered after its parent
-        label = apta.labels[v]
+        label, output = apta.labels[v], apta.outputs[v]
         out = {sym: class_of[child] for sym, child in apta.children[v].items()}
-        key = (label, frozenset(out.items()))
+        key = (label, output, frozenset(out.items()))
         if key not in classes:
             c = classes[key] = len(labels)
             mask = 0
             for d in range(c):
-                if {label, labels[d]} == {True, False} or any(
+                if {label, labels[d]} == {True, False} or (
+                        output is not None and outputs[d] is not None
+                        and output[0] == outputs[d][0] and output != outputs[d]) or any(
                         sym in edges[d] and conflicts[child] >> edges[d][sym] & 1
                         for sym, child in out.items()):
                     mask |= 1 << d
                     conflicts[d] |= 1 << c
             labels.append(label)
+            outputs.append(output)
             edges.append(out)
             conflicts.append(mask)
         class_of[v] = classes[key]
@@ -156,27 +165,37 @@ def clique_bound(apta: Apta) -> int:
 def _variables(apta: Apta, n: int):
     """The variables of :func:`encode_size_n`, numbered by formula:
     color(v,i) = v·n + i + 1, then accepting(i), then trans(a,i,j) by the
-    index of symbol a.  Returns the three by index, and their count."""
+    index of symbol a, then out(i,s,k) for each sign s with more than one
+    vector (``out[s][i]`` is empty otherwise).  Returns the four by
+    index, and their count."""
     nodes = apta.num_nodes
     color = [[v * n + i + 1 for i in range(n)] for v in range(nodes)]
     accepting = [nodes * n + i + 1 for i in range(n)]
     first = (nodes + 1) * n + 1
     trans = {sym: [[first + (a * n + i) * n + j for j in range(n)] for i in range(n)]
              for a, sym in enumerate(apta.alphabet)}
-    return color, accepting, trans, first - 1 + len(apta.alphabet) * n * n
+    first += len(apta.alphabet) * n * n
+    out = []
+    for vectors in apta.vectors:
+        k = len(vectors) if len(vectors) > 1 else 0
+        out.append([[first + i * k + j for j in range(k)] for i in range(n)])
+        first += n * k
+    return color, accepting, trans, out, first - 1
 
 
 def encode_size_n(apta: Apta, n: int) -> CnfInstance:
-    """CNF satisfiable iff some complete n-state DFA matches every label.
+    """CNF satisfiable iff some complete n-state DFA matches every label
+    and holds at most one output per state and sign.
 
     Variables: color(v,i) assigns node v to state i, accepting(i) marks
-    state i final, and trans(a,i,j) fixes the successor of state i on
-    symbol a, numbered in that order by :func:`_variables`, which
-    :func:`decode_dfa` shares.  The root's color is pinned to 0 as
-    symmetry breaking.
+    state i final, trans(a,i,j) fixes the successor of state i on symbol
+    a, and out(i,s,k) gives state i the k-th vector of sign s, numbered
+    in that order by :func:`_variables`, which :func:`decode_dfa` shares.
+    A sign with one vector needs no out variables.  The root's color is
+    pinned to 0 as symmetry breaking.
     """
     cnf = CnfInstance()
-    color, accepting, trans, cnf.num_vars = _variables(apta, n)
+    color, accepting, trans, out, cnf.num_vars = _variables(apta, n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     negated = [[-x for x in row] for row in color]
     rejecting = [-x for x in accepting]
@@ -191,6 +210,11 @@ def encode_size_n(apta: Apta, n: int) -> CnfInstance:
             clauses.extend(zip(not_v, accepting))
         elif apta.labels[v] is False:
             clauses.extend(zip(not_v, rejecting))
+        if apta.outputs[v] is not None and out[apta.outputs[v][0]][0]:
+            sign, k = apta.outputs[v]
+            clauses.extend(zip(not_v, [row[k] for row in out[sign]]))
+    for row in out[0] + out[1]:
+        clauses.extend([(-x, -y) for k, x in enumerate(row) for y in row[k + 1:]])
     for sym in apta.alphabet:
         for row, not_row in zip(trans[sym], negated_trans[sym]):
             clauses.append(tuple(row))
@@ -205,7 +229,7 @@ def encode_size_n(apta: Apta, n: int) -> CnfInstance:
 
 def decode_dfa(apta: Apta, assignment: dict[int, bool], n: int) -> Dfa:
     """The n-state DFA of a model of ``encode_size_n(apta, n)``."""
-    _, accepting, trans, _ = _variables(apta, n)
+    _, accepting, trans, _, _ = _variables(apta, n)
     finals = frozenset(i for i in range(n) if assignment[accepting[i]])
     transition = {(i, sym): j for sym, rows in trans.items()
                   for i in range(n) for j in range(n) if assignment[rows[i][j]]}
@@ -215,7 +239,8 @@ def decode_dfa(apta: Apta, assignment: dict[int, bool], n: int) -> Dfa:
 
 def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1) -> Dfa:
     """Smallest complete DFA accepting every positive and rejecting every
-    negative sample, found by growing the state count from the larger of
+    negative sample, whose states each reach words of one sign with equal
+    vectors only, found by growing the state count from the larger of
     ``at_least`` and :func:`clique_bound`.  ``solve`` maps a
     :class:`CnfInstance` to a model or None.
 
@@ -225,9 +250,9 @@ def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1) -> 
     DFA gives two incompatible nodes one state.  Within a learning
     session the size of the previous hypothesis is one too: the table
     never loses a word and its query caches hold fixed answers, so every
-    sample set contains the previous one (and its op letters), and any
-    DFA separating the new samples, restricted to the old alphabet,
-    separates the old ones too: the minimal size never drops.
+    sample set contains the previous one, labels and outputs alike, and
+    any DFA that fits the new samples fits the old ones: the minimal size
+    never drops.
     """
     if at_least < 1:
         raise InvalidInput(f"at_least must be at least 1, got {at_least!r}")
@@ -245,9 +270,15 @@ def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1) -> 
 
 
 def _check_separates(dfa: Dfa, samples: SampleSet) -> None:
-    for word in samples.pos:
-        if not dfa.accepts(word):
-            raise SolverError(f"decoded DFA rejects positive sample {word!r}")
-    for word in samples.neg:
-        if dfa.accepts(word):
-            raise SolverError(f"decoded DFA accepts negative sample {word!r}")
+    for words, label in ((samples.pos, True), (samples.neg, False)):
+        for word in words:
+            if dfa.accepts(word) != label:
+                raise SolverError(f"decoded DFA mislabels sample {word!r}")
+    held: dict[tuple, ActionsVector] = {}
+    for word, vector in samples.outputs:
+        state = dfa.initial
+        for sym in word:
+            state = dfa.transition[(state, sym)]
+        if held.setdefault((state, vector.sign), vector) != vector:
+            raise SolverError(f"decoded DFA merges vectors {held[state, vector.sign]} "
+                              f"and {vector} at state {state}")

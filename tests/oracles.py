@@ -8,48 +8,63 @@ states consistent with the samples exists iff the prefix tree is
 n-colorable, since unconstrained transitions and acceptance bits can be
 filled arbitrarily.
 
+Words may also carry outputs, action vectors; a state may then hold
+words of one counter sign only if their vectors are equal.
+
 The search prunes with the conflict graph of Heule & Verwer, "Exact DFA
 identification using SAT solvers" (ICGI 2010): two nodes are
-incompatible when some common suffix leads them to opposite labels, so
-no coloring may give them one color.  A color holding a node
-incompatible with the one being placed is skipped, and a node whose
-transition is fixed is colored as soon as it is fixed, not when its turn
-in breadth-first order comes, so a clash shows before the next branch.
-Both only cut colorings that cannot be completed, so the search stays
-exact.
+incompatible when some common suffix leads them to opposite labels or
+to dissimilar outputs, so no coloring may give them one color.  A color
+holding a node incompatible with the one being placed is skipped, and a
+node whose transition is fixed is colored as soon as it is fixed, not
+when its turn in breadth-first order comes, so a clash shows before the
+next branch.  Both only cut colorings that cannot be completed, so the
+search stays exact; with outputs the skip is also what keeps dissimilar
+outputs apart, since the nodes that carry them are incompatible.
 """
 
 from __future__ import annotations
 
 
-def _build_trie(pos, neg):
+def _build_trie(pos, neg, outputs):
     children = [{}]
     parent = [None]
     labels = [None]
+    node_outputs = [None]
+
+    def node_of(word):
+        node = 0
+        for sym in word:
+            nxt = children[node].get(sym)
+            if nxt is None:
+                nxt = len(children)
+                children[node][sym] = nxt
+                children.append({})
+                parent.append((node, sym))
+                labels.append(None)
+                node_outputs.append(None)
+            node = nxt
+        return node
+
     for words, label in ((pos, True), (neg, False)):
         for word in words:
-            node = 0
-            for sym in word:
-                nxt = children[node].get(sym)
-                if nxt is None:
-                    nxt = len(children)
-                    children[node][sym] = nxt
-                    children.append({})
-                    parent.append((node, sym))
-                    labels.append(None)
-                node = nxt
+            node = node_of(word)
             if labels[node] is not None and labels[node] != label:
                 raise ValueError(f"conflicting sample {word!r}")
             labels[node] = label
-    return children, parent, labels
+    for word, vector in outputs.items():
+        node_outputs[node_of(word)] = vector
+    return children, parent, labels, node_outputs
 
 
-def min_sep_dfa_size(pos, neg, max_states=12):
+def min_sep_dfa_size(pos, neg, max_states=12, outputs=None):
     """Size of the smallest complete DFA accepting all of ``pos`` and
-    rejecting all of ``neg``, by exhaustive coloring search."""
-    children, parent, labels = _build_trie(pos, neg)
+    rejecting all of ``neg``, by exhaustive coloring search.  ``outputs``
+    maps words to action vectors; no state may reach two words whose
+    vectors are dissimilar."""
+    children, parent, labels, node_outputs = _build_trie(pos, neg, outputs or {})
     order = _bfs_order(children)
-    conflicts = _conflicts(children, labels)
+    conflicts = _conflicts(children, labels, node_outputs)
     for n in range(1, max_states + 1):
         if _colorable(order, children, parent, conflicts, n):
             return n
@@ -63,7 +78,7 @@ def _bfs_order(children):
     return order
 
 
-def _conflicts(children, labels):
+def _conflicts(children, labels, outputs):
     """Bitmask per node of the nodes incompatible with it."""
     memo = {}
 
@@ -71,7 +86,9 @@ def _conflicts(children, labels):
         key = (u, v) if u < v else (v, u)
         if key not in memo:
             memo[key] = (labels[u] is not None and labels[v] is not None
-                         and labels[u] != labels[v]) or any(
+                         and labels[u] != labels[v]) or (
+                outputs[u] is not None and outputs[v] is not None
+                and not outputs[u].similar(outputs[v])) or any(
                 sym in children[v] and incompatible(child, children[v][sym])
                 for sym, child in children[u].items())
         return memo[key]

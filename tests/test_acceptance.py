@@ -295,7 +295,7 @@ def test_criterion_9_min_dfa_oracle():
             seen.setdefault(word, rng.random() < 0.5)
         pos = tuple(w for w, lab in seen.items() if lab)
         neg = tuple(w for w, lab in seen.items() if not lab)
-        samples = SampleSet(pos=pos, neg=neg, ops=(), base_alphabet=tuple(symbols))
+        samples = SampleSet(pos=pos, neg=neg, alphabet=tuple(symbols))
         dfa = find_min_sep_dfa(samples)
         assert dfa.size == min_sep_dfa_size(pos, neg)
     elapsed = time.monotonic() - start

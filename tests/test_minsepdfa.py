@@ -18,42 +18,47 @@ def test_build_samples_golden(anbna):
     samples = build_samples(table)
     assert ("a0", "b1", "a0") in samples.pos
     assert ("a0", "b1") in samples.neg
-    # Actions(ab) = (0,0,+1) is dissimilar to (0,+1,+1), so the op-tagged
-    # word lands in the negatives
-    op = ActionsVector(0, (1, 1))
-    assert op in samples.ops
-    assert ("a0", "b1", op) in samples.neg
-    assert ("a0", "b1", ActionsVector(0, (0, 1))) in samples.pos
+    # every encoded table word is labelled once and carries its own
+    # action vector as its output: Actions(ab) = (0,0,+1)
+    outputs = dict(samples.outputs)
+    assert outputs[("a0", "b1")] == ActionsVector(0, (0, 1))
+    assert ActionsVector(0, (1, 1)) in samples.ops
     assert not set(samples.pos) & set(samples.neg)
-    for word in samples.pos + samples.neg:
-        for sym in word[:-1]:
-            assert isinstance(sym, str)
+    assert set(outputs) == set(samples.pos) | set(samples.neg)
+    assert len(outputs) == len(samples.outputs) == len(table.words())
+    assert samples.alphabet == ("a0", "a1", "b0", "b1")
+    for word in outputs:
+        assert all(sym in samples.alphabet for sym in word)
 
 
 def test_ops_bounded_by_rows(anbna):
     table, _ = golden_table(anbna)
     samples = build_samples(table)
     rows = {table.row(r) for r in table.boundary()}
+    assert samples.ops == tuple(dict.fromkeys(v for _, v in samples.outputs))
     assert len(samples.ops) <= 2 * len(rows)
+    # the prefix tree numbers each sign's vectors apart
+    apta = build_apta(samples)
+    assert sum(len(vectors) for vectors in apta.vectors) == len(samples.ops)
 
 
 def test_build_apta_shapes():
-    apta = build_apta(SampleSet(pos=((),), neg=(), ops=(), base_alphabet=("a0",)))
+    apta = build_apta(SampleSet(pos=((),), neg=(), alphabet=("a0",)))
     assert apta.num_nodes == 1 and apta.labels[0] is True
 
     apta = build_apta(SampleSet(pos=(("a0", "b1"),), neg=(("a0",),),
-                                ops=(), base_alphabet=("a0", "b1")))
+                                alphabet=("a0", "b1")))
     assert apta.num_nodes == 3
     assert apta.labels == [None, False, True]
 
     with pytest.raises(SampleConflict):
         build_apta(SampleSet(pos=(("a0",),), neg=(("a0",),),
-                             ops=(), base_alphabet=("a0",)))
+                             alphabet=("a0",)))
 
 
 def test_encode_size_examples():
     apta = build_apta(SampleSet(pos=((),), neg=(("a0",),),
-                                ops=(), base_alphabet=("a0",)))
+                                alphabet=("a0",)))
     assert sat_solve(encode_size_n(apta, 1)) is None
     cnf = encode_size_n(apta, 2)
     model = sat_solve(cnf)
@@ -62,15 +67,15 @@ def test_encode_size_examples():
     assert dfa.accepts(()) and not dfa.accepts(("a0",))
 
     apta_pos_only = build_apta(SampleSet(pos=((),), neg=(),
-                                         ops=(), base_alphabet=("a0",)))
+                                         alphabet=("a0",)))
     assert sat_solve(encode_size_n(apta_pos_only, 1)) is not None
 
 
 def test_find_min_sep_dfa_trivial():
-    one = find_min_sep_dfa(SampleSet(pos=((),), neg=(), ops=(), base_alphabet=("a0",)))
+    one = find_min_sep_dfa(SampleSet(pos=((),), neg=(), alphabet=("a0",)))
     assert one.size == 1 and one.accepts(())
     two = find_min_sep_dfa(SampleSet(pos=(("a0",),), neg=((),),
-                                     ops=(), base_alphabet=("a0",)))
+                                     alphabet=("a0",)))
     assert two.size == 2
 
 
@@ -80,7 +85,8 @@ def test_min_dfa_size_matches_oracle_on_golden_table(anbna):
     samples = build_samples(table)
     dfa = find_min_sep_dfa(samples)
     assert dfa.size <= 4
-    assert dfa.size == min_sep_dfa_size(samples.pos, samples.neg, max_states=5)
+    assert dfa.size == min_sep_dfa_size(samples.pos, samples.neg, max_states=5,
+                                        outputs=dict(samples.outputs))
 
 
 def test_separation_and_merging_semantics(anbna):
@@ -143,7 +149,7 @@ def test_ladder_start_below_the_minimum_changes_nothing():
 
 
 def test_ladder_start_must_be_positive():
-    samples = SampleSet(pos=((),), neg=(), ops=(), base_alphabet=("a0",))
+    samples = SampleSet(pos=((),), neg=(), alphabet=("a0",))
     for k in (0, -1):
         with pytest.raises(InvalidInput):
             find_min_sep_dfa(samples, at_least=k)
@@ -161,7 +167,7 @@ def test_clique_bound_at_most_the_oracle_size():
             seen.setdefault(word, rng.random() < 0.5)
         pos = tuple(w for w, lab in seen.items() if lab)
         neg = tuple(w for w, lab in seen.items() if not lab)
-        samples = SampleSet(pos=pos, neg=neg, ops=(), base_alphabet=tuple(symbols))
+        samples = SampleSet(pos=pos, neg=neg, alphabet=tuple(symbols))
         bound = clique_bound(build_apta(samples))
         size = min_sep_dfa_size(pos, neg)
         assert 1 <= bound <= size
@@ -171,24 +177,28 @@ def test_clique_bound_at_most_the_oracle_size():
 
 
 def test_clique_bound_at_most_the_size_on_filled_tables():
-    # op letters included; a random machine of each alphabet size
+    # outputs included; a random machine of each alphabet size
     tables = filled_tables()
     for seed, letters in ((11, 1), (12, 2), (13, 3), (14, 2)):
         machine = random_machine(seed, alphabet_size=letters)
         table = ObservationTable(SimulatedTeacher(machine))
         table.repair(2)
         tables.append(table)
+    split_signs = 0
     for table in tables:
         samples = build_samples(table)
-        assert samples.ops
-        assert clique_bound(build_apta(samples)) <= cold_ladder(samples).size
+        apta = build_apta(samples)
+        assert sum(output is not None for output in apta.outputs) == len(table.words())
+        split_signs += any(len(vectors) > 1 for vectors in apta.vectors)
+        assert clique_bound(apta) <= cold_ladder(samples).size
+    assert split_signs >= len(tables) // 2
 
 
 def test_clique_bound_of_a_three_state_language():
     # (aaa)*: a common suffix of ε, a and aa leads each pair to opposite
     # labels, so they need three states
     samples = SampleSet(pos=((), ("a",) * 3), neg=(("a",), ("a",) * 2),
-                        ops=(), base_alphabet=("a",))
+                        alphabet=("a",))
     assert clique_bound(build_apta(samples)) == 3
     assert find_min_sep_dfa(samples).size == cold_ladder(samples).size == 3
     # the error names the rung the search started from
@@ -196,3 +206,39 @@ def test_clique_bound_of_a_three_state_language():
         find_min_sep_dfa(samples, solve=lambda cnf: None)
     with pytest.raises(SolverError, match="of 4 to"):
         find_min_sep_dfa(samples, solve=lambda cnf: None, at_least=4)
+
+
+def test_dissimilar_vectors_of_one_sign_need_two_states():
+    # ε and a⁰ share membership but not their sign-0 vectors
+    samples = SampleSet(pos=((), ("a0",)), neg=(), alphabet=("a0", "a1"),
+                        outputs=(((), ActionsVector(0, (0,))),
+                                 (("a0",), ActionsVector(0, (1,)))))
+    assert clique_bound(build_apta(samples)) == 2
+    assert find_min_sep_dfa(samples).size == 2
+    plain = SampleSet(pos=samples.pos, neg=(), alphabet=samples.alphabet)
+    assert find_min_sep_dfa(plain).size == 1
+
+
+def test_vectors_of_different_signs_share_a_state():
+    for first, second in (((0, (1,)), (1, (1,))), ((0, (0,)), (1, (-1,)))):
+        samples = SampleSet(pos=((), ("a0",)), neg=(), alphabet=("a0", "a1"),
+                            outputs=(((), ActionsVector(*first)),
+                                     (("a0",), ActionsVector(*second))))
+        assert clique_bound(build_apta(samples)) == 1
+        assert find_min_sep_dfa(samples).size == 1
+
+
+def test_a_model_that_merges_dissimilar_vectors_is_refused():
+    # ε and a⁰a⁰ share a vector, a⁰ differs: the clique bound starts the
+    # ladder at two states, where the all-true model sends a⁰ and a⁰a⁰
+    # to state 1
+    samples = SampleSet(pos=((), ("a0",), ("a0", "a0")), neg=(), alphabet=("a0", "a1"),
+                        outputs=(((), ActionsVector(0, (0,))),
+                                 (("a0",), ActionsVector(0, (1,))),
+                                 (("a0", "a0"), ActionsVector(0, (0,)))))
+
+    def all_true(cnf):
+        return {var: True for var in range(1, cnf.num_vars + 1)}
+
+    with pytest.raises(SolverError, match="merges"):
+        find_min_sep_dfa(samples, solve=all_true)

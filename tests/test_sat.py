@@ -181,10 +181,8 @@ ANBNA_RUNG_DFAS = {
     1: None,
     2: None,
     3: None,
-    4: ((3,), (2, 0, 0, 0, 3, 2, 2, 3, 3, 0, 0, 3, 2, 3, 3, 2,
-               3, 2, 3, 1, 3, 3, 3, 2, 0, 3, 0, 3, 3, 3, 2, 3)),
-    5: ((1, 4), (3, 0, 0, 0, 4, 3, 3, 1, 4, 4, 4, 4, 4, 4, 4, 4, 4, 0, 0, 4,
-                 3, 1, 4, 3, 4, 3, 4, 2, 4, 4, 4, 3, 0, 4, 0, 4, 4, 4, 3, 4)),
+    4: ((1,), (3, 0, 0, 0, 0, 1, 0, 1, 1, 0, 0, 2, 1, 3, 0, 2)),
+    5: ((3,), (4, 1, 1, 4, 4, 1, 4, 1, 4, 4, 4, 0, 1, 4, 1, 4, 3, 2, 1, 4)),
 }
 
 
