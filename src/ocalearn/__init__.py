@@ -6,14 +6,13 @@ equivalence checks that return length-lex-minimal counterexamples.
 """
 
 from .automata import (Configuration, Dfa, Droca, RunTrace, doubled,
-                       doubled_alphabet, pretty_encoded, sgn, undouble,
-                       validate)
+                       doubled_alphabet, pretty_encoded, sgn, validate)
 from .equivalence import (ACCEPT_MISMATCH, COUNTER_DESYNC, Counterexample,
                           Verdict, brute_force_equiv, check_sync_equiv,
                           reach_witness, voca_check_equiv)
-from .errors import (ConstructionConflict, GenerationFailure, InvalidInput,
-                     LearnTimeout, ParseError, SampleConflict, SolverError,
-                     SolverTimeout, WorkbenchError)
+from .errors import (ConstructionConflict, EquivalenceTimeout, GenerationFailure,
+                     InvalidInput, LearnTimeout, ParseError, SampleConflict,
+                     SolverError, SolverTimeout, WorkbenchError)
 from .generate import GenConfig, derive_seed, generate_droca, reachable_count, splitmix64
 from .io import load, load_file, store, store_file
 from .learning import LearnConfig, SimulatedTeacher, Stats, construct_droca, learn

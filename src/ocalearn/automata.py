@@ -122,9 +122,6 @@ class Droca:
     def counter_effect(self, word: str) -> int:
         return self.run(word).counter_effect
 
-    def height(self, word: str) -> int:
-        return self.run(word).height
-
     def encode(self, word: str) -> tuple[str, ...]:
         """Encode a word over the doubled alphabet.
 
@@ -175,11 +172,6 @@ def doubled(letter: str, sign: int) -> str:
 
 def doubled_alphabet(alphabet: Iterable[str]) -> tuple[str, ...]:
     return tuple(doubled(a, s) for a in alphabet for s in (0, 1))
-
-
-def undouble(symbols: Iterable[str]) -> str:
-    """Inverse of :meth:`Droca.encode`: drop the sign tags."""
-    return "".join(sym[:-1] for sym in symbols)
 
 
 def pretty_encoded(symbols: Iterable[str]) -> str:

@@ -15,14 +15,16 @@ the witness back from its parent map with the helper that
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass
 
 from .automata import Configuration, Droca
-from .errors import InvalidInput
+from .errors import EquivalenceTimeout, InvalidInput
 
 COUNTER_DESYNC = "counter-desync"
 ACCEPT_MISMATCH = "accept-mismatch"
+_DEADLINE_CHECK_EVERY = 4096    # dequeued nodes between two deadline checks
 
 
 @dataclass(frozen=True)
@@ -47,23 +49,25 @@ class Verdict:
 EQUIVALENT = Verdict(True)
 
 
-def check_sync_equiv(a: Droca, b: Droca) -> Verdict:
+def check_sync_equiv(a: Droca, b: Droca, deadline: float | None = None) -> Verdict:
     """Are the machines counter-synchronous and language-equivalent?
 
     On failure returns the length-lex-minimal counterexample (letters
     ordered by the shared alphabet order).  The search walks the product
     of configurations with one shared counter and stops at the first
     counter-action disagreement, which is sound because every word it
-    extends is fully synchronized.
+    extends is fully synchronized.  Past ``deadline``, a
+    :func:`time.monotonic` instant read every few thousand nodes, it
+    raises :class:`EquivalenceTimeout`.
     """
     _require_same_alphabet(a, b)
     k = max(a.size, b.size)
     counter_cap = (a.size * b.size) ** 2 + 1
     length_cap = 2 * k ** 5
-    return _bounded_product_search(a, b, counter_cap, length_cap)
+    return _bounded_product_search(a, b, counter_cap, length_cap, deadline)
 
 
-def voca_check_equiv(a: Droca, b: Droca) -> Verdict:
+def voca_check_equiv(a: Droca, b: Droca, deadline: float | None = None) -> Verdict:
     """Equivalence of two visibly one-counter automata.
 
     Machines with the same (letter, sign) -> action map are
@@ -73,14 +77,15 @@ def voca_check_equiv(a: Droca, b: Droca) -> Verdict:
     those caps, returning the length-lex-minimal counterexample.
     Machines with different action maps fall back to the general
     synchronous check, which reports the counter desynchronization.
+    ``deadline`` is as in :func:`check_sync_equiv`.
     """
     a_map, b_map = a.voca_action_map(), b.voca_action_map()  # InvalidInput unless VOCAs
     _require_same_alphabet(a, b)
     if a_map != b_map:
-        return check_sync_equiv(a, b)
+        return check_sync_equiv(a, b, deadline)
     k = max(a.size, b.size)
     height_cap = 2 * (k + k * k)
-    return _bounded_product_search(a, b, height_cap + 1, 4 * k * (k + k * k))
+    return _bounded_product_search(a, b, height_cap + 1, 4 * k * (k + k * k), deadline)
 
 
 def brute_force_equiv(a: Droca, b: Droca, max_len: int) -> Verdict:
@@ -169,7 +174,7 @@ def _require_same_alphabet(a: Droca, b: Droca) -> None:
 
 
 def _bounded_product_search(a: Droca, b: Droca, counter_cap: int,
-                            length_cap: int) -> Verdict:
+                            length_cap: int, deadline: float | None) -> Verdict:
     """BFS over (state_a, state_b, shared counter) in length-lex order.
 
     Expanding nodes breadth-first, letters in alphabet order, generates
@@ -178,7 +183,8 @@ def _bounded_product_search(a: Droca, b: Droca, counter_cap: int,
     desync, and a new node whose acceptance bits differ is an acceptance
     mismatch.  A node already in ``parents`` was checked under a smaller
     word, so the first violation found is the length-lex-minimal one
-    within the caps.
+    within the caps.  The deadline is read at the first node and then
+    every few thousand, and never when it is None.
     """
     d0a, d1a, fin_a, init_a = a.indexed_tables()
     d0b, d1b, fin_b, init_b = b.indexed_tables()
@@ -188,8 +194,15 @@ def _bounded_product_search(a: Droca, b: Droca, counter_cap: int,
     start = (init_a, init_b, 0)
     parents = {start: (None, -1)}
     queue = deque([(start, 0)])
+    budget = 1      # dequeued nodes until the next deadline check
     while queue:
         node, depth = queue.popleft()
+        if deadline is not None:
+            budget -= 1
+            if not budget:
+                budget = _DEADLINE_CHECK_EVERY
+                if time.monotonic() > deadline:
+                    raise EquivalenceTimeout("equivalence query ran past its deadline")
         if depth >= length_cap:
             continue
         pa, pb, n = node

@@ -33,6 +33,10 @@ class SolverTimeout(SolverError):
     """SAT backend exceeded its per-call time limit."""
 
 
+class EquivalenceTimeout(WorkbenchError):
+    """An equivalence query ran past its deadline."""
+
+
 class ConstructionConflict(WorkbenchError):
     """Two table words demand different counter-actions on one transition."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .automata import Droca, doubled, sgn
 from .equivalence import Counterexample, check_sync_equiv, voca_check_equiv
-from .errors import ConstructionConflict, LearnTimeout, SolverTimeout
+from .errors import ConstructionConflict, EquivalenceTimeout, LearnTimeout, SolverTimeout
 from .minsepdfa import build_samples, find_min_sep_dfa
 from .sat import sat_solve
 from .table import ObservationTable
@@ -74,7 +74,8 @@ class SimulatedTeacher:
     Synchronous-equivalence queries hand back a minimal counterexample:
     from the faster visibly-one-counter check when both the hidden
     machine and the hypothesis are VOCAs, and from the bounded product
-    search otherwise.  Every call increments the session statistics.
+    search otherwise, either of which raises :class:`EquivalenceTimeout`
+    past ``deadline``.  Every call increments the session statistics.
     """
 
     def __init__(self, hidden: Droca, stats: Stats | None = None):
@@ -91,11 +92,11 @@ class SimulatedTeacher:
         self.stats.n_cv += 1
         return self.hidden.counter_effect(word)
 
-    def seq(self, hypothesis: Droca) -> Counterexample | None:
+    def seq(self, hypothesis: Droca, deadline: float | None = None) -> Counterexample | None:
         self.stats.n_seq += 1
         voca = self._hidden_is_voca and hypothesis.is_voca()
         check = voca_check_equiv if voca else check_sync_equiv
-        verdict = check(hypothesis, self.hidden)
+        verdict = check(hypothesis, self.hidden, deadline)
         return None if verdict.equivalent else verdict.counterexample
 
     def voca_action_map(self) -> dict[tuple[str, int], int]:
@@ -251,22 +252,20 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
         if pending is not None:
             pending.rows_after = table.distinct_rows_at(pending.height)
             pending = None
-        while True:
-            try:
-                hypothesis = construct_droca(table, action_map=action_map,
-                                             solve=checked_solve, at_least=size)
-                break
-            except PrefixConflict as conflict:
-                table.add_prefix(conflict.prefix)
-                table.repair(d)
-            except SolverTimeout:
-                finish(d)
-                raise LearnTimeout("SAT call ran into the deadline", stats) from None
-        size = hypothesis.size
-        if deadline is not None and time.monotonic() > deadline:
+        try:
+            while True:
+                try:
+                    hypothesis = construct_droca(table, action_map=action_map,
+                                                 solve=checked_solve, at_least=size)
+                    break
+                except PrefixConflict as conflict:
+                    table.add_prefix(conflict.prefix)
+                    table.repair(d)
+            size = hypothesis.size
+            ce = teacher.seq(hypothesis, deadline)
+        except (SolverTimeout, EquivalenceTimeout) as timeout:
             finish(d)
-            raise LearnTimeout("deadline reached before an equivalence query", stats)
-        ce = teacher.seq(hypothesis)
+            raise LearnTimeout(str(timeout), stats) from None
         if ce is None:
             stats.success = 1
             stats.learnt_states = hypothesis.size

@@ -15,12 +15,15 @@ backend finds a model.  n starts at the larger of two lower bounds: the
 size of the previous hypothesis of a learning session, and a clique of
 pairwise incompatible prefix-tree nodes (Heule & Verwer, "Exact DFA
 identification using SAT solvers", ICGI 2010), which need distinct
-states.
+states.  The clique also breaks the symmetry of the colouring: its k-th
+node is pinned to colour k, and every node incompatible with it loses
+colour k, so each node's clauses range over the colours left to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .automata import Dfa, doubled_alphabet
 from .errors import InvalidInput, SampleConflict, SolverError
@@ -80,6 +83,21 @@ class Apta:
     def num_nodes(self) -> int:
         return len(self.children)
 
+    @cached_property
+    def domains(self) -> tuple[int, list[int]]:
+        """Clique pre-colouring (Heule & Verwer, ICGI 2010) of the
+        finished tree: the size of :func:`clique_bound`'s clique, and
+        per node a bitmask of the colours it may not take.  The k-th
+        clique node may take colour k alone, and every node incompatible
+        with it loses colour k."""
+        clique = clique_bound(self)
+        excluded = [0] * self.num_nodes
+        for k, (node, clashes) in enumerate(clique):
+            for v in clashes:
+                excluded[v] |= 1 << k
+            excluded[node] = ~(1 << k)
+        return len(clique), excluded
+
     def insert(self, word, label: bool | None = None,
                vector: ActionsVector | None = None) -> None:
         node = 0
@@ -115,9 +133,10 @@ def build_apta(samples: SampleSet) -> Apta:
     return apta
 
 
-def clique_bound(apta: Apta) -> int:
-    """A lower bound on the size of any DFA consistent with the labels
-    and outputs.
+def clique_bound(apta: Apta) -> list[tuple[int, list[int]]]:
+    """A clique of pairwise incompatible prefix-tree nodes, as pairs of
+    one node and the nodes incompatible with it; its size is a lower
+    bound on the size of any DFA consistent with the labels and outputs.
 
     Two nodes are incompatible when some common suffix leads them to
     opposite labels or to differing outputs of one sign; no DFA may give
@@ -127,7 +146,8 @@ def clique_bound(apta: Apta) -> int:
     children first: a class's children are numbered before it, and the
     incompatibility of any two earlier classes is known when it is
     numbered.  The clique is picked greedily among the classes, in order
-    of descending degree.
+    of descending degree, and each class is represented by its first
+    node.
     """
     class_of = [0] * apta.num_nodes
     classes: dict[tuple, int] = {}
@@ -155,11 +175,14 @@ def clique_bound(apta: Apta) -> int:
             edges.append(out)
             conflicts.append(mask)
         class_of[v] = classes[key]
-    clique = 0
+    clique = []
+    members = 0
     for c in sorted(range(len(labels)), key=lambda c: -conflicts[c].bit_count()):
-        if clique & ~conflicts[c] == 0:
-            clique |= 1 << c
-    return clique.bit_count()
+        if members & ~conflicts[c] == 0:
+            members |= 1 << c
+            clique.append(c)
+    return [(class_of.index(c), [v for v, d in enumerate(class_of) if conflicts[c] >> d & 1])
+            for c in clique]
 
 
 def _variables(apta: Apta, n: int):
@@ -191,28 +214,37 @@ def encode_size_n(apta: Apta, n: int) -> CnfInstance:
     state i final, trans(a,i,j) fixes the successor of state i on symbol
     a, and out(i,s,k) gives state i the k-th vector of sign s, numbered
     in that order by :func:`_variables`, which :func:`decode_dfa` shares.
-    A sign with one vector needs no out variables.  The root's color is
-    pinned to 0 as symmetry breaking.
+    A sign with one vector needs no out variables.
+
+    Symmetry breaking by clique pre-colouring (:attr:`Apta.domains`):
+    each node may take only the colours of its domain, and a unit clause
+    removes every other.  The clauses of a node then range over its
+    domain alone, since each clause dropped with a removed colour
+    follows from its unit; a transition into a removed child colour j
+    keeps the two-literal clause (¬color(p,i), ¬trans(a,i,j)).  A pinned
+    node whose colour is not below n has an empty domain, which makes
+    rungs below the clique size unsatisfiable.
     """
     cnf = CnfInstance()
     color, accepting, trans, out, cnf.num_vars = _variables(apta, n)
+    excluded = apta.domains[1]
+    domains = [[i for i in range(n) if not mask >> i & 1] for mask in excluded]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     negated = [[-x for x in row] for row in color]
     rejecting = [-x for x in accepting]
     negated_trans = {sym: [[-x for x in row] for row in rows] for sym, rows in trans.items()}
     clauses = cnf.clauses
-    clauses.append((color[0][0],))
-    for v in range(apta.num_nodes):
+    for v, domain in enumerate(domains):
         not_v = negated[v]
-        clauses.append(tuple(color[v]))
-        clauses.extend([(not_v[i], not_v[j]) for i, j in pairs])
-        if apta.labels[v] is True:
-            clauses.extend(zip(not_v, accepting))
-        elif apta.labels[v] is False:
-            clauses.extend(zip(not_v, rejecting))
+        clauses.extend([(not_v[i],) for i in range(n) if excluded[v] >> i & 1])
+        clauses.append(tuple(color[v][i] for i in domain))
+        clauses.extend([(not_v[i], not_v[j]) for k, i in enumerate(domain) for j in domain[k + 1:]])
+        if apta.labels[v] is not None:
+            finals = accepting if apta.labels[v] else rejecting
+            clauses.extend([(not_v[i], finals[i]) for i in domain])
         if apta.outputs[v] is not None and out[apta.outputs[v][0]][0]:
             sign, k = apta.outputs[v]
-            clauses.extend(zip(not_v, [row[k] for row in out[sign]]))
+            clauses.extend([(not_v[i], out[sign][i][k]) for i in domain])
     for row in out[0] + out[1]:
         clauses.extend([(-x, -y) for k, x in enumerate(row) for y in row[k + 1:]])
     for sym in apta.alphabet:
@@ -221,19 +253,23 @@ def encode_size_n(apta: Apta, n: int) -> CnfInstance:
             clauses.extend([(not_row[j], not_row[j2]) for j, j2 in pairs])
     for v in range(1, apta.num_nodes):
         parent, sym = apta.parent_edges[v]
-        clauses.extend([(not_p, not_t, c)
-                        for not_p, not_row in zip(negated[parent], negated_trans[sym])
-                        for not_t, c in zip(not_row, color[v])])
+        child = [None if excluded[v] >> j & 1 else c for j, c in enumerate(color[v])]
+        for i in domains[parent]:
+            not_p = negated[parent][i]
+            clauses.extend([(not_p, not_t) if c is None else (not_p, not_t, c)
+                            for not_t, c in zip(negated_trans[sym][i], child)])
     return cnf
 
 
 def decode_dfa(apta: Apta, assignment: dict[int, bool], n: int) -> Dfa:
-    """The n-state DFA of a model of ``encode_size_n(apta, n)``."""
-    _, accepting, trans, _, _ = _variables(apta, n)
+    """The n-state DFA of a model of ``encode_size_n(apta, n)``; its
+    initial state is the root's colour."""
+    color, accepting, trans, _, _ = _variables(apta, n)
     finals = frozenset(i for i in range(n) if assignment[accepting[i]])
     transition = {(i, sym): j for sym, rows in trans.items()
                   for i in range(n) for j in range(n) if assignment[rows[i][j]]}
-    return Dfa(states=tuple(range(n)), alphabet=apta.alphabet, initial=0,
+    initial = next(i for i in range(n) if assignment[color[0][i]])
+    return Dfa(states=tuple(range(n)), alphabet=apta.alphabet, initial=initial,
                transition=transition, finals=finals)
 
 
@@ -257,7 +293,7 @@ def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1) -> 
     if at_least < 1:
         raise InvalidInput(f"at_least must be at least 1, got {at_least!r}")
     apta = build_apta(samples)
-    start = max(at_least, clique_bound(apta))
+    start = max(at_least, apta.domains[0])
     for n in range(start, apta.num_nodes + 2):
         cnf = encode_size_n(apta, n)
         assignment = solve(cnf)

@@ -30,13 +30,6 @@ class CnfInstance:
         self.num_vars = 0
         self.clauses: list[tuple[int, ...]] = []
 
-    def new_var(self) -> int:
-        self.num_vars += 1
-        return self.num_vars
-
-    def add(self, *literals: int) -> None:
-        self.clauses.append(tuple(literals))
-
     def to_dimacs(self) -> str:
         lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
         for clause in self.clauses:

@@ -259,8 +259,8 @@ def test_criterion_8_voca_suite():
             continue
         word = verdict.counterexample.word
         assert len(word) <= 4 * k * (k + k * k)
-        assert a.height(word) <= 2 * (k + k * k)
-        assert b.height(word) <= 2 * (k + k * k)
+        assert a.run(word).height <= 2 * (k + k * k)
+        assert b.run(word).height <= 2 * (k + k * k)
         if len(word) <= 13:
             slow = brute_force_equiv(a, b, len(word))
             assert not slow.equivalent

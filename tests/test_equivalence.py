@@ -1,10 +1,14 @@
 import itertools
+import random
+import time
+from types import SimpleNamespace
 
 import pytest
 
-from ocalearn import (ACCEPT_MISMATCH, COUNTER_DESYNC, Droca, InvalidInput,
-                      brute_force_equiv, check_sync_equiv, derive_seed,
-                      reach_witness, reachable_count, voca_check_equiv)
+from ocalearn import (ACCEPT_MISMATCH, COUNTER_DESYNC, Droca, EquivalenceTimeout,
+                      GenConfig, InvalidInput, brute_force_equiv, check_sync_equiv,
+                      derive_seed, equivalence, generate_droca, reach_witness,
+                      reachable_count, voca_check_equiv)
 from conftest import random_machine, random_voca, split_copy
 
 
@@ -122,7 +126,7 @@ def test_counterexample_bounds_random_pairs():
         word = verdict.counterexample.word
         k = max(a.size, b.size)
         assert len(word) <= 2 * k ** 5
-        assert a.height(word) <= k ** 4 and b.height(word) <= k ** 4
+        assert a.run(word).height <= k ** 4 and b.run(word).height <= k ** 4
         if verdict.counterexample.kind == COUNTER_DESYNC:
             assert a.counter_effect(word) != b.counter_effect(word)
             for j in range(len(word)):
@@ -177,7 +181,35 @@ def test_voca_cross_validation():
                 assert fast.counterexample == sync.counterexample
                 k = max(left.size, right.size)
                 assert len(fast.counterexample.word) <= 4 * k * (k + k * k)
-                assert left.height(fast.counterexample.word) <= 2 * (k + k * k)
+                assert left.run(fast.counterexample.word).height <= 2 * (k + k * k)
+
+
+def test_deadline_cuts_a_long_equivalent_search():
+    # a 30-state target and an equivalent split copy: the product search
+    # runs past 20 s without a deadline
+    target = generate_droca(GenConfig(n_states=30, alphabet_size=2,
+                                      seed=derive_seed(555, 30, 0)))
+    copy = split_copy(target, random.Random(1))
+    start = time.monotonic()
+    with pytest.raises(EquivalenceTimeout):
+        check_sync_equiv(target, copy, deadline=start + 0.2)
+    assert time.monotonic() - start <= 0.2 + 0.25
+
+
+def test_passed_deadline_raises_and_no_deadline_reads_no_clock(monkeypatch):
+    a = random_voca(5, max_states=5)
+    b = split_copy(a, random.Random(5))
+    passed = time.monotonic() - 1
+    for check in (check_sync_equiv, voca_check_equiv):
+        with pytest.raises(EquivalenceTimeout):
+            check(a, b, passed)
+
+    def no_clock():
+        raise AssertionError("clock read without a deadline")
+
+    monkeypatch.setattr(equivalence, "time", SimpleNamespace(monotonic=no_clock))
+    for check in (check_sync_equiv, voca_check_equiv):
+        assert check(a, b).equivalent
 
 
 def test_reach_witness_examples(anbna):

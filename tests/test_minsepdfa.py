@@ -10,7 +10,7 @@ from ocalearn import (ActionsVector, InvalidInput, ObservationTable,
 from ocalearn.minsepdfa import clique_bound, decode_dfa
 from conftest import make_anbna, random_machine
 from test_table import golden_table
-from oracles import min_sep_dfa_size
+from oracles import _build_trie, _conflicts, min_sep_dfa_size
 
 
 def test_build_samples_golden(anbna):
@@ -114,8 +114,9 @@ def test_separation_and_merging_semantics(anbna):
 
 
 def cold_ladder(samples):
-    """The search from one state, every rung solved: the reference that a
-    ladder starting at any lower bound must reproduce."""
+    """The search from one state, every rung solved under the same clique
+    pins: the reference that a ladder starting at any lower bound must
+    reproduce."""
     apta = build_apta(samples)
     for n in count(1):
         model = sat_solve(encode_size_n(apta, n))
@@ -168,7 +169,7 @@ def test_clique_bound_at_most_the_oracle_size():
         pos = tuple(w for w, lab in seen.items() if lab)
         neg = tuple(w for w, lab in seen.items() if not lab)
         samples = SampleSet(pos=pos, neg=neg, alphabet=tuple(symbols))
-        bound = clique_bound(build_apta(samples))
+        bound = len(clique_bound(build_apta(samples)))
         size = min_sep_dfa_size(pos, neg)
         assert 1 <= bound <= size
         if bound == size:
@@ -190,7 +191,7 @@ def test_clique_bound_at_most_the_size_on_filled_tables():
         apta = build_apta(samples)
         assert sum(output is not None for output in apta.outputs) == len(table.words())
         split_signs += any(len(vectors) > 1 for vectors in apta.vectors)
-        assert clique_bound(apta) <= cold_ladder(samples).size
+        assert len(clique_bound(apta)) <= cold_ladder(samples).size
     assert split_signs >= len(tables) // 2
 
 
@@ -199,7 +200,7 @@ def test_clique_bound_of_a_three_state_language():
     # labels, so they need three states
     samples = SampleSet(pos=((), ("a",) * 3), neg=(("a",), ("a",) * 2),
                         alphabet=("a",))
-    assert clique_bound(build_apta(samples)) == 3
+    assert len(clique_bound(build_apta(samples))) == 3
     assert find_min_sep_dfa(samples).size == cold_ladder(samples).size == 3
     # the error names the rung the search started from
     with pytest.raises(SolverError, match="of 3 to"):
@@ -213,7 +214,7 @@ def test_dissimilar_vectors_of_one_sign_need_two_states():
     samples = SampleSet(pos=((), ("a0",)), neg=(), alphabet=("a0", "a1"),
                         outputs=(((), ActionsVector(0, (0,))),
                                  (("a0",), ActionsVector(0, (1,)))))
-    assert clique_bound(build_apta(samples)) == 2
+    assert len(clique_bound(build_apta(samples))) == 2
     assert find_min_sep_dfa(samples).size == 2
     plain = SampleSet(pos=samples.pos, neg=(), alphabet=samples.alphabet)
     assert find_min_sep_dfa(plain).size == 1
@@ -224,7 +225,7 @@ def test_vectors_of_different_signs_share_a_state():
         samples = SampleSet(pos=((), ("a0",)), neg=(), alphabet=("a0", "a1"),
                             outputs=(((), ActionsVector(*first)),
                                      (("a0",), ActionsVector(*second))))
-        assert clique_bound(build_apta(samples)) == 1
+        assert len(clique_bound(build_apta(samples))) == 1
         assert find_min_sep_dfa(samples).size == 1
 
 
@@ -242,3 +243,39 @@ def test_a_model_that_merges_dissimilar_vectors_is_refused():
 
     with pytest.raises(SolverError, match="merges"):
         find_min_sep_dfa(samples, solve=all_true)
+
+
+def test_clique_nodes_are_pinned_and_incompatible_nodes_lose_their_colour():
+    # clique node k takes colour k alone, and a node loses colour k
+    # exactly when the oracle's conflict graph makes it incompatible with
+    # clique node k; nothing else is removed
+    for table in filled_tables():
+        samples = build_samples(table)
+        apta = build_apta(samples)
+        words = [()]
+        for v in range(1, apta.num_nodes):
+            parent, sym = apta.parent_edges[v]
+            words.append(words[parent] + (sym,))
+        children, _, labels, outputs = _build_trie(samples.pos, samples.neg,
+                                                   dict(samples.outputs))
+        node_of = {(): 0}
+        for word in sorted(words, key=len)[1:]:
+            node_of[word] = children[node_of[word[:-1]]][word[-1]]
+        conflicts = _conflicts(children, labels, outputs)
+        clique = clique_bound(apta)
+        assert len(clique) >= 3
+        n = cold_ladder(samples).size
+        cnf = encode_size_n(apta, n)
+        units = {clause[0] for clause in cnf.clauses if len(clause) == 1}
+        removed = set()
+        for k, (node, clashes) in enumerate(clique):
+            assert clashes == [v for v in range(apta.num_nodes)
+                               if conflicts[node_of[words[node]]] >> node_of[words[v]] & 1]
+            assert all(other in clashes for other, _ in clique if other != node)
+            assert node * n + k + 1 in units
+            removed |= {(node, i) for i in range(n) if i != k}
+            removed |= {(v, k) for v in clashes}
+        assert {-lit for lit in units if lit < 0} == {v * n + i + 1 for v, i in removed}
+        model = sat_solve(cnf)
+        for k, (node, _) in enumerate(clique):
+            assert model[node * n + k + 1]

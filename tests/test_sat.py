@@ -13,16 +13,15 @@ from ocalearn import (CnfInstance, InvalidInput, SolverError, SolverTimeout,
 
 def test_single_positive_unit():
     cnf = CnfInstance()
-    x1 = cnf.new_var()
-    cnf.add(x1)
-    assert sat_solve(cnf) == {x1: True}
+    cnf.num_vars = 1
+    cnf.clauses.append((1,))
+    assert sat_solve(cnf) == {1: True}
 
 
 def test_contradictory_units():
     cnf = CnfInstance()
-    x1 = cnf.new_var()
-    cnf.add(x1)
-    cnf.add(-x1)
+    cnf.num_vars = 1
+    cnf.clauses.extend([(1,), (-1,)])
     assert sat_solve(cnf) is None
 
 
@@ -32,10 +31,8 @@ def test_empty_clause_list_is_satisfiable():
 
 def test_dimacs_format():
     cnf = CnfInstance()
-    a = cnf.new_var()
-    b = cnf.new_var()
-    cnf.add(a, -b)
-    cnf.add(b)
+    cnf.num_vars = 2
+    cnf.clauses.extend([(1, -2), (2,)])
     assert cnf.to_dimacs() == "p cnf 2 2\n1 -2 0\n2 0\n"
 
 
@@ -129,13 +126,11 @@ def test_external_backend_agreement(external_solver):
     deadline = time.monotonic() + 60
     for _ in range(25):
         cnf = CnfInstance()
-        num_vars = rng.randrange(2, 12)
-        for v in range(num_vars):
-            cnf.new_var()
+        num_vars = cnf.num_vars = rng.randrange(2, 12)
         for _ in range(rng.randrange(1, 40)):
             width = rng.randrange(1, 4)
-            cnf.add(*(rng.choice((-1, 1)) * rng.randrange(1, num_vars + 1)
-                      for _ in range(width)))
+            cnf.clauses.append(tuple(rng.choice((-1, 1)) * rng.randrange(1, num_vars + 1)
+                                     for _ in range(width)))
         external = sat_solve(cnf, backend, deadline)
         builtin = sat_solve(cnf)
         assert (external is None) == (builtin is None)
@@ -174,15 +169,15 @@ def test_external_backend_agrees_on_identification_instances(external_solver):
 
 
 # The DFA the builtin solver's model decodes to at each rung of the table
-# above: accepting states, then the successor of every state on each
-# symbol of the prefix tree's alphabet, in alphabet order.  Rungs 1 to 3
-# are unsatisfiable.
+# above: the initial state (the root's colour), the accepting states, then
+# the successor of every state on each symbol of the prefix tree's
+# alphabet, in alphabet order.  Rungs 1 to 3 are unsatisfiable.
 ANBNA_RUNG_DFAS = {
     1: None,
     2: None,
     3: None,
-    4: ((1,), (3, 0, 0, 0, 0, 1, 0, 1, 1, 0, 0, 2, 1, 3, 0, 2)),
-    5: ((3,), (4, 1, 1, 4, 4, 1, 4, 1, 4, 4, 4, 0, 1, 4, 1, 4, 3, 2, 1, 4)),
+    4: (3, (0,), (2, 3, 2, 3, 0, 2, 2, 3, 3, 2, 3, 2, 3, 3, 2, 1)),
+    5: (4, (0,), (2, 4, 2, 4, 4, 2, 4, 4, 4, 2, 4, 2, 0, 3, 2, 1, 4, 3, 2, 3)),
 }
 
 
@@ -199,7 +194,7 @@ def test_builtin_search_is_pinned_on_identification_instances():
             continue
         dfa = decode_dfa(apta, model, n)
         successors = tuple(dfa.transition[(i, sym)] for i in range(n) for sym in apta.alphabet)
-        assert (tuple(sorted(dfa.finals)), successors) == expected
+        assert (dfa.initial, tuple(sorted(dfa.finals)), successors) == expected
 
 
 def test_builtin_decision_order_survives_activity_rescales():
@@ -250,7 +245,8 @@ def test_builtin_decision_order_survives_activity_rescales():
 
 def test_passed_deadline_raises_on_both_backends(external_solver):
     cnf = CnfInstance()
-    cnf.add(cnf.new_var())
+    cnf.num_vars = 1
+    cnf.clauses.append((1,))
     passed = time.monotonic() - 1
     for backend in ("builtin", f"external:{external_solver}"):
         with pytest.raises(SolverTimeout):
@@ -259,7 +255,8 @@ def test_passed_deadline_raises_on_both_backends(external_solver):
 
 def test_external_backend_missing_executable():
     cnf = CnfInstance()
-    cnf.add(cnf.new_var())
+    cnf.num_vars = 1
+    cnf.clauses.append((1,))
     with pytest.raises(SolverError):
         sat_solve(cnf, "external:/nonexistent/solver")
 
