@@ -10,9 +10,9 @@ from .automata import (Configuration, Dfa, Droca, RunTrace, doubled,
 from .equivalence import (ACCEPT_MISMATCH, COUNTER_DESYNC, Counterexample,
                           Verdict, brute_force_equiv, check_sync_equiv,
                           reach_witness, voca_check_equiv)
-from .errors import (ConstructionConflict, EquivalenceTimeout, GenerationFailure,
-                     InvalidInput, LearnTimeout, ParseError, SampleConflict,
-                     SolverError, SolverTimeout, WorkbenchError)
+from .errors import (EquivalenceTimeout, GenerationFailure, InvalidInput,
+                     LearnTimeout, ParseError, SampleConflict, SolverError,
+                     SolverTimeout, WorkbenchError)
 from .generate import GenConfig, derive_seed, generate_droca, reachable_count, splitmix64
 from .io import load, load_file, store, store_file
 from .learning import LearnConfig, SimulatedTeacher, Stats, construct_droca, learn

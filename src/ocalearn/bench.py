@@ -75,10 +75,6 @@ def _row(stats: Stats, reason: str) -> dict:
     return row
 
 
-def _run_sample_args(args):
-    return run_sample(*args)
-
-
 def _run_parallel(tasks, jobs: int) -> list[dict]:
     """Rows of ``tasks`` run in worker processes, at most ``jobs`` at a
     time.  A worker that dies breaks its pool: the samples in flight are
@@ -94,7 +90,7 @@ def _run_parallel(tasks, jobs: int) -> list[dict]:
                 while todo and not broken and len(running) < jobs:
                     index = todo.popleft()
                     try:
-                        running[pool.submit(_run_sample_args, tasks[index])] = index
+                        running[pool.submit(run_sample, *tasks[index])] = index
                     except BrokenProcessPool:
                         todo.appendleft(index)
                         broken = True

@@ -1,10 +1,11 @@
 """Command-line front door.
 
 Subcommands: ``learn`` (learn a machine from a simulated teacher),
-``equiv`` (synchronous or visibly-one-counter equivalence with a minimal
-counterexample), ``generate`` (random machine to JSON), ``bench``
-(benchmark sweep to CSV) and ``encode`` (print the doubled-alphabet
-encoding and counter trace of a word).
+``equiv`` (counter-synchronous equivalence with a minimal counterexample,
+from the visibly one-counter check when both machines are VOCAs),
+``generate`` (random machine to JSON), ``bench`` (benchmark sweep to CSV)
+and ``encode`` (print the doubled-alphabet encoding and counter trace of
+a word).
 
 Exit codes: 0 success, 1 domain errors (including "not equivalent"),
 2 usage errors.  The SAT backend may also be selected through the
@@ -63,7 +64,6 @@ def _build_parser():
     p = sub.add_parser("equiv", help="check counter-synchronous equivalence")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--voca", action="store_true")
     p.add_argument("--complete-with-sink", action="store_true")
     p.set_defaults(handler=_cmd_equiv)
 
@@ -126,7 +126,7 @@ def _cmd_learn(args) -> int:
 def _cmd_equiv(args) -> int:
     a = io.load_file(args.a, complete_with_sink=args.complete_with_sink)
     b = io.load_file(args.b, complete_with_sink=args.complete_with_sink)
-    check = voca_check_equiv if args.voca else check_sync_equiv
+    check = voca_check_equiv if a.is_voca() and b.is_voca() else check_sync_equiv
     verdict = check(a, b)
     if verdict.equivalent:
         print("equivalent")

@@ -37,10 +37,6 @@ class EquivalenceTimeout(WorkbenchError):
     """An equivalence query ran past its deadline."""
 
 
-class ConstructionConflict(WorkbenchError):
-    """Two table words demand different counter-actions on one transition."""
-
-
 class GenerationFailure(WorkbenchError):
     """Random automaton generation exhausted its attempt budget."""
 

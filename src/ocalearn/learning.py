@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .automata import Droca, doubled, sgn
 from .equivalence import Counterexample, check_sync_equiv, voca_check_equiv
-from .errors import ConstructionConflict, EquivalenceTimeout, LearnTimeout, SolverTimeout
+from .errors import EquivalenceTimeout, LearnTimeout, SolverTimeout
 from .minsepdfa import build_samples, find_min_sep_dfa
 from .sat import sat_solve
 from .table import ObservationTable
@@ -121,27 +121,26 @@ def construct_droca(table: ObservationTable, *,
     the minimal size (see :func:`find_min_sep_dfa`), and calls ``solve``
     on each CNF (:func:`learn` passes :func:`sat_solve` with the backend
     string ``LearnConfig.solver``).  Counter-actions come from replaying
-    every table word through the skeleton: each step demands its observed
-    counter delta, and each end state additionally demands the word's
-    whole action vector.  Transitions never exercised by a table word
-    keep the skeleton target with the action of ``action_map`` (visibly
-    one-counter mode), else 0.  Conflicting demands abort
-    the session: they mean the sample constraints failed to keep
-    dissimilar rows apart.
+    each table word through the skeleton once.  The word's action vector
+    is written at its end state without a check: the skeleton search has
+    refused every model that gives two table words of one sign and one
+    state different vectors.  A step at a prefix that is itself a table
+    word is skipped, since its action is that prefix's own vector.
 
-    Replay steps taken at words that are not themselves table rows or
-    cells are weaker: when such a step clashes with another demand, the
-    offending word is not yet constrained by any sample, so the clash is
-    repaired by promoting it into P (signalled via :class:`PrefixConflict`)
-    instead of aborting.
-
-    In visibly one-counter mode every counter-value comes from the map,
-    so every demand is the map's action and no conflict can arise.
+    Only the steps at prefixes outside the table are checked against the
+    action fixed for their (state, sign, letter).  Such a prefix is not
+    yet constrained by any sample, so a clash is repaired by promoting it
+    into P (signalled via :class:`PrefixConflict`).  Transitions that no
+    replay fixes keep the skeleton target with the action of
+    ``action_map`` (visibly one-counter mode), else 0.  In visibly
+    one-counter mode every counter-value comes from the map, so no clash
+    can arise.
     """
     skeleton = find_min_sep_dfa(build_samples(table), solve=solve, at_least=at_least)
     names = {q: f"s{q}" for q in skeleton.states}
 
-    assignments: dict[tuple[int, int, str], tuple[int, bool, str]] = {}
+    actions: dict[tuple[int, int, str], int] = {}
+    outside = []    # (key, delta, prefix) of the steps at prefixes outside the table
     words = table.words()
     word_set = set(words)
     for word in words:
@@ -149,14 +148,16 @@ def construct_droca(table: ObservationTable, *,
         for i, letter in enumerate(word):
             prefix = word[:i]
             before = table.counter_value(prefix)
-            delta = table.counter_value(word[:i + 1]) - before
-            _demand(assignments, (state, sgn(before), letter), delta,
-                    prefix, prefix in word_set)
+            if prefix not in word_set:
+                delta = table.counter_value(word[:i + 1]) - before
+                outside.append(((state, sgn(before), letter), delta, prefix))
             state = skeleton.transition[(state, doubled(letter, sgn(before)))]
         vector = table.actions(word)
-        for j, letter in enumerate(table.alphabet):
-            _demand(assignments, (state, vector.sign, letter),
-                    vector.deltas[j], word, True)
+        for letter, delta in zip(table.alphabet, vector.deltas):
+            actions[(state, vector.sign, letter)] = delta
+    for key, delta, prefix in outside:
+        if actions.setdefault(key, delta) != delta:
+            raise PrefixConflict(prefix)
 
     defaults = action_map or {}
     delta0 = {}
@@ -165,8 +166,7 @@ def construct_droca(table: ObservationTable, *,
         for a in table.alphabet:
             for sign, delta in ((0, delta0), (1, delta1)):
                 target = skeleton.transition[(q, doubled(a, sign))]
-                default = defaults.get((a, sign), 0)
-                action = assignments.get((q, sign, a), (default,))[0]
+                action = actions.get((q, sign, a), defaults.get((a, sign), 0))
                 delta[(names[q], a)] = (names[target], action)
     return Droca(states=tuple(names[q] for q in skeleton.states),
                  alphabet=table.alphabet,
@@ -176,30 +176,12 @@ def construct_droca(table: ObservationTable, *,
 
 
 class PrefixConflict(Exception):
-    """A replay step at a word outside the table clashed with another
-    demand; the word must join P before construction can succeed."""
+    """A replay step at a word outside the table clashed with an action
+    already fixed; the word must join P before construction can succeed."""
 
     def __init__(self, prefix):
         super().__init__(f"promote {prefix!r} into the table and rebuild")
         self.prefix = prefix
-
-
-def _demand(assignments, key, action, source, source_in_table):
-    existing = assignments.get(key)
-    if existing is None:
-        assignments[key] = (action, source_in_table, source)
-        return
-    old_action, old_in_table, old_source = existing
-    if old_action == action:
-        return
-    if not source_in_table:
-        raise PrefixConflict(source)
-    if not old_in_table:
-        raise PrefixConflict(old_source)
-    state, sign, letter = key
-    raise ConstructionConflict(
-        f"table words {old_source!r} and {source!r} demand actions "
-        f"{old_action} and {action} on {letter!r} at state s{state} (sign {sign})")
 
 
 class _DerivedCvTeacher:

@@ -9,8 +9,9 @@ import pytest
 
 from ocalearn import (BenchConfig, CSV_HEADER, InvalidInput, bench,
                       derive_seed, run_benchmark, store)
+from ocalearn import cli
 from ocalearn.cli import main
-from conftest import make_anbna
+from conftest import make_anbna, random_voca
 
 
 def test_bench_row_count_and_order(tmp_path):
@@ -68,16 +69,17 @@ def test_bench_records_any_exception_without_aborting(monkeypatch):
 
 
 def test_bench_survives_a_dead_worker(monkeypatch):
-    # the forked workers inherit the patched run_sample
+    # the forked workers inherit the patched generator, which kills the
+    # worker in the middle of one sample
     doomed = derive_seed(9, 2, 2, 1)
-    run_sample = bench.run_sample
+    generate_droca = bench.generate_droca
 
-    def dying(n_states, alphabet_size, seed, *rest):
-        if seed == doomed:
+    def dying(config):
+        if config.seed == doomed:
             os._exit(1)
-        return run_sample(n_states, alphabet_size, seed, *rest)
+        return generate_droca(config)
 
-    monkeypatch.setattr(bench, "run_sample", dying)
+    monkeypatch.setattr(bench, "generate_droca", dying)
     config = BenchConfig(min_states=2, max_states=2, samples=6, seed=9,
                          timeout_s=60, jobs=2)
     rows = run_benchmark(config)
@@ -121,6 +123,30 @@ def test_cli_equiv_not_equivalent(golden_file, tmp_path, capsys):
     assert main(["equiv", "--a", golden_file, "--b", str(other_path)]) == 1
     out = capsys.readouterr().out
     assert "not equivalent" in out and "aba" in out
+
+
+def test_cli_equiv_picks_voca_check_from_the_machines(golden_file, tmp_path,
+                                                     monkeypatch, capsys):
+    calls = []
+    voca_check_equiv = cli.voca_check_equiv
+
+    def counted(a, b, deadline=None):
+        calls.append((a, b))
+        return voca_check_equiv(a, b, deadline)
+
+    monkeypatch.setattr(cli, "voca_check_equiv", counted)
+    a = random_voca(derive_seed(31, 0), max_states=5)
+    b = random_voca(derive_seed(31, 1), max_states=5, action_map=a.voca_action_map())
+    paths = []
+    for name, machine in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(store(machine))
+    assert main(["equiv", "--a", str(paths[0]), "--b", str(paths[1])]) == 1
+    assert "not equivalent" in capsys.readouterr().out
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["equiv", "--a", golden_file, "--b", golden_file]) == 0
+    assert not calls
 
 
 def test_cli_learn(golden_file, tmp_path, capsys):

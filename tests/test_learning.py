@@ -298,3 +298,27 @@ def test_session_query_counts_are_pinned():
     for target, config, expected in sessions:
         _, stats = learn(SimulatedTeacher(target), config)
         assert _counts(stats) == expected
+
+
+def test_prefix_conflict_promotes_the_clashing_prefix(monkeypatch):
+    # a replay step at a prefix outside the table clashes with an action
+    # already fixed; learn promotes that prefix into P and rebuilds
+    conflicts = []
+    construct_droca = learning.construct_droca
+
+    def counted(*args, **kwargs):
+        try:
+            return construct_droca(*args, **kwargs)
+        except learning.PrefixConflict as conflict:
+            conflicts.append(conflict.prefix)
+            raise
+
+    monkeypatch.setattr(learning, "construct_droca", counted)
+    target = generate_droca(GenConfig(n_states=4, alphabet_size=2,
+                                      seed=derive_seed(777, 4, 2, 1),
+                                      restricted=True))
+    hypothesis, stats = learn(SimulatedTeacher(target))
+    assert conflicts == ["babab"]
+    assert stats.success == 1
+    assert check_sync_equiv(hypothesis, target).equivalent
+    assert _counts(stats) == (4, 3, 64, 129, 4, 3, 2)
