@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .errors import InvalidInput, LearnTimeout
 from .generate import GenConfig, derive_seed, generate_droca
 from .learning import STATS_FIELDS, LearnConfig, SimulatedTeacher, Stats, learn
+from .sat import external_path
 
 CSV_HEADER = STATS_FIELDS + ("reason",)
 
@@ -41,6 +42,10 @@ class BenchConfig:
     def __post_init__(self):
         if self.max_states < self.min_states or self.max_alphabet < self.min_alphabet:
             raise InvalidInput("empty state or alphabet range")
+        for n_states, alphabet_size in ((self.min_states, self.min_alphabet),
+                                        (self.max_states, self.max_alphabet)):
+            GenConfig(n_states=n_states, alphabet_size=alphabet_size, seed=self.seed)
+        external_path(self.solver)
         if self.samples < 1:
             raise InvalidInput("samples must be positive")
         if self.timeout_s <= 0:

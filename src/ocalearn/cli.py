@@ -25,7 +25,6 @@ from .equivalence import check_sync_equiv, voca_check_equiv
 from .errors import LearnTimeout, WorkbenchError
 from .generate import GenConfig, generate_droca
 from .learning import LearnConfig, SimulatedTeacher, Stats, learn
-from .sat import external_path
 
 
 def main(argv=None) -> int:
@@ -99,9 +98,7 @@ def _build_parser():
 
 
 def _solver_config(flag_value) -> str:
-    backend = flag_value or os.environ.get("OCALEARN_SAT_BACKEND") or "builtin"
-    external_path(backend)  # validates the selector early
-    return backend
+    return flag_value or os.environ.get("OCALEARN_SAT_BACKEND") or "builtin"
 
 
 def _cmd_learn(args) -> int:

@@ -72,8 +72,8 @@ def load(text: str, complete_with_sink: bool = False) -> Droca:
 
     states = list(obj["states"])
     letters = list(obj["alphabet"])
-    delta0 = _parse_delta("delta0", obj["delta0"], states, letters)
-    delta1 = _parse_delta("delta1", obj["delta1"], states, letters)
+    delta0 = _parse_delta("delta0", obj["delta0"])
+    delta1 = _parse_delta("delta1", obj["delta1"])
 
     if complete_with_sink:
         missing = [(delta, (q, a)) for delta in (delta0, delta1)
@@ -108,29 +108,19 @@ def store_file(automaton: Droca, path) -> None:
         handle.write(store(automaton))
 
 
-def _parse_delta(name, raw, states, letters):
+def _parse_delta(name, raw):
+    """The shape checks of one delta map; :func:`validate` checks the
+    states, letters and actions it names."""
     if not isinstance(raw, dict):
         raise ParseError(name, "must be an object")
-    state_set, letter_set = set(states), set(letters)
     delta = {}
     for key, value in raw.items():
         parts = key.split(",")
         if len(parts) != 2:
             raise ParseError(name, f"key {key!r} is not 'state,letter'")
-        q, a = parts
-        if q not in state_set:
-            raise ParseError(name, f"key {key!r} names unknown state {q!r}")
-        if a not in letter_set:
-            raise ParseError(name, f"key {key!r} names unknown letter {a!r}")
         if (not isinstance(value, list) or len(value) != 2
                 or not isinstance(value[0], str)
                 or not isinstance(value[1], int) or isinstance(value[1], bool)):
             raise ParseError(name, f"value for {key!r} must be [target, action]")
-        target, action = value
-        if target not in state_set:
-            raise ParseError(name, f"{key!r} targets unknown state {target!r}")
-        allowed = (0, 1) if name == "delta0" else (-1, 0, 1)
-        if action not in allowed:
-            raise ParseError(name, f"{key!r} has action {action} outside {allowed}")
-        delta[(q, a)] = (target, action)
+        delta[tuple(parts)] = tuple(value)
     return delta

@@ -20,7 +20,7 @@ from .automata import Droca, doubled, sgn
 from .equivalence import Counterexample, check_sync_equiv, voca_check_equiv
 from .errors import EquivalenceTimeout, LearnTimeout, SolverTimeout
 from .minsepdfa import build_samples, find_min_sep_dfa
-from .sat import sat_solve
+from .sat import external_path, sat_solve
 from .table import ObservationTable
 
 STATS_FIELDS = ("seed", "target_states", "alphabet", "success", "wall_ms",
@@ -108,6 +108,9 @@ class LearnConfig:
     voca: bool = False
     timeout_s: float | None = None
     solver: str = "builtin"     # a sat_solve backend
+
+    def __post_init__(self):
+        external_path(self.solver)  # rejects an unknown backend before any query
 
 
 def construct_droca(table: ObservationTable, *,
@@ -235,22 +238,19 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
             pending.rows_after = table.distinct_rows_at(pending.height)
             pending = None
         try:
-            while True:
-                try:
-                    hypothesis = construct_droca(table, action_map=action_map,
-                                                 solve=checked_solve, at_least=size)
-                    break
-                except PrefixConflict as conflict:
-                    table.add_prefix(conflict.prefix)
-                    table.repair(d)
-            size = hypothesis.size
+            hypothesis = construct_droca(table, action_map=action_map,
+                                         solve=checked_solve, at_least=size)
             ce = teacher.seq(hypothesis, deadline)
+        except PrefixConflict as conflict:
+            table.add_prefix(conflict.prefix)
+            continue    # repair at the same d and construct again
         except (SolverTimeout, EquivalenceTimeout) as timeout:
             finish(d)
             raise LearnTimeout(str(timeout), stats) from None
+        size = hypothesis.size
         if ce is None:
             stats.success = 1
-            stats.learnt_states = hypothesis.size
+            stats.learnt_states = size
             finish(d)
             return hypothesis, stats
         word = ce.word

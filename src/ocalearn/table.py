@@ -7,7 +7,8 @@ labelled by P and its one-letter extensions; the cell at (p, s) carries
 the membership of ps together with the action vector of ps, and every
 row additionally carries the counter-value of its label.  Closedness and
 consistency are checked per counter level d, restricting attention to
-rows whose counter-value is at most d.
+rows whose counter-value is at most d.  Repair closes the table in one
+sweep over P per column set, promoting unclosed rows as it meets them.
 """
 
 from __future__ import annotations
@@ -137,17 +138,6 @@ class ObservationTable:
 
     # -- closedness and consistency ------------------------------------
 
-    def find_unclosed(self, d: int):
-        """First (P-insertion then alphabet order) pair (p, a) with
-        cv(pa) <= d whose row matches no row of P; None when d-closed."""
-        p_rows = {self.row(p) for p in self.prefixes}
-        for p in self.prefixes:
-            for a in self.alphabet:
-                w = p + a
-                if self.counter_value(w) <= d and self.row(w) not in p_rows:
-                    return p, a
-        return None
-
     def find_inconsistent(self, d: int):
         """First witness (p, q, a, s) with cv(p) = cv(q) <= d,
         row(p) = row(q) but row(pa) != row(qa); None when d-consistent.
@@ -175,18 +165,26 @@ class ObservationTable:
     def repair(self, d: int) -> "ObservationTable":
         """Grow the table until it is d-closed and d-consistent.
 
-        Unclosed witnesses extend P, inconsistency witnesses extend S;
-        the new cells are queried as the checks read them.  Returns self.
+        One sweep over P, the prefixes it promotes included, promotes
+        every extension pa with cv(pa) <= d whose row matches no row of
+        P.  Rows depend only on S and the set of P rows only grows, so
+        every pair passed stays closed, and a promoted prefix's
+        extensions come last: the sweep promotes what a rescan from the
+        start after each promotion would.  An inconsistency witness then
+        extends S, which changes every row, and the sweep runs again.
+        New cells are queried as the checks read them.  Returns self.
         """
         while True:
-            unclosed = self.find_unclosed(d)
-            if unclosed is not None:
-                p, a = unclosed
-                self.add_prefix(p + a)
-                continue
+            rows = {self.row(p) for p in self.prefixes}
+            labels = list(self.prefixes)
+            for p in labels:    # grows as rows are promoted
+                for a in self.alphabet:
+                    w = p + a
+                    if self.counter_value(w) <= d and (r := self.row(w)) not in rows:
+                        rows.add(r)
+                        self.add_prefix(w)
+                        labels.append(w)
             witness = self.find_inconsistent(d)
-            if witness is not None:
-                _, _, a, s = witness
-                self.add_suffix(a + s)
-                continue
-            return self
+            if witness is None:
+                return self
+            self.add_suffix(witness[2] + witness[3])

@@ -21,6 +21,9 @@ when its turn in breadth-first order comes, so a clash shows before the
 next branch.  Both only cut colorings that cannot be completed, so the
 search stays exact; with outputs the skip is also what keeps dissimilar
 outputs apart, since the nodes that carry them are incompatible.
+
+The table oracle closes an observation table the slow way: promote the
+first unclosed row, then rescan P from its start.
 """
 
 from __future__ import annotations
@@ -168,3 +171,33 @@ def _colorable(order, children, parent, conflicts, n):
         return False
 
     return assign(0, 0) and search(1)
+
+
+def _unclosed_pairs(table, d):
+    p_rows = {table.row(p) for p in table.prefixes}
+    for p in table.prefixes:
+        for a in table.alphabet:
+            w = p + a
+            if table.counter_value(w) <= d and table.row(w) not in p_rows:
+                yield p, a
+
+
+def unclosed(table, d):
+    """Every (p, a), in P-insertion then alphabet order, with
+    cv(pa) <= d whose row matches no row of P; empty when d-closed."""
+    return list(_unclosed_pairs(table, d))
+
+
+def restart_repair(table, d):
+    """Make ``table`` d-closed and d-consistent by promoting the first
+    unclosed row and rescanning from the start after each promotion;
+    inconsistency witnesses extend S as in ``ObservationTable.repair``."""
+    while True:
+        first = next(_unclosed_pairs(table, d), None)
+        if first is not None:
+            table.add_prefix(first[0] + first[1])
+            continue
+        witness = table.find_inconsistent(d)
+        if witness is None:
+            return table
+        table.add_suffix(witness[2] + witness[3])

@@ -9,6 +9,7 @@ import pytest
 
 from ocalearn import (BenchConfig, CSV_HEADER, InvalidInput, bench,
                       derive_seed, run_benchmark, store)
+from ocalearn.learning import STATS_FIELDS
 from ocalearn import cli
 from ocalearn.cli import main
 from conftest import make_anbna, random_voca
@@ -100,6 +101,22 @@ def test_bench_config_validation():
         BenchConfig(min_states=3, max_states=2, samples=1, seed=0, timeout_s=5)
     with pytest.raises(InvalidInput):
         BenchConfig(min_states=2, max_states=2, samples=1, seed=0, timeout_s=0)
+    with pytest.raises(InvalidInput):
+        BenchConfig(min_states=2, max_states=2, samples=0, seed=0, timeout_s=5)
+    with pytest.raises(InvalidInput):
+        BenchConfig(min_states=2, max_states=2, samples=1, seed=0, timeout_s=5, jobs=0)
+    # sweeps that could only write an InvalidInput row per sample
+    with pytest.raises(InvalidInput):
+        BenchConfig(min_states=1, max_states=1, samples=2, seed=0, timeout_s=5)
+    with pytest.raises(InvalidInput):
+        BenchConfig(min_states=2, max_states=2, samples=1, seed=0, timeout_s=5,
+                    min_alphabet=0, max_alphabet=1)
+    with pytest.raises(InvalidInput):
+        BenchConfig(min_states=2, max_states=2, samples=1, seed=0, timeout_s=5,
+                    max_alphabet=27)
+    with pytest.raises(InvalidInput):
+        BenchConfig(min_states=2, max_states=2, samples=1, seed=0, timeout_s=5,
+                    solver="minisat")
 
 
 @pytest.fixture
@@ -188,6 +205,25 @@ def test_cli_bench(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == 3
+
+
+def test_cli_bench_rejects_a_sweep_that_can_only_fail(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--min-states", "1", "--max-states", "1",
+                 "--samples", "2", "--seed", "1", "--timeout-s", "30",
+                 "--out", str(out)])
+    assert code == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_learn_timeout_prints_the_stats(golden_file, capsys):
+    assert main(["learn", "--target", golden_file, "--timeout-s", "0"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0].startswith("error: ")
+    stats = json.loads(err[-1])
+    assert list(stats) == list(STATS_FIELDS)
+    assert stats["success"] == 0
 
 
 def test_cli_domain_error_exit_code(tmp_path, capsys):

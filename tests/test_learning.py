@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocalearn import (Droca, GenConfig, LearnConfig, LearnTimeout,
+from ocalearn import (Droca, GenConfig, InvalidInput, LearnConfig, LearnTimeout,
                       ObservationTable, SimulatedTeacher, brute_force_equiv,
                       check_sync_equiv, construct_droca, derive_seed,
                       generate_droca, learn, learning)
@@ -103,6 +103,14 @@ def test_learn_is_deterministic(anbna):
     assert first == second
     assert [r.word for r in stats1.counterexamples] == \
         [r.word for r in stats2.counterexamples]
+
+
+def test_learn_config_rejects_an_unknown_backend():
+    # rejected at construction, before a session asks any query
+    with pytest.raises(InvalidInput):
+        LearnConfig(solver="minisat")
+    with pytest.raises(InvalidInput):
+        LearnConfig(solver="external:")
 
 
 def test_learn_timeout_carries_stats():

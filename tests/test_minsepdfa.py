@@ -229,6 +229,17 @@ def test_vectors_of_different_signs_share_a_state():
         assert find_min_sep_dfa(samples).size == 1
 
 
+def test_a_model_that_mislabels_a_sample_is_refused():
+    # the all-true model makes its one state accepting, so it accepts a⁰
+    samples = SampleSet(pos=((),), neg=(("a0",),), alphabet=("a0",))
+
+    def all_true(cnf):
+        return {var: True for var in range(1, cnf.num_vars + 1)}
+
+    with pytest.raises(SolverError, match="mislabels sample"):
+        find_min_sep_dfa(samples, solve=all_true)
+
+
 def test_a_model_that_merges_dissimilar_vectors_is_refused():
     # ε and a⁰a⁰ share a vector, a⁰ differs: the clique bound starts the
     # ladder at two states, where the all-true model sends a⁰ and a⁰a⁰

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from ocalearn import (ActionsVector, InvalidInput, ObservationTable,
                       SimulatedTeacher, build_samples)
+from conftest import make_anbna, random_machine, random_voca
+from oracles import restart_repair, unclosed
 
 
 def golden_table(machine):
@@ -38,6 +42,8 @@ def test_actions_vector_invariants():
         ActionsVector(0, (-1, 0))
     with pytest.raises(InvalidInput):
         ActionsVector(2, (0, 0))
+    with pytest.raises(InvalidInput):
+        ActionsVector(1, (2,))
 
 
 def test_golden_table_values(anbna):
@@ -57,23 +63,54 @@ def test_golden_table_values(anbna):
 
 def test_golden_table_closedness(anbna):
     table, _ = golden_table(anbna)
-    assert table.find_unclosed(1) is None
-    assert table.find_unclosed(2) == ("a", "a")
+    assert unclosed(table, 1) == []
+    assert unclosed(table, 2)[0] == ("a", "a")
     assert table.find_inconsistent(1) is None
 
 
 def test_fresh_table_zero_closed(anbna):
     table = ObservationTable(SimulatedTeacher(anbna))
     # both one-letter extensions leave counter zero, so level 0 is vacuous
-    assert table.find_unclosed(0) is None
+    assert unclosed(table, 0) == []
 
 
 def test_repair_adds_aa_at_level_two(anbna):
     table, _ = golden_table(anbna)
     table.repair(2)
     assert "aa" in table.prefixes
-    assert table.find_unclosed(2) is None
+    assert unclosed(table, 2) == []
     assert table.find_inconsistent(2) is None
+
+
+def test_repair_sweep_matches_the_restart_loop():
+    # one sweep per column set promotes the same prefixes, adds the same
+    # suffixes and asks the same words in the same order as promoting the
+    # first unclosed row and rescanning P from its start
+    targets = [make_anbna()] + [random_machine(seed, max_states=6, alphabet_size=k)
+                                for seed in range(30) for k in (1, 2, 3)]
+    targets += [random_voca(seed, max_states=6, alphabet_size=k)
+                for seed in range(30) for k in (1, 2)]
+    rng = random.Random(2024)
+    for target in targets:
+        swept = ObservationTable(SimulatedTeacher(target))
+        twin = ObservationTable(SimulatedTeacher(target))
+        for d in range(rng.randrange(1, 4)):
+            for _ in range(rng.randrange(3)):
+                word = "".join(rng.choices(target.alphabet, k=rng.randrange(6)))
+                swept.add_prefix(word)
+                twin.add_prefix(word)
+            if rng.random() < 0.5:
+                word = "".join(rng.choices(target.alphabet, k=rng.randrange(1, 4)))
+                swept.add_suffix(word)
+                twin.add_suffix(word)
+            swept.repair(d)
+            restart_repair(twin, d)
+            assert list(swept.prefixes) == list(twin.prefixes)
+            assert list(swept.suffixes) == list(twin.suffixes)
+            assert list(swept.memb) == list(twin.memb)
+            assert list(swept.cv) == list(twin.cv)
+            assert unclosed(swept, d) == []
+            assert swept.find_inconsistent(d) is None
 
 
 def test_repair_is_fixpoint_without_new_queries(anbna):
