@@ -2,9 +2,10 @@
 
 Two machines are counter-synchronous when every word reaches the same
 counter value in both.  The checker decides "counter-synchronous and
-equivalent" by a bounded search over the synchronized product and, on
-failure, reports the length-lex smallest witness: either the first word
-where the counters diverge or the first word only one machine accepts.
+equivalent" exactly, by summarising the synchronized product's runs
+that return to their starting counter, and on failure reports the
+length-lex smallest witness: either the first word where the counters
+diverge or the first word only one machine accepts.
 """
 
 from ocalearn import (Droca, GenConfig, check_sync_equiv, generate_droca,
@@ -41,7 +42,8 @@ for state in base.states:
 
 print()
 print("visibly one-counter machines share their action map, so only")
-print("acceptance can differ and a much smaller search decides equivalence:")
+print("acceptance can differ, and a witness stays within the paper's")
+print("height 2(K+K^2) and length 4K(K+K^2):")
 ping = Droca(states=["p", "q"], alphabet=["a"], initial="p",
              delta0={("p", "a"): ("q", 1), ("q", "a"): ("p", 1)},
              delta1={("p", "a"): ("q", 1), ("q", "a"): ("p", 1)},

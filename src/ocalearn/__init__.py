@@ -1,7 +1,7 @@
 """Active learning of deterministic real-time one-counter automata.
 
 The package combines an L*-style observation table with counter-value
-queries, a SAT-backed minimal separating DFA miner, and bounded
+queries, a SAT-backed minimal separating DFA miner, and exact
 equivalence checks that return length-lex-minimal counterexamples.
 """
 

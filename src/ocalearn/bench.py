@@ -13,8 +13,6 @@ from __future__ import annotations
 import csv
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from .errors import InvalidInput, LearnTimeout
@@ -85,6 +83,9 @@ def _run_parallel(tasks, jobs: int) -> list[dict]:
     time.  A worker that dies breaks its pool: the samples in flight are
     lost with it and become ``BrokenProcessPool`` rows, and a fresh pool
     runs the rest."""
+    # imported here, so that ``import ocalearn`` does not load multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
     rows: list[dict | None] = [None] * len(tasks)
     todo = deque(range(len(tasks)))
     while todo:

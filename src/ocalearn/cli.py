@@ -2,7 +2,7 @@
 
 Subcommands: ``learn`` (learn a machine from a simulated teacher),
 ``equiv`` (counter-synchronous equivalence with a minimal counterexample,
-from the visibly one-counter check when both machines are VOCAs),
+through ``voca_check_equiv`` when both machines are VOCAs),
 ``generate`` (random machine to JSON), ``bench`` (benchmark sweep to CSV)
 and ``encode`` (print the doubled-alphabet encoding and counter trace of
 a word).

@@ -3,14 +3,23 @@
 Two machines are counter-synchronous when every word reaches the same
 counter-value in both.  ``check_sync_equiv`` decides "counter-synchronous
 and equivalent" and otherwise produces the length-lex-minimal violating
-word; a bounded breadth-first search over the synchronized product
-suffices because a minimal witness for machines of at most K states has
-height at most K^4 and length at most 2*K^5.  For visibly one-counter
-automata ``voca_check_equiv`` runs the same search under the much
-smaller caps height 2(K+K^2) and length 4K(K+K^2).  The search checks
-each word where it generates it, which is length-lex order, and reads
-the witness back from its parent map with the helper that
-``reach_witness`` uses.
+word; ``voca_check_equiv`` is the same check restricted to visibly
+one-counter automata.
+
+In the synchronized product a configuration is bad when its acceptance
+bits differ or some letter's two counter actions differ, and both depend
+only on the state pair and the sign of the shared counter.  So
+equivalence is control-state reachability in a one-counter system,
+decided exactly by summarising the runs that return to their starting
+counter (pushdown saturation with one stack symbol, Bouajjani, Esparza
+& Maler, CONCUR 1997).  A length-lex breadth-first search over the
+product finds the witness: it runs first, for at most |A|·|B| nodes,
+and resumes after the decision only on pairs the decision refutes, so it
+needs no counter or length caps.  The paper's witness bounds, height
+K^4 and length 2*K^5 in general and 2(K+K^2) and 4K(K+K^2) for VOCAs
+with one action map, are theorems the tests check.  The search reads the
+witness back from its parent map with the helper that ``reach_witness``
+uses.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ ACCEPT_MISMATCH = "accept-mismatch"
 _DEADLINE_CHECK_EVERY = 4096    # dequeued nodes between two deadline checks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Counterexample:
     """A violating word.
 
@@ -40,7 +49,7 @@ class Counterexample:
     kind: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     equivalent: bool
     counterexample: Counterexample | None = None
@@ -57,35 +66,26 @@ def check_sync_equiv(a: Droca, b: Droca, deadline: float | None = None) -> Verdi
     of configurations with one shared counter and stops at the first
     counter-action disagreement, which is sound because every word it
     extends is fully synchronized.  Past ``deadline``, a
-    :func:`time.monotonic` instant read every few thousand nodes, it
-    raises :class:`EquivalenceTimeout`.
+    :func:`time.monotonic` instant, it raises
+    :class:`EquivalenceTimeout`.
     """
     _require_same_alphabet(a, b)
-    k = max(a.size, b.size)
-    counter_cap = (a.size * b.size) ** 2 + 1
-    length_cap = 2 * k ** 5
-    return _bounded_product_search(a, b, counter_cap, length_cap, deadline)
+    return _product_search(a, b, deadline)
 
 
 def voca_check_equiv(a: Droca, b: Droca, deadline: float | None = None) -> Verdict:
     """Equivalence of two visibly one-counter automata.
 
-    Machines with the same (letter, sign) -> action map are
-    counter-synchronous by construction, so only acceptance can differ,
-    and a minimal acceptance witness has height at most 2(K+K^2) and
-    length at most 4K(K+K^2).  The decision is one product search under
-    those caps, returning the length-lex-minimal counterexample.
-    Machines with different action maps fall back to the general
-    synchronous check, which reports the counter desynchronization.
-    ``deadline`` is as in :func:`check_sync_equiv`.
+    Raises :class:`InvalidInput` unless both machines are VOCAs, and
+    otherwise answers as :func:`check_sync_equiv`.  When the machines
+    share their (letter, sign) -> action map, only acceptance can differ,
+    and the minimal witness has height at most 2(K+K^2) and length at
+    most 4K(K+K^2), the paper's bounds, which the tests check.
     """
-    a_map, b_map = a.voca_action_map(), b.voca_action_map()  # InvalidInput unless VOCAs
+    if not (a.is_voca() and b.is_voca()):
+        raise InvalidInput("automaton is not visibly one-counter")
     _require_same_alphabet(a, b)
-    if a_map != b_map:
-        return check_sync_equiv(a, b, deadline)
-    k = max(a.size, b.size)
-    height_cap = 2 * (k + k * k)
-    return _bounded_product_search(a, b, height_cap + 1, 4 * k * (k + k * k), deadline)
+    return _product_search(a, b, deadline)
 
 
 def brute_force_equiv(a: Droca, b: Droca, max_len: int) -> Verdict:
@@ -173,38 +173,53 @@ def _require_same_alphabet(a: Droca, b: Droca) -> None:
             f"alphabet mismatch: {a.alphabet!r} vs {b.alphabet!r}")
 
 
-def _bounded_product_search(a: Droca, b: Droca, counter_cap: int,
-                            length_cap: int, deadline: float | None) -> Verdict:
-    """BFS over (state_a, state_b, shared counter) in length-lex order.
+def _product_search(a: Droca, b: Droca, deadline: float | None) -> Verdict:
+    """The length-lex-minimal violation, or ``EQUIVALENT``.
+
+    A length-lex search over the product first dequeues at most
+    ``|a|·|b|`` nodes, which refutes most inequivalent pairs.  If it has
+    neither found a violation nor run out of nodes, the summary decision
+    settles the pair, and the search resumes from the same queue and
+    parent map only when the decision found a violation, so it ends.
+    """
+    d0a, d1a, fin_a, init_a = a.indexed_tables()
+    d0b, d1b, fin_b, init_b = b.indexed_tables()
+    if fin_a[init_a] != fin_b[init_b]:
+        return Verdict(False, Counterexample("", ACCEPT_MISMATCH))
+    start = (init_a, init_b, 0)
+    parents = {start: (None, -1)}
+    queue = deque([start])
+    witness = _length_lex_search(a, b, queue, parents, a.size * b.size, deadline)
+    if witness is None and queue:
+        if _decide_by_summaries(a, b, deadline):
+            return EQUIVALENT
+        witness = _length_lex_search(a, b, queue, parents, None, deadline)
+    return EQUIVALENT if witness is None else Verdict(False, witness)
+
+
+def _length_lex_search(a: Droca, b: Droca, queue: deque, parents: dict,
+                       limit: int | None, deadline: float | None) -> Counterexample | None:
+    """BFS over (state_a, state_b, shared counter) in length-lex order,
+    dequeuing at most ``limit`` nodes (all when it is None).
 
     Expanding nodes breadth-first, letters in alphabet order, generates
     words in length-lex order, so each word is checked where it is
     generated: a letter on which the counter actions differ is a counter
     desync, and a new node whose acceptance bits differ is an acceptance
     mismatch.  A node already in ``parents`` was checked under a smaller
-    word, so the first violation found is the length-lex-minimal one
-    within the caps.  The deadline is read at the first node and then
-    every few thousand, and never when it is None.
+    word, so the first violation found is the length-lex-minimal one.
+    The deadline is read at the first node and then every few thousand,
+    and never when it is None.
     """
-    d0a, d1a, fin_a, init_a = a.indexed_tables()
-    d0b, d1b, fin_b, init_b = b.indexed_tables()
+    d0a, d1a, fin_a, _ = a.indexed_tables()
+    d0b, d1b, fin_b, _ = b.indexed_tables()
     alphabet = a.alphabet
-    if fin_a[init_a] != fin_b[init_b]:
-        return Verdict(False, Counterexample("", ACCEPT_MISMATCH))
-    start = (init_a, init_b, 0)
-    parents = {start: (None, -1)}
-    queue = deque([(start, 0)])
-    budget = 1      # dequeued nodes until the next deadline check
-    while queue:
-        node, depth = queue.popleft()
-        if deadline is not None:
-            budget -= 1
-            if not budget:
-                budget = _DEADLINE_CHECK_EVERY
-                if time.monotonic() > deadline:
-                    raise EquivalenceTimeout("equivalence query ran past its deadline")
-        if depth >= length_cap:
-            continue
+    dequeued = 0
+    while queue and dequeued != limit:
+        if deadline is not None and not dequeued % _DEADLINE_CHECK_EVERY:
+            _check_deadline(deadline)
+        dequeued += 1
+        node = queue.popleft()
         pa, pb, n = node
         row_a = d0a[pa] if n == 0 else d1a[pa]
         row_b = d0b[pb] if n == 0 else d1b[pb]
@@ -213,13 +228,96 @@ def _bounded_product_search(a: Droca, b: Droca, counter_cap: int,
             tb, eb = row_b[ai]
             if ea != eb:
                 word = _words_back(parents, node, alphabet) + alphabet[ai]
-                return Verdict(False, Counterexample(word, COUNTER_DESYNC))
+                return Counterexample(word, COUNTER_DESYNC)
             child = (ta, tb, n + ea)
-            if child[2] > counter_cap or child in parents:
+            if child in parents:
                 continue
             parents[child] = (node, ai)
             if fin_a[ta] != fin_b[tb]:
-                word = _words_back(parents, child, alphabet)
-                return Verdict(False, Counterexample(word, ACCEPT_MISMATCH))
-            queue.append((child, depth + 1))
-    return EQUIVALENT
+                return Counterexample(_words_back(parents, child, alphabet), ACCEPT_MISMATCH)
+            queue.append(child)
+    return None
+
+
+def _decide_by_summaries(a: Droca, b: Droca, deadline: float | None) -> bool:
+    """Is no bad product configuration reachable?
+
+    A state pair is bad at counter zero, or at a positive counter, when
+    its acceptance bits differ or some letter's two actions differ in
+    that mode; bad pairs get no steps.  ``ret[i]`` is the bitmask of the
+    pairs q for which pair i at a positive counter c reaches (q, c-1)
+    while staying at c or above until that last step.  It is the least
+    relation closed under a -1 step, a 0 step followed by a return, and
+    a +1 step followed by two returns, computed by sweeping all pairs
+    until nothing changes.  The pairs reachable at counter zero and at a
+    positive counter then follow by 0 steps, +1 steps and "+1 then a
+    return"; every -1 step of a run from counter zero lies inside a
+    return.  The deadline is read at entry and on every sweep, and never
+    when it is None.
+    """
+    if deadline is not None:
+        _check_deadline(deadline)
+    d0a, d1a, fin_a, init_a = a.indexed_tables()
+    d0b, d1b, fin_b, init_b = b.indexed_tables()
+    index = {(init_a, init_b): 0}
+    pairs = [(init_a, init_b)]
+    steps = ([], [])    # steps[mode][i]: (target pair, action) per letter
+    bad = [0, 0]        # bad[mode]: bitmask of the pairs bad in that mode
+    for i, (pa, pb) in enumerate(pairs):    # grows with the counter-blind product
+        for mode, (da, db) in enumerate(((d0a, d0b), (d1a, d1b))):
+            moves = list(zip(da[pa], db[pb]))
+            if fin_a[pa] != fin_b[pb] or any(ea != eb for (_, ea), (_, eb) in moves):
+                bad[mode] |= 1 << i
+                moves = []
+            row = []
+            for (ta, e), (tb, _) in moves:
+                t = index.setdefault((ta, tb), len(pairs))
+                if t == len(pairs):
+                    pairs.append((ta, tb))
+                row.append((t, e))
+            steps[mode].append(row)
+    ret = [0] * len(pairs)
+    changed = True
+    while changed:
+        if deadline is not None:
+            _check_deadline(deadline)
+        changed = False
+        for i, row in enumerate(steps[1]):
+            new = ret[i]
+            for t, e in row:
+                if e < 0:
+                    new |= 1 << t
+                elif e == 0:
+                    new |= ret[t]
+                else:
+                    for r in _bits(ret[t]):
+                        new |= ret[r]
+            if new != ret[i]:
+                ret[i] = new
+                changed = True
+    seen = [1, 0]       # seen[mode]: bitmask of the pairs reached in that mode
+    work = [(0, 0)]
+    while work:
+        i, mode = work.pop()
+        for t, e in steps[mode][i]:
+            if e < 0:
+                continue
+            arrivals = [(1 << t, 1), (ret[t], mode)] if e else [(1 << t, mode)]
+            for mask, m in arrivals:
+                fresh = mask & ~seen[m]
+                seen[m] |= fresh
+                work.extend((r, m) for r in _bits(fresh))
+    return not (seen[0] & bad[0] or seen[1] & bad[1])
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _check_deadline(deadline: float) -> None:
+    if time.monotonic() > deadline:
+        raise EquivalenceTimeout("equivalence query ran past its deadline")

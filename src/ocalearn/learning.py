@@ -71,11 +71,12 @@ class SimulatedTeacher:
     """Teacher backed by a hidden automaton.
 
     Membership and counter-value queries run the hidden machine.
-    Synchronous-equivalence queries hand back a minimal counterexample:
-    from the faster visibly-one-counter check when both the hidden
-    machine and the hypothesis are VOCAs, and from the bounded product
-    search otherwise, either of which raises :class:`EquivalenceTimeout`
-    past ``deadline``.  Every call increments the session statistics.
+    Synchronous-equivalence queries hand back a minimal counterexample,
+    through ``voca_check_equiv`` when both the hidden machine and the
+    hypothesis are VOCAs and through ``check_sync_equiv`` otherwise; the
+    two give the same answer, and either raises
+    :class:`EquivalenceTimeout` past ``deadline``.  Every call
+    increments the session statistics.
     """
 
     def __init__(self, hidden: Droca, stats: Stats | None = None):

@@ -24,9 +24,17 @@ outputs apart, since the nodes that carry them are incompatible.
 
 The table oracle closes an observation table the slow way: promote the
 first unclosed row, then rescan P from its start.
+
+The equivalence oracle is the capped length-lex product search that
+decided equivalence before the return-summary decision: it stops at
+counter (|A||B|)^2 + 1 and length 2K^5, or at the paper's VOCA bounds
+2(K+K^2) + 1 and 4K(K+K^2) when both machines are VOCAs with one action
+map, and calls a pair equivalent when no violation lies within them.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 
 def _build_trie(pos, neg, outputs):
@@ -201,3 +209,39 @@ def restart_repair(table, d):
         if witness is None:
             return table
         table.add_suffix(witness[2] + witness[3])
+
+
+def capped_equiv(a, b):
+    """``(equivalent, word, kind)`` from the capped product search; the
+    kinds are the strings of ``ocalearn.equivalence``."""
+    k = max(a.size, b.size)
+    if a.is_voca() and b.is_voca() and a.voca_action_map() == b.voca_action_map():
+        counter_cap, length_cap = 2 * (k + k * k) + 1, 4 * k * (k + k * k)
+    else:
+        counter_cap, length_cap = (a.size * b.size) ** 2 + 1, 2 * k ** 5
+    d0a, d1a, fin_a, init_a = a.indexed_tables()
+    d0b, d1b, fin_b, init_b = b.indexed_tables()
+    if fin_a[init_a] != fin_b[init_b]:
+        return False, "", "accept-mismatch"
+    start = (init_a, init_b, 0)
+    words = {start: ""}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        word = words[node]
+        if len(word) >= length_cap:
+            continue
+        pa, pb, n = node
+        row_a = d0a[pa] if n == 0 else d1a[pa]
+        row_b = d0b[pb] if n == 0 else d1b[pb]
+        for letter, (ta, ea), (tb, eb) in zip(a.alphabet, row_a, row_b):
+            if ea != eb:
+                return False, word + letter, "counter-desync"
+            child = (ta, tb, n + ea)
+            if child[2] > counter_cap or child in words:
+                continue
+            words[child] = word + letter
+            if fin_a[ta] != fin_b[tb]:
+                return False, word + letter, "accept-mismatch"
+            queue.append(child)
+    return True, None, None

@@ -6,10 +6,11 @@ from types import SimpleNamespace
 import pytest
 
 from ocalearn import (ACCEPT_MISMATCH, COUNTER_DESYNC, Droca, EquivalenceTimeout,
-                      GenConfig, InvalidInput, brute_force_equiv, check_sync_equiv,
-                      derive_seed, equivalence, generate_droca, reach_witness,
+                      InvalidInput, brute_force_equiv, check_sync_equiv,
+                      derive_seed, equivalence, reach_witness,
                       reachable_count, voca_check_equiv)
 from conftest import random_machine, random_voca, split_copy
+from oracles import capped_equiv
 
 
 def test_reflexive(anbna):
@@ -184,16 +185,142 @@ def test_voca_cross_validation():
                 assert left.run(fast.counterexample.word).height <= 2 * (k + k * k)
 
 
+def _mutants(m, rng):
+    """Copies of ``m`` with one final state flipped, one transition
+    retargeted, and one counter action changed."""
+    yield Droca(m.states, m.alphabet, m.initial, m.delta0, m.delta1,
+                set(m.finals) ^ {rng.choice(m.states)})
+    for field in ("target", "action"):
+        deltas = [dict(m.delta0), dict(m.delta1)]
+        sign = rng.randrange(2)
+        key = rng.choice(sorted(deltas[sign]))
+        target, action = deltas[sign][key]
+        if field == "target":
+            target = rng.choice(m.states)
+        else:
+            action = rng.choice([e for e in ((0, 1), (-1, 0, 1))[sign] if e != action])
+        deltas[sign][key] = (target, action)
+        yield Droca(m.states, m.alphabet, m.initial, *deltas, m.finals)
+
+
+def test_decision_matches_the_capped_search():
+    # verdicts and witnesses equal those of the capped search that decided
+    # equivalence before, and the brute-force oracle's; the summary
+    # decision alone agrees with the capped search on every pair, also on
+    # those the length-lex search refutes within its first |A||B| nodes
+    equivalent = refuted = 0
+    for i in range(120):
+        rng = random.Random(derive_seed(902, i))
+        letters = 1 + i % 3
+        if i % 2:
+            shared = {(x, sign): rng.randrange(2 + sign) - sign for x in "abc" for sign in (0, 1)}
+            a = random_voca(derive_seed(902, i, 0), max_states=4, alphabet_size=letters,
+                            action_map=shared)
+            other = random_voca(derive_seed(902, i, 1), max_states=4, alphabet_size=letters,
+                                action_map=shared if i % 4 == 1 else None)
+        else:
+            a, other = (random_machine(derive_seed(902, i, j), max_states=4,
+                                       alphabet_size=letters, restricted=i % 4 == 0)
+                        for j in (0, 1))
+        split = split_copy(a, rng)
+        max_len = 12 if letters < 3 else 7
+        for left, right in ((a, split), (split, a), (a, other), *((a, m) for m in _mutants(a, rng))):
+            expected = capped_equiv(left, right)
+            assert equivalence._decide_by_summaries(left, right, None) == expected[0]
+            checks = [check_sync_equiv]
+            if left.is_voca() and right.is_voca():
+                checks.append(voca_check_equiv)
+            for check in checks:
+                verdict = check(left, right)
+                ce = verdict.counterexample
+                assert (verdict.equivalent, ce and ce.word, ce and ce.kind) == expected
+            slow = brute_force_equiv(left, right, max_len)
+            if slow.equivalent:
+                assert verdict.equivalent or len(ce.word) > max_len
+            else:
+                assert verdict == slow
+            equivalent += verdict.equivalent
+            refuted += not verdict.equivalent
+    assert equivalent > 300 and refuted > 300
+
+
+def _nested(depth, mode=None):
+    """``a`` counts up along a chain of states and ``b`` counts down at a
+    positive counter, so ``a^depth b^depth`` is the only way to reach
+    the chain's last state, and it arrives at counter zero; every other
+    move leads to a sink.  With ``mode`` set, the last state's ``b``
+    counts up instead in that counter mode."""
+    states = [f"s{i}" for i in range(2 * depth + 1)] + ["sink"]
+    delta0 = {(q, x): ("sink", int(x == "a")) for q in states for x in "ab"}
+    delta1 = {(q, x): ("sink", 1 if x == "a" else -1) for q in states for x in "ab"}
+    for i in range(2 * depth):
+        if i < depth:
+            delta0[(states[i], "a")] = delta1[(states[i], "a")] = (states[i + 1], 1)
+        else:
+            delta1[(states[i], "b")] = (states[i + 1], -1)
+    if mode is not None:
+        (delta0, delta1)[mode][(states[-2], "b")] = ("sink", 1)
+    return Droca(states, "ab", "s0", delta0, delta1, [])
+
+
+def test_decision_follows_nested_returns():
+    # the last state is reached at counter zero only through nested
+    # returns, so a changed zero-mode action is found after a^d b^d and a
+    # changed positive-mode one is never read
+    for depth in range(1, 5):
+        base = _nested(depth)
+        for mode, expected in ((0, (False, "a" * depth + "b" * (depth + 1), COUNTER_DESYNC)),
+                               (1, (True, None, None))):
+            other = _nested(depth, mode)
+            assert capped_equiv(base, other) == expected
+            assert equivalence._decide_by_summaries(base, other, None) == expected[0]
+            verdict = check_sync_equiv(base, other)
+            ce = verdict.counterexample
+            assert (verdict.equivalent, ce and ce.word, ce and ce.kind) == expected
+
+
+def _ring(n):
+    """An n-state machine whose equivalence decision has dense returns:
+    ``a`` counts up to the next state, ``b`` jumps to state 7i+3 and
+    counts down at a positive counter."""
+    states = [f"q{i}" for i in range(n)]
+    delta0, delta1 = {}, {}
+    for i, q in enumerate(states):
+        delta0[(q, "a")] = delta1[(q, "a")] = (states[(i + 1) % n], 1)
+        delta0[(q, "b")] = (states[(7 * i + 3) % n], 0)
+        delta1[(q, "b")] = (states[(7 * i + 3) % n], -1)
+    return Droca(states, "ab", states[0], delta0, delta1,
+                 [q for i, q in enumerate(states) if i % 3 == 0])
+
+
+def _with_letter_count(m, size):
+    """``m`` times a count of the letters read modulo ``size``: equivalent
+    to ``m`` and ``size`` times larger, so its product with ``m`` has
+    ``size`` times as many state pairs."""
+    name = {(q, j): f"{q}_{j}" for q in m.states for j in range(size)}
+    delta0, delta1 = {}, {}
+    for (q, j), state in name.items():
+        for source, delta in ((m.delta0, delta0), (m.delta1, delta1)):
+            for x in m.alphabet:
+                target, action = source[(q, x)]
+                delta[(state, x)] = (name[(target, (j + 1) % size)], action)
+    return Droca(list(name.values()), m.alphabet, name[(m.initial, 0)], delta0, delta1,
+                 [state for (q, _), state in name.items() if q in m.finals])
+
+
 def test_deadline_cuts_a_long_equivalent_search():
-    # a 30-state target and an equivalent split copy: the product search
-    # runs past 20 s without a deadline
-    target = generate_droca(GenConfig(n_states=30, alphabet_size=2,
-                                      seed=derive_seed(555, 30, 0)))
-    copy = split_copy(target, random.Random(1))
-    start = time.monotonic()
-    with pytest.raises(EquivalenceTimeout):
-        check_sync_equiv(target, copy, deadline=start + 0.2)
-    assert time.monotonic() - start <= 0.2 + 0.25
+    # a 1000-state machine and its split copy spend the deadline in the
+    # length-lex search's |A||B| nodes; the 8-state ring against its
+    # 2400-state letter-counting copy passes that search in milliseconds
+    # and spends it in the decision's sweeps, over a second in all on a
+    # shared 2-core host
+    big, small = _ring(1000), _ring(8)
+    for a, b, seconds in ((big, split_copy(big, random.Random(1)), 0.2),
+                          (small, _with_letter_count(small, 300), 0.3)):
+        start = time.monotonic()
+        with pytest.raises(EquivalenceTimeout):
+            check_sync_equiv(a, b, deadline=start + seconds)
+        assert time.monotonic() - start <= seconds + 0.25
 
 
 def test_passed_deadline_raises_and_no_deadline_reads_no_clock(monkeypatch):

@@ -2,10 +2,14 @@
 
 No linter ships with the project, so this walks the syntax tree of each
 module, test and demo.  ``__init__.py`` re-exports what it imports and
-is not checked; an import line marked ``# noqa`` is exempt.
+is not checked; an import line marked ``# noqa`` is exempt.  Importing
+the package also leaves the process pool's modules unloaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,3 +44,14 @@ def test_no_unused_imports():
         {p.name for p in CHECKED}
     unused = [entry for path in CHECKED for entry in unused_imports(path)]
     assert unused == []
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only a parallel benchmark sweep needs it, and it costs every
+    # importer over a megabyte of resident memory
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, ocalearn; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

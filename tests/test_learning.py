@@ -169,9 +169,8 @@ def test_teacher_picks_voca_check_from_the_machines(monkeypatch):
 def test_learn_deadline_overshoot_is_bounded():
     # targets whose sessions each ran past a 20 s deadline on a shared
     # 2-core host, so a 3 s deadline still cuts them on a much faster one;
-    # there the deadline fell in the SAT phase of (20, 1), in the
-    # equivalence query of (30, 0), and in either phase of (30, 2)
-    for n, i in ((20, 1), (30, 0), (30, 2)):
+    # there the deadline fell in the SAT phase of all three
+    for n, i in ((20, 1), (25, 8), (30, 2)):
         target = generate_droca(GenConfig(n_states=n, alphabet_size=2,
                                           seed=derive_seed(555, n, i)))
         start = time.monotonic()
