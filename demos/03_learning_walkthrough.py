@@ -34,8 +34,8 @@ print(f"queries: {stats.n_mq} membership, {stats.n_cv} counter-value, "
       f"{stats.n_seq} equivalence, {stats.n_sat} SAT calls")
 print()
 print("counterexamples the teacher produced along the way:")
-for record in stats.counterexamples:
-    print(f"  {record.word!r} ({record.kind}, height {record.height})")
+for ce in stats.counterexamples:
+    print(f"  {ce.word!r} ({ce.kind}, height {target.run(ce.word).height})")
 print()
 print("the teacher's final verdict:",
       check_sync_equiv(hypothesis, target))

@@ -46,7 +46,7 @@ class BenchConfig:
         external_path(self.solver)
         if self.samples < 1:
             raise InvalidInput("samples must be positive")
-        if self.timeout_s <= 0:
+        if not self.timeout_s > 0:     # also rejects NaN
             raise InvalidInput("timeout must be positive")
         if self.jobs < 1:
             raise InvalidInput("jobs must be positive")

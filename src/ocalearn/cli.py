@@ -7,9 +7,10 @@ through ``voca_check_equiv`` when both machines are VOCAs),
 and ``encode`` (print the doubled-alphabet encoding and counter trace of
 a word).
 
-Exit codes: 0 success, 1 domain errors (including "not equivalent"),
-2 usage errors.  The SAT backend may also be selected through the
-``OCALEARN_SAT_BACKEND`` environment variable; the ``--sat`` flag wins.
+Exit codes: 0 success, 1 domain errors (including "not equivalent")
+and files that cannot be read or written, 2 usage errors.  The SAT
+backend may also be selected through the ``OCALEARN_SAT_BACKEND``
+environment variable; the ``--sat`` flag wins.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(exc.stats.to_json(), file=sys.stderr)
         return 1
-    except WorkbenchError as exc:
+    except (WorkbenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -100,7 +100,11 @@ def load(text: str, complete_with_sink: bool = False) -> Droca:
 
 def load_file(path, complete_with_sink: bool = False) -> Droca:
     with open(path, encoding="utf-8") as handle:
-        return load(handle.read(), complete_with_sink=complete_with_sink)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("encoding", f"not UTF-8 text: {exc}") from None
+    return load(text, complete_with_sink=complete_with_sink)
 
 
 def store_file(automaton: Droca, path) -> None:

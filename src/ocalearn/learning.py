@@ -13,12 +13,13 @@ teacher agrees.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
 from .automata import Droca, doubled, sgn
 from .equivalence import Counterexample, check_sync_equiv, voca_check_equiv
-from .errors import EquivalenceTimeout, LearnTimeout, SolverTimeout
+from .errors import EquivalenceTimeout, InvalidInput, LearnTimeout, SolverTimeout
 from .minsepdfa import build_samples, find_min_sep_dfa
 from .sat import external_path, sat_solve
 from .table import ObservationTable
@@ -26,23 +27,6 @@ from .table import ObservationTable
 STATS_FIELDS = ("seed", "target_states", "alphabet", "success", "wall_ms",
                 "learnt_states", "n_seq", "n_mq", "n_cv", "n_sat",
                 "max_ce_len", "final_d")
-
-
-@dataclass
-class CeRecord:
-    """Instrumentation for one counterexample.
-
-    Row counts are numbers of distinct row values among the table rows
-    whose counter-value is at most ``height``; ``rows_before`` is taken
-    when the counterexample arrives and ``rows_after`` once the grown
-    table is repaired again.
-    """
-
-    word: str
-    kind: str
-    height: int
-    rows_before: int
-    rows_after: int | None = None
 
 
 @dataclass
@@ -61,7 +45,7 @@ class Stats:
     n_sat: int = 0
     max_ce_len: int = 0
     final_d: int = 0
-    counterexamples: list[CeRecord] = field(default_factory=list)
+    counterexamples: list[Counterexample] = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps({name: getattr(self, name) for name in STATS_FIELDS})
@@ -112,6 +96,9 @@ class LearnConfig:
 
     def __post_init__(self):
         external_path(self.solver)  # rejects an unknown backend before any query
+        if self.timeout_s is not None and math.isnan(self.timeout_s):
+            # no clock reading is ever past a NaN deadline
+            raise InvalidInput("timeout must not be NaN")
 
 
 def construct_droca(table: ObservationTable, *,
@@ -232,12 +219,8 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
     table = ObservationTable(view)
     d = 0
     size = 1    # the table only grows, so hypothesis sizes never drop
-    pending: CeRecord | None = None
     while True:
         table.repair(d)
-        if pending is not None:
-            pending.rows_after = table.distinct_rows_at(pending.height)
-            pending = None
         try:
             hypothesis = construct_droca(table, action_map=action_map,
                                          solve=checked_solve, at_least=size)
@@ -256,9 +239,7 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
             return hypothesis, stats
         word = ce.word
         stats.max_ce_len = max(stats.max_ce_len, len(word))
+        stats.counterexamples.append(ce)
         height = max(table.counter_value(word[:i]) for i in range(len(word) + 1))
-        pending = CeRecord(word=word, kind=ce.kind, height=height,
-                           rows_before=table.distinct_rows_at(height))
-        stats.counterexamples.append(pending)
         table.add_prefix(word)
         d = max(d, height) + 1

@@ -131,11 +131,6 @@ class ObservationTable:
                 tuple((self.membership(label + s), self.actions(label + s))
                       for s in self.suffixes))
 
-    def distinct_rows_at(self, level: int) -> int:
-        """Number of distinct row values with counter-value <= level."""
-        return len({self.row(r) for r in self.boundary()
-                    if self.counter_value(r) <= level})
-
     # -- closedness and consistency ------------------------------------
 
     def find_inconsistent(self, d: int):

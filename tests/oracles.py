@@ -30,11 +30,20 @@ decided equivalence before the return-summary decision: it stops at
 counter (|A||B|)^2 + 1 and length 2K^5, or at the paper's VOCA bounds
 2(K+K^2) + 1 and 4K(K+K^2) when both machines are VOCAs with one action
 map, and calls a pair equivalent when no violation lies within them.
+
+The row observer counts what criterion 6a checks, from outside
+``learn``: for each counterexample, the distinct row values at or below
+its height when it arrives and after the repair that follows it.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
+
+from ocalearn import learning
+from ocalearn.learning import SimulatedTeacher, learn
+from ocalearn.table import ObservationTable
 
 
 def _build_trie(pos, neg, outputs):
@@ -245,3 +254,71 @@ def capped_equiv(a, b):
                 return False, word + letter, "accept-mismatch"
             queue.append(child)
     return True, None, None
+
+
+def distinct_rows(table, level):
+    """Number of distinct row values among the labels of P and P.Sigma
+    whose counter-value is at most ``level``."""
+    return len({table.row(r) for r in table.boundary()
+                if table.counter_value(r) <= level})
+
+
+@dataclass
+class RowCount:
+    """Distinct rows at or below one counterexample's height: when it
+    arrives, and once the table that holds it is repaired."""
+
+    word: str
+    height: int
+    rows_before: int
+    rows_after: int | None = None
+
+
+class _RowCountingTeacher(SimulatedTeacher):
+    """Counts the session table's rows whenever a query refutes the
+    hypothesis, before ``learn`` adds the counterexample to the table."""
+
+    def __init__(self, hidden):
+        super().__init__(hidden)
+        self.table = None
+        self.records: list[RowCount] = []
+
+    def seq(self, hypothesis, deadline=None):
+        ce = super().seq(hypothesis, deadline)
+        if ce is not None:
+            height = self.hidden.run(ce.word).height
+            self.records.append(RowCount(ce.word, height,
+                                         distinct_rows(self.table, height)))
+        return ce
+
+
+def learn_counting_rows(target, config=None):
+    """``learn`` on a simulated teacher for ``target`` that also returns
+    one :class:`RowCount` per counterexample, in session order.
+
+    The session's table is a subclass that counts rows after each
+    repair; it stands in for ``learning.ObservationTable`` only while
+    the call runs.  Counting reads cells the next repair reads anyway,
+    so the session asks exactly the queries of a plain ``learn``.
+    """
+    teacher = _RowCountingTeacher(target)
+
+    class CountingTable(ObservationTable):
+        def __init__(self, view):
+            super().__init__(view)
+            teacher.table = self
+
+        def repair(self, d):
+            super().repair(d)
+            last = teacher.records[-1] if teacher.records else None
+            if last is not None and last.rows_after is None:
+                last.rows_after = distinct_rows(self, last.height)
+            return self
+
+    saved = learning.ObservationTable
+    learning.ObservationTable = CountingTable
+    try:
+        hypothesis, stats = learn(teacher, config)
+    finally:
+        learning.ObservationTable = saved
+    return hypothesis, stats, teacher.records

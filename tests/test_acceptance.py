@@ -15,7 +15,7 @@ from ocalearn import (ACCEPT_MISMATCH, BenchConfig, GenConfig, LearnConfig,
                       generate_droca, learn, run_benchmark, voca_check_equiv)
 from ocalearn.minsepdfa import SampleSet, find_min_sep_dfa
 from conftest import make_anbna, make_five_state_a_plus, random_voca
-from oracles import min_sep_dfa_size
+from oracles import learn_counting_rows, min_sep_dfa_size
 
 
 def _report(number, ok, detail):
@@ -138,19 +138,18 @@ def session_corpus():
         seed = derive_seed(424242, i)
         n = 2 + seed % 5
         target = generate_droca(GenConfig(n_states=n, alphabet_size=2, seed=seed))
-        teacher = SimulatedTeacher(target)
-        hypothesis, stats = learn(teacher, LearnConfig(timeout_s=300))
+        hypothesis, stats, rows = learn_counting_rows(target, LearnConfig(timeout_s=300))
         assert check_sync_equiv(hypothesis, target).equivalent
         assert hypothesis.size <= target.size
-        sessions.append((target, hypothesis, stats))
+        sessions.append((target, stats, rows))
     return sessions
 
 
 def test_criterion_6a_rows_increase(session_corpus):
     violations = []
     total = 0
-    for target, _, stats in session_corpus:
-        for record in stats.counterexamples:
+    for target, _, rows in session_corpus:
+        for record in rows:
             if record.rows_after is None:
                 continue
             total += 1
@@ -168,8 +167,8 @@ def test_criterion_6a_rows_increase(session_corpus):
 
 def test_criterion_6b_counterexamples_per_level(session_corpus):
     violations = []
-    for target, _, stats in session_corpus:
-        heights = [r.height for r in stats.counterexamples]
+    for target, _, rows in session_corpus:
+        heights = [r.height for r in rows]
         for d in range(0, max(heights, default=0) + 1):
             count = sum(1 for h in heights if h <= d)
             if count > d * target.size:
@@ -185,8 +184,8 @@ def test_criterion_6b_counterexamples_per_level(session_corpus):
 def test_criterion_6b_corrected_bound_holds(session_corpus):
     # the capacity argument supports (d+1)*|target|: levels 0..d hold at
     # most |target| distinct configurations each
-    for target, _, stats in session_corpus:
-        heights = [r.height for r in stats.counterexamples]
+    for target, _, rows in session_corpus:
+        heights = [r.height for r in rows]
         for d in range(0, max(heights, default=0) + 1):
             count = sum(1 for h in heights if h <= d)
             assert count <= (d + 1) * target.size
@@ -195,7 +194,7 @@ def test_criterion_6b_corrected_bound_holds(session_corpus):
 
 def test_criterion_6c_seq_budget(session_corpus):
     worst = 0.0
-    for target, _, stats in session_corpus:
+    for target, stats, _ in session_corpus:
         assert stats.n_seq <= target.size ** 5 + 1
         worst = max(worst, stats.n_seq / (target.size ** 5 + 1))
     assert _report("6c", True, f"every session used at most |target|^5 + 1 "
@@ -205,9 +204,9 @@ def test_criterion_6c_seq_budget(session_corpus):
 # -- criterion 7: counterexample bounds and oracle agreement ----------------
 
 def test_criterion_7_bounds_and_brute_force(session_corpus):
-    for target, _, stats in session_corpus:
+    for target, _, rows in session_corpus:
         k = target.size
-        for record in stats.counterexamples:
+        for record in rows:
             assert len(record.word) <= 2 * k ** 5
             assert record.height <= k ** 4
     mismatches = 0

@@ -102,6 +102,9 @@ def test_bench_config_validation():
     with pytest.raises(InvalidInput):
         BenchConfig(min_states=2, max_states=2, samples=1, seed=0, timeout_s=0)
     with pytest.raises(InvalidInput):
+        BenchConfig(min_states=2, max_states=2, samples=1, seed=0,
+                    timeout_s=float("nan"))
+    with pytest.raises(InvalidInput):
         BenchConfig(min_states=2, max_states=2, samples=0, seed=0, timeout_s=5)
     with pytest.raises(InvalidInput):
         BenchConfig(min_states=2, max_states=2, samples=1, seed=0, timeout_s=5, jobs=0)
@@ -231,6 +234,44 @@ def test_cli_domain_error_exit_code(tmp_path, capsys):
     bad.write_text("{}")
     assert main(["equiv", "--a", str(bad), "--b", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["learn", "--target", "PATH"],
+                                     ["equiv", "--a", "PATH", "--b", "PATH"],
+                                     ["encode", "--target", "PATH", "--word", "a"]],
+                         ids=["learn", "equiv", "encode"])
+@pytest.mark.parametrize("problem", ["missing", "directory", "not-utf8"])
+def test_cli_names_an_unreadable_input(command, problem, tmp_path, capsys):
+    path = tmp_path / "machine.json"
+    if problem == "directory":
+        path.mkdir()
+    elif problem == "not-utf8":
+        path.write_bytes(b'{"type": "\xff"}')
+    assert main([str(path) if arg == "PATH" else arg for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["generate", "bench"])
+def test_cli_names_a_missing_output_directory(command, tmp_path, capsys):
+    out = str(tmp_path / "absent" / "out")
+    if command == "generate":
+        args = ["generate", "--states", "2", "--alphabet", "1", "--seed", "1"]
+    else:
+        args = ["bench", "--min-states", "2", "--max-states", "2",
+                "--samples", "1", "--seed", "1", "--timeout-s", "30"]
+    assert main(args + ["--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_rejects_a_nan_timeout(golden_file, tmp_path, capsys):
+    assert main(["learn", "--target", golden_file, "--timeout-s", "nan"]) == 1
+    assert main(["bench", "--min-states", "2", "--max-states", "2",
+                 "--samples", "1", "--seed", "1", "--timeout-s", "nan",
+                 "--out", str(tmp_path / "rows.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error: ")] == err
+    assert not (tmp_path / "rows.csv").exists()
 
 
 def test_cli_usage_error_exit_code():

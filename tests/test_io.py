@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ocalearn import ParseError, load, store, validate
+from ocalearn import ParseError, load, load_file, store, validate
 from conftest import random_machine
 
 
@@ -115,3 +115,11 @@ def test_load_rejects_garbage():
         load("[1, 2, 3]")
     with pytest.raises(ParseError):
         load("{}")
+
+
+def test_load_file_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"type": "dr\xf6ca"}'.encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        load_file(path)
+    assert "encoding" in str(err.value)

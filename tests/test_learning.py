@@ -8,6 +8,7 @@ from ocalearn import (Droca, GenConfig, InvalidInput, LearnConfig, LearnTimeout,
                       check_sync_equiv, construct_droca, derive_seed,
                       generate_droca, learn, learning)
 from conftest import make_anbna, make_five_state_a_plus, random_voca
+from oracles import learn_counting_rows
 from test_minsepdfa import cold_ladder
 from test_table import golden_table
 
@@ -101,8 +102,7 @@ def test_learn_is_deterministic(anbna):
     first, stats1 = learn(SimulatedTeacher(anbna))
     second, stats2 = learn(SimulatedTeacher(anbna))
     assert first == second
-    assert [r.word for r in stats1.counterexamples] == \
-        [r.word for r in stats2.counterexamples]
+    assert stats1.counterexamples == stats2.counterexamples
 
 
 def test_learn_config_rejects_an_unknown_backend():
@@ -111,6 +111,12 @@ def test_learn_config_rejects_an_unknown_backend():
         LearnConfig(solver="minisat")
     with pytest.raises(InvalidInput):
         LearnConfig(solver="external:")
+
+
+def test_learn_config_rejects_a_nan_timeout():
+    # time.monotonic() > nan is always false, so the deadline would never fire
+    with pytest.raises(InvalidInput):
+        LearnConfig(timeout_s=float("nan"))
 
 
 def test_learn_timeout_carries_stats():
@@ -201,6 +207,24 @@ def test_learn_ten_state_frontier_targets():
         assert stats.success == 1
         assert check_sync_equiv(hypothesis, target).equivalent
         assert hypothesis.size <= 10
+
+
+def test_row_observer_pairs_with_the_session_counterexamples():
+    sessions = [(make_anbna(), LearnConfig())]
+    sessions += [(random_voca(seed, max_states=5), LearnConfig(voca=True))
+                 for seed in (3, 8, 21)]
+    for target, config in sessions:
+        _, stats, rows = learn_counting_rows(target, config)
+        assert rows
+        assert [r.word for r in rows] == [ce.word for ce in stats.counterexamples]
+        # the counter-values learn reads: derived from the action map in
+        # visibly one-counter mode, cv queries otherwise
+        view = SimulatedTeacher(target)
+        if config.voca:
+            view = learning._DerivedCvTeacher(view, target.voca_action_map())
+        for r in rows:
+            assert r.height == max(view.cv(r.word[:i]) for i in range(len(r.word) + 1))
+            assert r.rows_after is not None
 
 
 def test_counterexamples_never_repeat():

@@ -5,7 +5,7 @@ import pytest
 from ocalearn import (ActionsVector, InvalidInput, ObservationTable,
                       SimulatedTeacher, build_samples)
 from conftest import make_anbna, random_machine, random_voca
-from oracles import restart_repair, unclosed
+from oracles import distinct_rows, restart_repair, unclosed
 
 
 def golden_table(machine):
@@ -125,7 +125,7 @@ def test_repair_row_bound(anbna):
     for d in range(5):
         table = ObservationTable(SimulatedTeacher(anbna))
         table.repair(d)
-        assert table.distinct_rows_at(d) <= (d + 1) * anbna.size
+        assert distinct_rows(table, d) <= (d + 1) * anbna.size
 
 
 def test_inconsistency_witness():
