@@ -78,11 +78,13 @@ def _row(stats: Stats, reason: str) -> dict:
     return row
 
 
-def _run_parallel(tasks, jobs: int) -> list[dict]:
-    """Rows of ``tasks`` run in worker processes, at most ``jobs`` at a
-    time.  A worker that dies breaks its pool: the samples in flight are
-    lost with it and become ``BrokenProcessPool`` rows, and a fresh pool
-    runs the rest."""
+def _run_tasks(tasks, jobs: int) -> list[dict]:
+    """Rows of ``tasks``, run in this process for one job, else in
+    worker processes, at most ``jobs`` at a time.  A worker that dies
+    breaks its pool: the samples in flight are lost with it and become
+    ``BrokenProcessPool`` rows, and a fresh pool runs the rest."""
+    if jobs == 1:
+        return [run_sample(*task) for task in tasks]
     # imported here, so that ``import ocalearn`` does not load multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
@@ -118,7 +120,9 @@ def _run_parallel(tasks, jobs: int) -> list[dict]:
 
 def run_benchmark(config: BenchConfig) -> list[dict]:
     """Run the sweep; returns the rows and writes them as CSV if an
-    output path is configured."""
+    output path is configured.  The file is opened, and its header
+    written, before the first session, so a path that cannot be written
+    fails at once."""
     tasks = []
     for n_states in range(config.min_states, config.max_states + 1):
         for alphabet_size in range(config.min_alphabet, config.max_alphabet + 1):
@@ -126,17 +130,11 @@ def run_benchmark(config: BenchConfig) -> list[dict]:
                 seed = derive_seed(config.seed, n_states, alphabet_size, index)
                 tasks.append((n_states, alphabet_size, seed, config.restricted,
                               config.timeout_s, config.solver))
-    if config.jobs == 1:
-        rows = [run_sample(*task) for task in tasks]
-    else:
-        rows = _run_parallel(tasks, config.jobs)
-    if config.out_path is not None:
-        write_csv(rows, config.out_path)
-    return rows
-
-
-def write_csv(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    if config.out_path is None:
+        return _run_tasks(tasks, config.jobs)
+    with open(config.out_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_HEADER)
         writer.writeheader()
+        rows = _run_tasks(tasks, config.jobs)
         writer.writerows(rows)
+    return rows

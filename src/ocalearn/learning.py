@@ -221,6 +221,9 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
     size = 1    # the table only grows, so hypothesis sizes never drop
     while True:
         table.repair(d)
+        if deadline is not None and time.monotonic() > deadline:
+            finish(d)
+            raise LearnTimeout("table repair ran past its deadline", stats)
         try:
             hypothesis = construct_droca(table, action_map=action_map,
                                          solve=checked_solve, at_least=size)

@@ -224,8 +224,14 @@ def encode_size_n(apta: Apta, n: int) -> CnfInstance:
     keeps the two-literal clause (¬color(p,i), ¬trans(a,i,j)).  A pinned
     node whose colour is not below n has an empty domain, which makes
     rungs below the clique size unsatisfiable.
+
+    Each clause is a list of its own, of distinct, non-complementary,
+    declared literals, so the builtin SAT backend watches it without a
+    check or a copy (see :func:`~ocalearn.sat.sat_solve`); solving may
+    reorder the literals inside it.
     """
     cnf = CnfInstance()
+    cnf._well_formed = True
     color, accepting, trans, out, cnf.num_vars = _variables(apta, n)
     excluded = apta.domains[1]
     domains = [[i for i in range(n) if not mask >> i & 1] for mask in excluded]
@@ -236,27 +242,27 @@ def encode_size_n(apta: Apta, n: int) -> CnfInstance:
     clauses = cnf.clauses
     for v, domain in enumerate(domains):
         not_v = negated[v]
-        clauses.extend([(not_v[i],) for i in range(n) if excluded[v] >> i & 1])
-        clauses.append(tuple(color[v][i] for i in domain))
-        clauses.extend([(not_v[i], not_v[j]) for k, i in enumerate(domain) for j in domain[k + 1:]])
+        clauses.extend([[not_v[i]] for i in range(n) if excluded[v] >> i & 1])
+        clauses.append([color[v][i] for i in domain])
+        clauses.extend([[not_v[i], not_v[j]] for k, i in enumerate(domain) for j in domain[k + 1:]])
         if apta.labels[v] is not None:
             finals = accepting if apta.labels[v] else rejecting
-            clauses.extend([(not_v[i], finals[i]) for i in domain])
+            clauses.extend([[not_v[i], finals[i]] for i in domain])
         if apta.outputs[v] is not None and out[apta.outputs[v][0]][0]:
             sign, k = apta.outputs[v]
-            clauses.extend([(not_v[i], out[sign][i][k]) for i in domain])
+            clauses.extend([[not_v[i], out[sign][i][k]] for i in domain])
     for row in out[0] + out[1]:
-        clauses.extend([(-x, -y) for k, x in enumerate(row) for y in row[k + 1:]])
+        clauses.extend([[-x, -y] for k, x in enumerate(row) for y in row[k + 1:]])
     for sym in apta.alphabet:
         for row, not_row in zip(trans[sym], negated_trans[sym]):
-            clauses.append(tuple(row))
-            clauses.extend([(not_row[j], not_row[j2]) for j, j2 in pairs])
+            clauses.append(list(row))
+            clauses.extend([[not_row[j], not_row[j2]] for j, j2 in pairs])
     for v in range(1, apta.num_nodes):
         parent, sym = apta.parent_edges[v]
         child = [None if excluded[v] >> j & 1 else c for j, c in enumerate(color[v])]
         for i in domains[parent]:
             not_p = negated[parent][i]
-            clauses.extend([(not_p, not_t) if c is None else (not_p, not_t, c)
+            clauses.extend([[not_p, not_t] if c is None else [not_p, not_t, c]
                             for not_t, c in zip(negated_trans[sym][i], child)])
     return cnf
 

@@ -14,6 +14,7 @@ import os
 import subprocess
 import tempfile
 import time
+from itertools import islice
 
 from .errors import InvalidInput, SolverError, SolverTimeout
 
@@ -24,11 +25,14 @@ class CnfInstance:
     Variables carry no stored meaning: an encoder that builds an instance
     numbers its variables by a fixed formula and reads a model back with
     the same formula.  Clauses may only mention declared variables.
+    :func:`~ocalearn.minsepdfa.encode_size_n` marks its instances
+    ``_well_formed``, which :func:`sat_solve` trusts.
     """
 
     def __init__(self):
         self.num_vars = 0
-        self.clauses: list[tuple[int, ...]] = []
+        self.clauses: list = []         # sequences of nonzero ints
+        self._well_formed = False
 
     def to_dimacs(self) -> str:
         lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
@@ -57,11 +61,18 @@ def sat_solve(cnf: CnfInstance, backend: str = "builtin",
     ``backend`` is ``"builtin"`` or ``"external:<executable>"``.
     ``deadline`` is a :func:`time.monotonic` instant; past it the call
     raises :class:`SolverTimeout`, at entry as well as while solving.
+    The builtin backend checks the clauses as :func:`solve_builtin` does,
+    except those of an instance built by
+    :func:`~ocalearn.minsepdfa.encode_size_n`: it solves over them in
+    place, and may reorder the literals inside each.
     """
     path = external_path(backend)
-    if path is None:
+    if path is not None:
+        return _solve_external(cnf, path, deadline)
+    if not cnf._well_formed:
         return solve_builtin(cnf.num_vars, cnf.clauses, deadline)
-    return _solve_external(cnf, path, deadline)
+    _check_deadline(deadline)
+    return _Cdcl(cnf.num_vars, cnf.clauses, deadline).solve()
 
 
 def _check_deadline(deadline):
@@ -107,10 +118,11 @@ def solve_builtin(num_vars: int, clauses, deadline: float | None = None):
     decisions with phase saving, and geometric restarts.  Deterministic:
     ties break on variable index and there is no randomization.  A literal
     that is 0 or names a variable above ``num_vars`` raises
-    :class:`InvalidInput`.  Past ``deadline`` (a :func:`time.monotonic`
-    instant), checked at entry, every few thousand clauses while the
-    clauses are read, and on every conflict, it raises
-    :class:`SolverTimeout`.
+    :class:`InvalidInput`; repeated literals and tautologies are dropped,
+    and ``clauses`` is left as it was.  Past ``deadline`` (a
+    :func:`time.monotonic` instant), checked at entry, every few thousand
+    clauses while the clauses are read, on every conflict and every few
+    hundred decisions, it raises :class:`SolverTimeout`.
 
     Values, watch lists, decision levels and reasons live in arrays
     indexed by the signed literal itself (``-v`` lands in a slot of its
@@ -120,13 +132,38 @@ def solve_builtin(num_vars: int, clauses, deadline: float | None = None):
     rebuilds the heap from the current activities.
     """
     _check_deadline(deadline)
-    return _Cdcl(num_vars, clauses, deadline).solve()
+    return _Cdcl(num_vars, _checked(num_vars, clauses), deadline).solve()
+
+
+def _checked(num_vars, clauses):
+    """Each clause as a fresh list of its distinct literals, in order;
+    tautologies are skipped, and a literal outside ``1..num_vars`` raises
+    :class:`InvalidInput`."""
+    for clause in clauses:
+        seen = set()
+        lits = []
+        tautology = False
+        for lit in clause:
+            if not 0 < abs(lit) <= num_vars:
+                raise InvalidInput(f"literal {lit} outside variables 1..{num_vars}")
+            if -lit in seen:
+                tautology = True
+            elif lit not in seen:
+                seen.add(lit)
+                lits.append(lit)
+        if not tautology:
+            yield lits
 
 
 _INGEST_CHECK_EVERY = 4096      # clauses read between two deadline checks
+_DECIDE_CHECK_EVERY = 256       # decisions between two deadline checks
 
 
 class _Cdcl:
+    """The solver of :func:`solve_builtin`.  It watches the given clause
+    lists themselves: each must be a list of distinct, non-complementary
+    literals over ``1..num_vars``, which solving reorders in place."""
+
     def __init__(self, num_vars, clauses, deadline):
         self.nvars = num_vars
         self.deadline = deadline
@@ -147,29 +184,20 @@ class _Cdcl:
         self.unsat = False
         self.units: list[int] = []
         watches, units = self.watches, self.units
-        for k, clause in enumerate(clauses):
-            if k % _INGEST_CHECK_EVERY == 0:
-                _check_deadline(deadline)
-            seen = set()
-            lits = []
-            tautology = False
-            for lit in clause:
-                if not 0 < abs(lit) <= num_vars:
-                    raise InvalidInput(f"literal {lit} outside variables 1..{num_vars}")
-                if -lit in seen:
-                    tautology = True
-                elif lit not in seen:
-                    seen.add(lit)
-                    lits.append(lit)
-            if tautology:
-                continue
-            if len(lits) >= 2:
-                watches[lits[0]].append(lits)
-                watches[lits[1]].append(lits)
-            elif lits:
-                units.append(lits[0])
-            else:
-                self.unsat = True
+        clauses = iter(clauses)
+        while True:
+            _check_deadline(deadline)
+            chunk = list(islice(clauses, _INGEST_CHECK_EVERY))
+            if not chunk:
+                break
+            for lits in chunk:
+                if len(lits) > 1:
+                    watches[lits[0]].append(lits)
+                    watches[lits[1]].append(lits)
+                elif lits:
+                    units.append(lits[0])
+                else:
+                    self.unsat = True
         # order is a lazy min-heap of (-activity, var) pairs.  in_order[v]
         # records that v's entry at its current activity is in it; every
         # unassigned variable has one, so the first unassigned variable
@@ -321,6 +349,7 @@ class _Cdcl:
                 self._enqueue(lit)
         restart_limit = 100.0
         since_restart = 0
+        decisions = 0
         while True:
             conflict = self._propagate()
             if conflict is not None:
@@ -345,5 +374,8 @@ class _Cdcl:
                 var = self._decide()
                 if var is None:
                     return {v: value[v] > 0 for v in range(1, self.nvars + 1)}
+                decisions += 1
+                if decisions % _DECIDE_CHECK_EVERY == 0:
+                    _check_deadline(self.deadline)
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(var if self.phase[var] else -var)

@@ -133,9 +133,11 @@ class ObservationTable:
 
     # -- closedness and consistency ------------------------------------
 
-    def find_inconsistent(self, d: int):
+    def find_inconsistent(self, d: int, rows: dict[str, tuple] | None = None):
         """First witness (p, q, a, s) with cv(p) = cv(q) <= d,
         row(p) = row(q) but row(pa) != row(qa); None when d-consistent.
+        ``rows`` maps every label of P to its row under the current S, if
+        the caller has them.
 
         The returned suffix s satisfies Memb(pas) != Memb(qas) or
         Actions(pas) != Actions(qas).  Because the empty suffix is always
@@ -147,7 +149,7 @@ class ObservationTable:
         groups: dict[tuple, list[str]] = {}
         for p in self.prefixes:
             if self.counter_value(p) <= d:
-                groups.setdefault(self.row(p), []).append(p)
+                groups.setdefault(self.row(p) if rows is None else rows[p], []).append(p)
         for p, *others in groups.values():
             for q in others:
                 for a in self.alphabet:
@@ -167,19 +169,22 @@ class ObservationTable:
         extensions come last: the sweep promotes what a rescan from the
         start after each promotion would.  An inconsistency witness then
         extends S, which changes every row, and the sweep runs again.
-        New cells are queried as the checks read them.  Returns self.
+        New cells are queried as the checks read them, and the
+        consistency check reuses the sweep's rows.  Returns self.
         """
         while True:
-            rows = {self.row(p) for p in self.prefixes}
+            rows = {p: self.row(p) for p in self.prefixes}
+            seen = set(rows.values())
             labels = list(self.prefixes)
             for p in labels:    # grows as rows are promoted
                 for a in self.alphabet:
                     w = p + a
-                    if self.counter_value(w) <= d and (r := self.row(w)) not in rows:
-                        rows.add(r)
+                    if self.counter_value(w) <= d and (r := self.row(w)) not in seen:
+                        seen.add(r)
+                        rows[w] = r
                         self.add_prefix(w)
                         labels.append(w)
-            witness = self.find_inconsistent(d)
+            witness = self.find_inconsistent(d, rows)
             if witness is None:
                 return self
             self.add_suffix(witness[2] + witness[3])

@@ -264,6 +264,18 @@ def test_cli_names_a_missing_output_directory(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_bench_fails_on_its_output_path_before_any_session(tmp_path, monkeypatch,
+                                                              capsys):
+    def session(*args):
+        raise AssertionError("a session ran before the output file was opened")
+
+    monkeypatch.setattr(bench, "run_sample", session)
+    out = tmp_path / "absent" / "x.csv"
+    assert main(["bench", "--min-states", "2", "--max-states", "3", "--samples", "2",
+                 "--seed", "1", "--timeout-s", "30", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_rejects_a_nan_timeout(golden_file, tmp_path, capsys):
     assert main(["learn", "--target", golden_file, "--timeout-s", "nan"]) == 1
     assert main(["bench", "--min-states", "2", "--max-states", "2",

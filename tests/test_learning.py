@@ -128,6 +128,19 @@ def test_learn_timeout_carries_stats():
     assert err.value.stats.wall_ms >= 0
 
 
+def test_learn_reads_the_deadline_after_table_repair():
+    # the first repair alone outlasts the timeout, so no SAT call is made
+    class SlowTeacher(SimulatedTeacher):
+        def mq(self, word):
+            time.sleep(0.02)
+            return super().mq(word)
+
+    with pytest.raises(LearnTimeout) as err:
+        learn(SlowTeacher(make_anbna()), LearnConfig(timeout_s=0.01))
+    assert err.value.stats.n_sat == 0
+    assert err.value.stats.n_mq > 0
+
+
 def test_learn_voca_mode_uses_no_cv_queries():
     target = random_voca(8, max_states=4)
     teacher = SimulatedTeacher(target)

@@ -134,6 +134,35 @@ def filled_tables():
     return tables
 
 
+def sample_aptas():
+    """Prefix trees of real sample sets: the filled tables, and tables of
+    random machines over one to three letters."""
+    tables = filled_tables()
+    for seed, letters in ((11, 1), (12, 2), (13, 3)):
+        table = ObservationTable(SimulatedTeacher(random_machine(seed, alphabet_size=letters)))
+        table.repair(2)
+        tables.append(table)
+    return [build_apta(build_samples(table)) for table in tables]
+
+
+def test_encoder_clauses_are_well_formed():
+    # the builtin backend watches these clauses without checking them:
+    # each must be a list of its own, of distinct, non-complementary,
+    # declared literals; only a pinned node beyond the last colour, below
+    # the clique size, has the empty clause
+    for apta in sample_aptas():
+        size = apta.domains[0]
+        for n in range(1, size + 2):
+            cnf = encode_size_n(apta, n)
+            assert cnf._well_formed
+            assert len({id(clause) for clause in cnf.clauses}) == len(cnf.clauses)
+            for clause in cnf.clauses:
+                assert type(clause) is list
+                assert all(0 < abs(lit) <= cnf.num_vars for lit in clause)
+                assert len({abs(lit) for lit in clause}) == len(clause)
+            assert any(not clause for clause in cnf.clauses) == (n < size)
+
+
 def test_ladder_start_below_the_minimum_changes_nothing():
     # a lower bound only skips UNSAT rungs: the first satisfiable rung, its
     # CNF and so its model are those of the search from one state

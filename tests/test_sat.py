@@ -4,6 +4,7 @@ import random
 import stat
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -61,12 +62,62 @@ def test_builtin_agrees_with_enumeration():
 
 
 def test_builtin_rejects_undeclared_literals():
-    with pytest.raises(InvalidInput):
-        solve_builtin(1, [(0,)])
-    with pytest.raises(InvalidInput):
-        solve_builtin(1, [(3,), (-1,)])
-    with pytest.raises(InvalidInput):
-        solve_builtin(1, [(1, -1, 2)])
+    # directly, and through sat_solve on an instance built by hand
+    for clauses in ([(0,)], [(3,), (-1,)], [(1, -1, 2)]):
+        with pytest.raises(InvalidInput):
+            solve_builtin(1, clauses)
+        cnf = CnfInstance()
+        cnf.num_vars = 1
+        cnf.clauses.extend(clauses)
+        with pytest.raises(InvalidInput):
+            sat_solve(cnf)
+
+
+def test_hand_built_instances_drop_repeated_literals_and_tautologies():
+    cnf = CnfInstance()
+    cnf.num_vars = 3
+    clauses = [(1, 1, -2), (2, -2), (-1, -1), (2, 3, 2)]
+    cnf.clauses.extend(clauses)
+    assert sat_solve(cnf) == solve_builtin(3, clauses) == {1: False, 2: False, 3: True}
+    assert cnf.clauses == clauses
+
+
+def test_encoder_instances_solve_as_their_tuple_copies():
+    # the builtin backend solves an encoder's instance over its own
+    # clause lists, unchecked; a checked copy must give the same model
+    from ocalearn.minsepdfa import encode_size_n
+    from test_minsepdfa import sample_aptas
+
+    models = 0
+    for apta in sample_aptas():
+        for n in range(1, apta.domains[0] + 2):
+            cnf = encode_size_n(apta, n)
+            copies = [tuple(clause) for clause in cnf.clauses]
+            model = sat_solve(cnf)
+            assert model == solve_builtin(cnf.num_vars, copies)
+            assert [sorted(c) for c in cnf.clauses] == [sorted(c) for c in copies]
+            models += model is not None
+    assert models > 0
+
+
+def test_builtin_reads_the_deadline_between_decisions(monkeypatch):
+    # a chain of implications meets no conflict on the way to its model;
+    # each clock read is one second later, so the deadline passes after
+    # the reads at entry and while reading the clauses, and only reads
+    # between decisions can notice
+    from ocalearn import sat
+
+    reads = itertools.count()
+    monkeypatch.setattr(sat, "time", SimpleNamespace(monotonic=lambda: next(reads)))
+    num_vars = 8 * sat._DECIDE_CHECK_EVERY
+    cnf = CnfInstance()
+    cnf.num_vars = num_vars
+    cnf.clauses.extend((-v, v + 1) for v in range(1, num_vars))
+    assert len(cnf.clauses) < sat._INGEST_CHECK_EVERY
+    assert sat_solve(cnf, deadline=1e9) is not None
+    reads = itertools.count()
+    with pytest.raises(SolverTimeout):
+        sat_solve(cnf, deadline=5.5)
 
 
 def _pigeonhole(n):
@@ -204,7 +255,7 @@ def test_builtin_decision_order_survives_activity_rescales():
     # decision must still pick the unassigned variable of highest activity
     # (ties on the lowest index), which needs the decision heap rebuilt
     # from the rescaled activities.
-    from ocalearn.sat import _Cdcl
+    from ocalearn.sat import _Cdcl, _checked
 
     rescales = []
 
@@ -220,7 +271,7 @@ def test_builtin_decision_order_survives_activity_rescales():
             return var
 
     def solve_near_rescale(num_vars, clauses, var_inc):
-        solver = CheckedCdcl(num_vars, clauses, None)
+        solver = CheckedCdcl(num_vars, _checked(num_vars, clauses), None)
         solver.var_inc = var_inc
         return solver.solve()
 

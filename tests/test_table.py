@@ -162,6 +162,25 @@ def test_inconsistency_witness():
     assert "a" in table2.suffixes
 
 
+def test_find_inconsistent_reads_the_rows_it_is_given(monkeypatch):
+    # repair hands its sweep's rows to the consistency check; given them,
+    # it computes no row and finds the witness it finds on its own
+    rng = random.Random(5)
+    witnesses = 0
+    for seed in range(12):
+        table = ObservationTable(SimulatedTeacher(random_machine(seed, alphabet_size=2)))
+        for _ in range(4):
+            table.add_prefix("".join(rng.choice("ab") for _ in range(rng.randrange(1, 6))))
+        for d in range(4):
+            rows = {p: table.row(p) for p in table.prefixes}
+            expected = table.find_inconsistent(d)
+            with monkeypatch.context() as patch:
+                patch.setattr(ObservationTable, "row", None)
+                assert table.find_inconsistent(d, rows) == expected
+            witnesses += expected is not None
+    assert witnesses > 0
+
+
 def test_enc_reads_cache(anbna):
     table, _ = golden_table(anbna)
     assert table.enc("aba") == ("a0", "b1", "a0")
