@@ -1,28 +1,25 @@
 """Command-line front door.
 
 Subcommands: ``learn`` (learn a machine from a simulated teacher),
-``equiv`` (counter-synchronous equivalence with a minimal counterexample,
-through ``voca_check_equiv`` when both machines are VOCAs),
+``equiv`` (counter-synchronous equivalence with a minimal counterexample),
 ``generate`` (random machine to JSON), ``bench`` (benchmark sweep to CSV)
 and ``encode`` (print the doubled-alphabet encoding and counter trace of
 a word).
 
 Exit codes: 0 success, 1 domain errors (including "not equivalent")
-and files that cannot be read or written, 2 usage errors.  The SAT
-backend may also be selected through the ``OCALEARN_SAT_BACKEND``
-environment variable; the ``--sat`` flag wins.
+and files that cannot be read or written, 2 usage errors.  ``--sat``
+(default ``builtin``) selects the SAT backend of ``learn`` and ``bench``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import io
 from .automata import pretty_encoded
 from .bench import BenchConfig, run_benchmark
-from .equivalence import check_sync_equiv, voca_check_equiv
+from .equivalence import check_sync_equiv
 from .errors import LearnTimeout, WorkbenchError
 from .generate import GenConfig, generate_droca
 from .learning import LearnConfig, SimulatedTeacher, Stats, learn
@@ -54,7 +51,7 @@ def _build_parser():
                    help="derive counter values from the action map (no cv queries)")
     p.add_argument("--seed", type=int, default=None, help="recorded in the stats")
     p.add_argument("--timeout-s", type=float, default=None)
-    p.add_argument("--sat", default=None, help="builtin | external:<path>")
+    p.add_argument("--sat", default="builtin", help="builtin | external:<path>")
     p.add_argument("--out", default=None, help="write the learnt machine here")
     p.add_argument("--stats", default=None, help="write session stats JSON here")
     p.add_argument("--complete-with-sink", action="store_true",
@@ -86,7 +83,7 @@ def _build_parser():
     p.add_argument("--timeout-s", type=float, required=True)
     p.add_argument("--restricted", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--sat", default=None)
+    p.add_argument("--sat", default="builtin")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_bench)
 
@@ -98,17 +95,13 @@ def _build_parser():
     return parser
 
 
-def _solver_config(flag_value) -> str:
-    return flag_value or os.environ.get("OCALEARN_SAT_BACKEND") or "builtin"
-
-
 def _cmd_learn(args) -> int:
     target = io.load_file(args.target, complete_with_sink=args.complete_with_sink)
     stats = Stats(seed=args.seed, target_states=target.size,
                   alphabet=len(target.alphabet))
     teacher = SimulatedTeacher(target, stats)
     config = LearnConfig(voca=args.voca, timeout_s=args.timeout_s,
-                         solver=_solver_config(args.sat))
+                         solver=args.sat)
     hypothesis, stats = learn(teacher, config)
     if args.out:
         io.store_file(hypothesis, args.out)
@@ -124,8 +117,7 @@ def _cmd_learn(args) -> int:
 def _cmd_equiv(args) -> int:
     a = io.load_file(args.a, complete_with_sink=args.complete_with_sink)
     b = io.load_file(args.b, complete_with_sink=args.complete_with_sink)
-    check = voca_check_equiv if a.is_voca() and b.is_voca() else check_sync_equiv
-    verdict = check(a, b)
+    verdict = check_sync_equiv(a, b)
     if verdict.equivalent:
         print("equivalent")
         return 0
@@ -151,7 +143,7 @@ def _cmd_bench(args) -> int:
                          samples=args.samples, seed=args.seed,
                          timeout_s=args.timeout_s, restricted=args.restricted,
                          jobs=args.jobs, out_path=args.out,
-                         solver=_solver_config(args.sat))
+                         solver=args.sat)
     rows = run_benchmark(config)
     succeeded = sum(row["success"] for row in rows)
     print(f"{succeeded}/{len(rows)} sessions succeeded; rows written to {args.out}")

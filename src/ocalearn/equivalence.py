@@ -208,15 +208,14 @@ def _length_lex_search(a: Droca, b: Droca, queue: deque, parents: dict,
     desync, and a new node whose acceptance bits differ is an acceptance
     mismatch.  A node already in ``parents`` was checked under a smaller
     word, so the first violation found is the length-lex-minimal one.
-    The deadline is read at the first node and then every few thousand,
-    and never when it is None.
+    The deadline is read at the first node and then every few thousand.
     """
     d0a, d1a, fin_a, _ = a.indexed_tables()
     d0b, d1b, fin_b, _ = b.indexed_tables()
     alphabet = a.alphabet
     dequeued = 0
     while queue and dequeued != limit:
-        if deadline is not None and not dequeued % _DEADLINE_CHECK_EVERY:
+        if not dequeued % _DEADLINE_CHECK_EVERY:
             _check_deadline(deadline)
         dequeued += 1
         node = queue.popleft()
@@ -252,11 +251,9 @@ def _decide_by_summaries(a: Droca, b: Droca, deadline: float | None) -> bool:
     until nothing changes.  The pairs reachable at counter zero and at a
     positive counter then follow by 0 steps, +1 steps and "+1 then a
     return"; every -1 step of a run from counter zero lies inside a
-    return.  The deadline is read at entry and on every sweep, and never
-    when it is None.
+    return.  The deadline is read at entry and on every sweep.
     """
-    if deadline is not None:
-        _check_deadline(deadline)
+    _check_deadline(deadline)
     d0a, d1a, fin_a, init_a = a.indexed_tables()
     d0b, d1b, fin_b, init_b = b.indexed_tables()
     index = {(init_a, init_b): 0}
@@ -279,8 +276,7 @@ def _decide_by_summaries(a: Droca, b: Droca, deadline: float | None) -> bool:
     ret = [0] * len(pairs)
     changed = True
     while changed:
-        if deadline is not None:
-            _check_deadline(deadline)
+        _check_deadline(deadline)
         changed = False
         for i, row in enumerate(steps[1]):
             new = ret[i]
@@ -318,6 +314,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _check_deadline(deadline: float) -> None:
-    if time.monotonic() > deadline:
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
         raise EquivalenceTimeout("equivalence query ran past its deadline")

@@ -13,12 +13,13 @@ teacher agrees.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 
 from .automata import Droca, doubled, sgn
-from .equivalence import Counterexample, check_sync_equiv, voca_check_equiv
+from .equivalence import Counterexample, check_sync_equiv
+# not called here; bound because perfbench/tracer.py wraps it by this name
+from .equivalence import voca_check_equiv  # noqa: F401
 from .errors import EquivalenceTimeout, InvalidInput, LearnTimeout, SolverTimeout
 from .minsepdfa import build_samples, find_min_sep_dfa
 from .sat import external_path, sat_solve
@@ -55,10 +56,8 @@ class SimulatedTeacher:
     """Teacher backed by a hidden automaton.
 
     Membership and counter-value queries run the hidden machine.
-    Synchronous-equivalence queries hand back a minimal counterexample,
-    through ``voca_check_equiv`` when both the hidden machine and the
-    hypothesis are VOCAs and through ``check_sync_equiv`` otherwise; the
-    two give the same answer, and either raises
+    Synchronous-equivalence queries hand back the minimal counterexample
+    of :func:`check_sync_equiv`, which raises
     :class:`EquivalenceTimeout` past ``deadline``.  Every call
     increments the session statistics.
     """
@@ -67,7 +66,6 @@ class SimulatedTeacher:
         self.hidden = hidden
         self.alphabet = hidden.alphabet
         self.stats = stats if stats is not None else Stats()
-        self._hidden_is_voca = hidden.is_voca()
 
     def mq(self, word: str) -> int:
         self.stats.n_mq += 1
@@ -79,9 +77,7 @@ class SimulatedTeacher:
 
     def seq(self, hypothesis: Droca, deadline: float | None = None) -> Counterexample | None:
         self.stats.n_seq += 1
-        voca = self._hidden_is_voca and hypothesis.is_voca()
-        check = voca_check_equiv if voca else check_sync_equiv
-        verdict = check(hypothesis, self.hidden, deadline)
+        verdict = check_sync_equiv(hypothesis, self.hidden, deadline)
         return None if verdict.equivalent else verdict.counterexample
 
     def voca_action_map(self) -> dict[tuple[str, int], int]:
@@ -96,9 +92,9 @@ class LearnConfig:
 
     def __post_init__(self):
         external_path(self.solver)  # rejects an unknown backend before any query
-        if self.timeout_s is not None and math.isnan(self.timeout_s):
-            # no clock reading is ever past a NaN deadline
-            raise InvalidInput("timeout must not be NaN")
+        if self.timeout_s is not None and not self.timeout_s >= 0:
+            # also NaN: no clock reading is ever past a NaN deadline
+            raise InvalidInput("timeout must be a non-negative number")
 
 
 def construct_droca(table: ObservationTable, *,

@@ -116,8 +116,9 @@ def solve_builtin(num_vars: int, clauses, deadline: float | None = None):
 
     Watched-literal propagation, first-UIP clause learning, activity-based
     decisions with phase saving, and geometric restarts.  Deterministic:
-    ties break on variable index and there is no randomization.  A literal
-    that is 0 or names a variable above ``num_vars`` raises
+    ties break on variable index and there is no randomization.  A
+    ``num_vars`` that is not a non-negative int, or a literal that is not
+    an int, is 0 or names a variable above ``num_vars``, raises
     :class:`InvalidInput`; repeated literals and tautologies are dropped,
     and ``clauses`` is left as it was.  Past ``deadline`` (a
     :func:`time.monotonic` instant), checked at entry, every few thousand
@@ -131,21 +132,23 @@ def solve_builtin(num_vars: int, clauses, deadline: float | None = None):
     it carries the variable's current activity, and an activity rescale
     rebuilds the heap from the current activities.
     """
+    if not (isinstance(num_vars, int) and num_vars >= 0):
+        raise InvalidInput(f"variable count {num_vars!r} is not a non-negative int")
     _check_deadline(deadline)
     return _Cdcl(num_vars, _checked(num_vars, clauses), deadline).solve()
 
 
 def _checked(num_vars, clauses):
     """Each clause as a fresh list of its distinct literals, in order;
-    tautologies are skipped, and a literal outside ``1..num_vars`` raises
-    :class:`InvalidInput`."""
+    tautologies are skipped, and a literal that is not an int in
+    ``±1..num_vars`` raises :class:`InvalidInput`."""
     for clause in clauses:
         seen = set()
         lits = []
         tautology = False
         for lit in clause:
-            if not 0 < abs(lit) <= num_vars:
-                raise InvalidInput(f"literal {lit} outside variables 1..{num_vars}")
+            if not (isinstance(lit, int) and 0 < abs(lit) <= num_vars):
+                raise InvalidInput(f"literal {lit!r} is not an int in ±1..{num_vars}")
             if -lit in seen:
                 tautology = True
             elif lit not in seen:

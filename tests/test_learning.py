@@ -117,6 +117,9 @@ def test_learn_config_rejects_a_nan_timeout():
     # time.monotonic() > nan is always false, so the deadline would never fire
     with pytest.raises(InvalidInput):
         LearnConfig(timeout_s=float("nan"))
+    # nor is a negative one a deadline (0.0 expires at once, see below)
+    with pytest.raises(InvalidInput):
+        LearnConfig(timeout_s=-1.0)
 
 
 def test_learn_timeout_carries_stats():
@@ -162,27 +165,13 @@ def test_learn_voca_mode_many():
         assert hypothesis.size <= target.size
 
 
-def test_teacher_picks_voca_check_from_the_machines(monkeypatch):
-    # default-mode hypotheses of VOCA targets need not be VOCAs, and those
-    # must never reach voca_check_equiv, which rejects them
-    calls = []
-    voca_check_equiv = learning.voca_check_equiv
-
-    def counted(a, b, deadline=None):
-        calls.append((a, b))
-        return voca_check_equiv(a, b, deadline)
-
-    monkeypatch.setattr(learning, "voca_check_equiv", counted)
+def test_learn_default_mode_on_voca_targets():
+    # default-mode hypotheses of VOCA targets need not be VOCAs
     for i in range(20):
         target = random_voca(derive_seed(31, i), max_states=5)
         hypothesis, stats = learn(SimulatedTeacher(target))
         assert stats.success == 1
         assert check_sync_equiv(hypothesis, target).equivalent
-    assert calls
-    assert all(a.is_voca() and b.is_voca() for a, b in calls)
-    calls.clear()
-    learn(SimulatedTeacher(make_anbna()))
-    assert not calls
 
 
 def test_learn_deadline_overshoot_is_bounded():
@@ -321,6 +310,20 @@ def test_learn_property_equivalent_and_no_larger(n_states, alphabet_size,
     assert stats.success == 1
     assert check_sync_equiv(hypothesis, target).equivalent
     assert hypothesis.size <= target.size
+
+
+@settings(deadline=None, max_examples=25)
+@given(max_states=st.integers(2, 4), alphabet_size=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_learn_voca_mode_property(max_states, alphabet_size, seed):
+    target = random_voca(seed, max_states=max_states, alphabet_size=alphabet_size)
+    hypothesis, stats = learn(SimulatedTeacher(target), LearnConfig(voca=True))
+    assert stats.success == 1
+    assert check_sync_equiv(hypothesis, target).equivalent
+    assert hypothesis.size <= target.size
+    assert stats.n_cv == 0
+    assert hypothesis.is_voca()
+    assert hypothesis.voca_action_map() == target.voca_action_map()
 
 
 def _counts(stats):

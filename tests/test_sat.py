@@ -63,11 +63,12 @@ def test_builtin_agrees_with_enumeration():
 
 def test_builtin_rejects_undeclared_literals():
     # directly, and through sat_solve on an instance built by hand
-    for clauses in ([(0,)], [(3,), (-1,)], [(1, -1, 2)]):
+    for num_vars, clauses in ((1, [(0,)]), (1, [(3,), (-1,)]), (1, [(1, -1, 2)]),
+                              (2, [[1.5]]), (2, [[1, "2"]]), (-2, [])):
         with pytest.raises(InvalidInput):
-            solve_builtin(1, clauses)
+            solve_builtin(num_vars, clauses)
         cnf = CnfInstance()
-        cnf.num_vars = 1
+        cnf.num_vars = num_vars
         cnf.clauses.extend(clauses)
         with pytest.raises(InvalidInput):
             sat_solve(cnf)
