@@ -165,6 +165,15 @@ class Droca:
                 for sign, delta in enumerate((self.delta0, self.delta1))}
 
 
+def longest_known_prefix(known, word: str) -> int:
+    """Length of the longest prefix of ``word`` that is a key of
+    ``known``, which must hold the empty word."""
+    i = len(word)
+    while word[:i] not in known:
+        i -= 1
+    return i
+
+
 def doubled(letter: str, sign: int) -> str:
     """Symbol of the doubled alphabet: letter tagged with a counter sign."""
     return f"{letter}{sign}"

@@ -33,7 +33,7 @@ from .errors import EquivalenceTimeout, InvalidInput
 
 COUNTER_DESYNC = "counter-desync"
 ACCEPT_MISMATCH = "accept-mismatch"
-_DEADLINE_CHECK_EVERY = 4096    # dequeued nodes between two deadline checks
+_DEADLINE_CHECK_EVERY = 4096    # nodes, pairs or steps between two deadline checks
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,9 +251,9 @@ def _decide_by_summaries(a: Droca, b: Droca, deadline: float | None) -> bool:
     until nothing changes.  The pairs reachable at counter zero and at a
     positive counter then follow by 0 steps, +1 steps and "+1 then a
     return"; every -1 step of a run from counter zero lies inside a
-    return.  The deadline is read at entry and on every sweep.
+    return.  The deadline is read every few thousand pairs of the
+    product, rows and return bits of the sweeps, and reachability steps.
     """
-    _check_deadline(deadline)
     d0a, d1a, fin_a, init_a = a.indexed_tables()
     d0b, d1b, fin_b, init_b = b.indexed_tables()
     index = {(init_a, init_b): 0}
@@ -261,6 +261,8 @@ def _decide_by_summaries(a: Droca, b: Droca, deadline: float | None) -> bool:
     steps = ([], [])    # steps[mode][i]: (target pair, action) per letter
     bad = [0, 0]        # bad[mode]: bitmask of the pairs bad in that mode
     for i, (pa, pb) in enumerate(pairs):    # grows with the counter-blind product
+        if not i % _DEADLINE_CHECK_EVERY:
+            _check_deadline(deadline)
         for mode, (da, db) in enumerate(((d0a, d0b), (d1a, d1b))):
             moves = list(zip(da[pa], db[pb]))
             if fin_a[pa] != fin_b[pb] or any(ea != eb for (_, ea), (_, eb) in moves):
@@ -274,11 +276,15 @@ def _decide_by_summaries(a: Droca, b: Droca, deadline: float | None) -> bool:
                 row.append((t, e))
             steps[mode].append(row)
     ret = [0] * len(pairs)
+    cost = 0    # rows and return bits read since the last deadline read
     changed = True
     while changed:
-        _check_deadline(deadline)
         changed = False
         for i, row in enumerate(steps[1]):
+            if cost >= _DEADLINE_CHECK_EVERY:
+                cost = 0
+                _check_deadline(deadline)
+            cost += 1
             new = ret[i]
             for t, e in row:
                 if e < 0:
@@ -286,14 +292,22 @@ def _decide_by_summaries(a: Droca, b: Droca, deadline: float | None) -> bool:
                 elif e == 0:
                     new |= ret[t]
                 else:
-                    for r in _bits(ret[t]):
-                        new |= ret[r]
+                    mask = ret[t]
+                    cost += mask.bit_count()
+                    while mask:
+                        low = mask & -mask
+                        new |= ret[low.bit_length() - 1]
+                        mask ^= low
             if new != ret[i]:
                 ret[i] = new
                 changed = True
     seen = [1, 0]       # seen[mode]: bitmask of the pairs reached in that mode
     work = [(0, 0)]
+    popped = 0
     while work:
+        popped += 1
+        if not popped % _DEADLINE_CHECK_EVERY:
+            _check_deadline(deadline)
         i, mode = work.pop()
         for t, e in steps[mode][i]:
             if e < 0:

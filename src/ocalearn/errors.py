@@ -30,7 +30,7 @@ class SolverError(WorkbenchError):
 
 
 class SolverTimeout(SolverError):
-    """SAT backend exceeded its per-call time limit."""
+    """The SAT backend or the minimal-DFA search around it ran past its deadline."""
 
 
 class EquivalenceTimeout(WorkbenchError):

@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .automata import Droca, doubled, sgn
+from .automata import Configuration, Droca, doubled, longest_known_prefix, sgn
 from .equivalence import Counterexample, check_sync_equiv
 # not called here; bound because perfbench/tracer.py wraps it by this name
 from .equivalence import voca_check_equiv  # noqa: F401
@@ -55,7 +55,9 @@ class Stats:
 class SimulatedTeacher:
     """Teacher backed by a hidden automaton.
 
-    Membership and counter-value queries run the hidden machine.
+    Membership and counter-value queries run the hidden machine.  The
+    teacher keeps the configuration of every word it has run, prefixes
+    included, and runs a word on from its longest such prefix.
     Synchronous-equivalence queries hand back the minimal counterexample
     of :func:`check_sync_equiv`, which raises
     :class:`EquivalenceTimeout` past ``deadline``.  Every call
@@ -66,14 +68,23 @@ class SimulatedTeacher:
         self.hidden = hidden
         self.alphabet = hidden.alphabet
         self.stats = stats if stats is not None else Stats()
+        self._configs = {"": Configuration(hidden.initial, 0)}
+
+    def _run(self, word: str) -> Configuration:
+        configs = self._configs
+        i = longest_known_prefix(configs, word)
+        config = configs[word[:i]]
+        for j in range(i, len(word)):
+            config = configs[word[:j + 1]] = self.hidden.step(config, word[j])
+        return config
 
     def mq(self, word: str) -> int:
         self.stats.n_mq += 1
-        return int(self.hidden.accepts(word))
+        return int(self._run(word).state in self.hidden.finals)
 
     def cv(self, word: str) -> int:
         self.stats.n_cv += 1
-        return self.hidden.counter_effect(word)
+        return self._run(word).counter
 
     def seq(self, hypothesis: Droca, deadline: float | None = None) -> Counterexample | None:
         self.stats.n_seq += 1
@@ -99,7 +110,8 @@ class LearnConfig:
 
 def construct_droca(table: ObservationTable, *,
                     action_map: dict[tuple[str, int], int] | None = None,
-                    solve=sat_solve, at_least: int = 1) -> Droca:
+                    solve=sat_solve, at_least: int = 1,
+                    deadline: float | None = None) -> Droca:
     """Build a one-counter hypothesis agreeing with the table.
 
     The minimal separating DFA of the table's samples is the hypothesis
@@ -107,38 +119,45 @@ def construct_droca(table: ObservationTable, *,
     search starts at ``at_least`` states, which must be a lower bound on
     the minimal size (see :func:`find_min_sep_dfa`), and calls ``solve``
     on each CNF (:func:`learn` passes :func:`sat_solve` with the backend
-    string ``LearnConfig.solver``).  Counter-actions come from replaying
-    each table word through the skeleton once.  The word's action vector
-    is written at its end state without a check: the skeleton search has
-    refused every model that gives two table words of one sign and one
-    state different vectors.  A step at a prefix that is itself a table
-    word is skipped, since its action is that prefix's own vector.
+    string ``LearnConfig.solver``).  Past ``deadline`` the search raises
+    :class:`SolverTimeout`.  Counter-actions come from replaying each
+    table word through the skeleton along its cached encoding, from the
+    state of its longest prefix already replayed, so every prefix is
+    stepped once.  The word's action vector is written at its end state
+    without a check: the skeleton search has refused every model that
+    gives two table words of one sign and one state different vectors.
+    A step from a prefix that is itself a table word is not recorded,
+    since its action is that prefix's own vector.
 
-    Only the steps at prefixes outside the table are checked against the
-    action fixed for their (state, sign, letter).  Such a prefix is not
-    yet constrained by any sample, so a clash is repaired by promoting it
-    into P (signalled via :class:`PrefixConflict`).  Transitions that no
-    replay fixes keep the skeleton target with the action of
-    ``action_map`` (visibly one-counter mode), else 0.  In visibly
-    one-counter mode every counter-value comes from the map, so no clash
-    can arise.
+    Only the steps from prefixes outside the table are checked against
+    the action fixed for their (state, sign, letter).  Such a prefix is
+    not yet constrained by any sample, so a clash is repaired by
+    promoting it into P (signalled via :class:`PrefixConflict`).
+    Transitions that no replay fixes keep the skeleton target with the
+    action of ``action_map`` (visibly one-counter mode), else 0.  In
+    visibly one-counter mode every counter-value comes from the map, so
+    no clash can arise.
     """
-    skeleton = find_min_sep_dfa(build_samples(table), solve=solve, at_least=at_least)
+    skeleton = find_min_sep_dfa(build_samples(table), solve=solve, at_least=at_least,
+                                deadline=deadline)
     names = {q: f"s{q}" for q in skeleton.states}
 
     actions: dict[tuple[int, int, str], int] = {}
-    outside = []    # (key, delta, prefix) of the steps at prefixes outside the table
+    outside = []    # (key, delta, prefix) of the steps from prefixes outside the table
     words = table.words()
     word_set = set(words)
+    states = {"": skeleton.initial}     # replayed word -> skeleton state
     for word in words:
-        state = skeleton.initial
-        for i, letter in enumerate(word):
-            prefix = word[:i]
-            before = table.counter_value(prefix)
+        code = table.enc(word)
+        i = longest_known_prefix(states, word)
+        state = states[word[:i]]
+        for j in range(i, len(word)):
+            prefix = word[:j]
             if prefix not in word_set:
-                delta = table.counter_value(word[:i + 1]) - before
-                outside.append(((state, sgn(before), letter), delta, prefix))
-            state = skeleton.transition[(state, doubled(letter, sgn(before)))]
+                before = table.counter_value(prefix)
+                delta = table.counter_value(word[:j + 1]) - before
+                outside.append(((state, sgn(before), word[j]), delta, prefix))
+            state = states[word[:j + 1]] = skeleton.transition[(state, code[j])]
         vector = table.actions(word)
         for letter, delta in zip(table.alphabet, vector.deltas):
             actions[(state, vector.sign, letter)] = delta
@@ -222,7 +241,8 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
             raise LearnTimeout("table repair ran past its deadline", stats)
         try:
             hypothesis = construct_droca(table, action_map=action_map,
-                                         solve=checked_solve, at_least=size)
+                                         solve=checked_solve, at_least=size,
+                                         deadline=deadline)
             ce = teacher.seq(hypothesis, deadline)
         except PrefixConflict as conflict:
             table.add_prefix(conflict.prefix)

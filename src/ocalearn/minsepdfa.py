@@ -27,8 +27,10 @@ from functools import cached_property
 
 from .automata import Dfa, doubled_alphabet
 from .errors import InvalidInput, SampleConflict, SolverError
-from .sat import CnfInstance, sat_solve
+from .sat import CnfInstance, check_deadline, sat_solve
 from .table import ActionsVector
+
+_ENCODE_CHECK_EVERY = 32       # prefix-tree nodes between two deadline checks
 
 
 @dataclass(frozen=True)
@@ -206,7 +208,7 @@ def _variables(apta: Apta, n: int):
     return color, accepting, trans, out, first - 1
 
 
-def encode_size_n(apta: Apta, n: int) -> CnfInstance:
+def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> CnfInstance:
     """CNF satisfiable iff some complete n-state DFA matches every label
     and holds at most one output per state and sign.
 
@@ -229,6 +231,11 @@ def encode_size_n(apta: Apta, n: int) -> CnfInstance:
     declared literals, so the builtin SAT backend watches it without a
     check or a copy (see :func:`~ocalearn.sat.sat_solve`); solving may
     reorder the literals inside it.
+
+    ``deadline``, a :func:`time.monotonic` instant, is read every few
+    dozen nodes of both node passes and once per state and symbol of
+    the transition clauses; past it the encoder raises
+    :class:`SolverTimeout`.
     """
     cnf = CnfInstance()
     cnf._well_formed = True
@@ -241,6 +248,8 @@ def encode_size_n(apta: Apta, n: int) -> CnfInstance:
     negated_trans = {sym: [[-x for x in row] for row in rows] for sym, rows in trans.items()}
     clauses = cnf.clauses
     for v, domain in enumerate(domains):
+        if not v % _ENCODE_CHECK_EVERY:
+            check_deadline(deadline)
         not_v = negated[v]
         clauses.extend([[not_v[i]] for i in range(n) if excluded[v] >> i & 1])
         clauses.append([color[v][i] for i in domain])
@@ -255,9 +264,12 @@ def encode_size_n(apta: Apta, n: int) -> CnfInstance:
         clauses.extend([[-x, -y] for k, x in enumerate(row) for y in row[k + 1:]])
     for sym in apta.alphabet:
         for row, not_row in zip(trans[sym], negated_trans[sym]):
+            check_deadline(deadline)
             clauses.append(list(row))
             clauses.extend([[not_row[j], not_row[j2]] for j, j2 in pairs])
     for v in range(1, apta.num_nodes):
+        if not v % _ENCODE_CHECK_EVERY:
+            check_deadline(deadline)
         parent, sym = apta.parent_edges[v]
         child = [None if excluded[v] >> j & 1 else c for j, c in enumerate(color[v])]
         for i in domains[parent]:
@@ -279,7 +291,8 @@ def decode_dfa(apta: Apta, assignment: dict[int, bool], n: int) -> Dfa:
                transition=transition, finals=finals)
 
 
-def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1) -> Dfa:
+def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1,
+                     deadline: float | None = None) -> Dfa:
     """Smallest complete DFA accepting every positive and rejecting every
     negative sample, whose states each reach words of one sign with equal
     vectors only, found by growing the state count from the larger of
@@ -295,13 +308,20 @@ def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1) -> 
     sample set contains the previous one, labels and outputs alike, and
     any DFA that fits the new samples fits the old ones: the minimal size
     never drops.
+
+    ``deadline``, a :func:`time.monotonic` instant, is read at entry,
+    once the prefix tree and its clique bound are built, before each
+    rung's encoding and throughout it (see :func:`encode_size_n`); past
+    it the search raises :class:`SolverTimeout`.
     """
     if at_least < 1:
         raise InvalidInput(f"at_least must be at least 1, got {at_least!r}")
+    check_deadline(deadline)
     apta = build_apta(samples)
     start = max(at_least, apta.domains[0])
     for n in range(start, apta.num_nodes + 2):
-        cnf = encode_size_n(apta, n)
+        check_deadline(deadline)
+        cnf = encode_size_n(apta, n, deadline)
         assignment = solve(cnf)
         if assignment is not None:
             dfa = decode_dfa(apta, assignment, n)

@@ -71,17 +71,17 @@ def sat_solve(cnf: CnfInstance, backend: str = "builtin",
         return _solve_external(cnf, path, deadline)
     if not cnf._well_formed:
         return solve_builtin(cnf.num_vars, cnf.clauses, deadline)
-    _check_deadline(deadline)
+    check_deadline(deadline)
     return _Cdcl(cnf.num_vars, cnf.clauses, deadline).solve()
 
 
-def _check_deadline(deadline):
+def check_deadline(deadline):
     if deadline is not None and time.monotonic() > deadline:
         raise SolverTimeout("SAT solver ran past its deadline")
 
 
 def _solve_external(cnf, exe, deadline):
-    _check_deadline(deadline)
+    check_deadline(deadline)
     with tempfile.TemporaryDirectory(prefix="ocalearn_sat_") as tmp:
         path = os.path.join(tmp, "instance.cnf")
         with open(path, "w", encoding="ascii") as handle:
@@ -134,7 +134,7 @@ def solve_builtin(num_vars: int, clauses, deadline: float | None = None):
     """
     if not (isinstance(num_vars, int) and num_vars >= 0):
         raise InvalidInput(f"variable count {num_vars!r} is not a non-negative int")
-    _check_deadline(deadline)
+    check_deadline(deadline)
     return _Cdcl(num_vars, _checked(num_vars, clauses), deadline).solve()
 
 
@@ -189,7 +189,7 @@ class _Cdcl:
         watches, units = self.watches, self.units
         clauses = iter(clauses)
         while True:
-            _check_deadline(deadline)
+            check_deadline(deadline)
             chunk = list(islice(clauses, _INGEST_CHECK_EVERY))
             if not chunk:
                 break
@@ -359,7 +359,7 @@ class _Cdcl:
                 if not self.trail_lim:
                     return None
                 since_restart += 1
-                _check_deadline(self.deadline)
+                check_deadline(self.deadline)
                 learnt, back_level = self._analyze(conflict)
                 self._backtrack(back_level)
                 if len(learnt) >= 2:
@@ -379,6 +379,6 @@ class _Cdcl:
                     return {v: value[v] > 0 for v in range(1, self.nvars + 1)}
                 decisions += 1
                 if decisions % _DECIDE_CHECK_EVERY == 0:
-                    _check_deadline(self.deadline)
+                    check_deadline(self.deadline)
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(var if self.phase[var] else -var)

@@ -14,8 +14,9 @@ sweep over P per column set, promoting unclosed rows as it meets them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .automata import doubled, sgn
+from .automata import doubled, longest_known_prefix, sgn
 from .errors import InvalidInput
 
 
@@ -54,9 +55,13 @@ class ObservationTable:
     """The learner's entire knowledge about the hidden machine.
 
     ``memb`` and ``cv`` cache the teacher's answers: a word is queried
-    at its first read and never again.  All scan orders (P insertion,
-    then alphabet, then S insertion) are fixed, which makes a learning
-    session deterministic for a given teacher.
+    at its first read and never again.  Every other per-word fact is
+    worked out once too: a word's action vector, its cell (membership
+    and vector, interned to a small int), its encoding, derived from its
+    parent's, and a label's row, extended by one cell per suffix as S
+    grows.  All scan orders (P insertion, then alphabet, then S
+    insertion) are fixed, which makes a learning session deterministic
+    for a given teacher.
     """
 
     def __init__(self, teacher):
@@ -66,7 +71,12 @@ class ObservationTable:
         self.suffixes: dict[str, None] = {"": None}
         self.memb: dict[str, int] = {}
         self.cv: dict[str, int] = {}
-        self._actions_cache: dict[str, ActionsVector] = {}
+        self._vectors: dict[tuple, ActionsVector] = {}     # (sign, deltas) -> vector
+        self._vector_of: dict[str, ActionsVector] = {}
+        self._cell_ids: dict[tuple[int, ActionsVector], int] = {}
+        self._cell_of: dict[str, int] = {}
+        self._rows: dict[str, tuple[int, tuple[int, ...]]] = {}
+        self._codes: dict[str, tuple[str, ...]] = {"": ()}
 
     # -- structure ---------------------------------------------------
 
@@ -113,50 +123,73 @@ class ObservationTable:
             return value
 
     def actions(self, word: str) -> ActionsVector:
-        cached = self._actions_cache.get(word)
-        if cached is None:
+        vector = self._vector_of.get(word)
+        if vector is None:
             base = self.counter_value(word)
-            deltas = tuple(self.counter_value(word + a) - base for a in self.alphabet)
-            cached = ActionsVector(sgn(base), deltas)
-            self._actions_cache[word] = cached
-        return cached
+            key = (sgn(base), tuple(self.counter_value(word + a) - base for a in self.alphabet))
+            vector = self._vectors.get(key)
+            if vector is None:
+                vector = self._vectors[key] = ActionsVector(*key)
+            self._vector_of[word] = vector
+        return vector
+
+    def _cell(self, word: str) -> int:
+        """The id of the word's (membership, action vector) pair: two
+        words have one id exactly when they agree on both."""
+        cell = self._cell_of.get(word)
+        if cell is None:
+            key = (self.membership(word), self.actions(word))
+            cell = self._cell_of[word] = self._cell_ids.setdefault(key, len(self._cell_ids))
+        return cell
 
     def enc(self, word: str) -> tuple[str, ...]:
-        """Encoded form of a table word, from its prefixes' counter-values."""
-        return tuple(doubled(word[i], sgn(self.counter_value(word[:i])))
-                     for i in range(len(word)))
+        """Encoded form of a table word, from its prefixes' counter-values:
+        the encoding of its longest encoded prefix, extended a letter at
+        a time."""
+        codes = self._codes
+        i = longest_known_prefix(codes, word)
+        code = codes[word[:i]]
+        for j in range(i, len(word)):
+            code += (doubled(word[j], sgn(self.counter_value(word[:j]))),)
+            codes[word[:j + 1]] = code
+        return code
 
-    def row(self, label: str):
-        return (self.counter_value(label),
-                tuple((self.membership(label + s), self.actions(label + s))
-                      for s in self.suffixes))
+    def row(self, label: str) -> tuple[int, tuple[int, ...]]:
+        """The label's counter-value and the cells of label + s, s in S."""
+        row = self._rows.get(label)
+        if row is None:
+            row = (self.counter_value(label), ())
+        value, cells = row
+        if len(cells) < len(self.suffixes):     # S only grows, in insertion order
+            cells += tuple(self._cell(label + s) for s in islice(self.suffixes, len(cells), None))
+            row = self._rows[label] = (value, cells)
+        return row
 
     # -- closedness and consistency ------------------------------------
 
-    def find_inconsistent(self, d: int, rows: dict[str, tuple] | None = None):
+    def find_inconsistent(self, d: int):
         """First witness (p, q, a, s) with cv(p) = cv(q) <= d,
         row(p) = row(q) but row(pa) != row(qa); None when d-consistent.
-        ``rows`` maps every label of P to its row under the current S, if
-        the caller has them.
 
         The returned suffix s satisfies Memb(pas) != Memb(qas) or
-        Actions(pas) != Actions(qas).  Because the empty suffix is always
-        a column, equal rows force equal counter-values on extensions, so
-        such an s always exists.  Prefixes are grouped by row in P order
-        and each is compared with its group's first member only: two
-        members that both agree with it agree with each other.
+        Actions(pas) != Actions(qas): the first column whose cells
+        differ.  Because the empty suffix is always a column, equal rows
+        force equal counter-values on extensions, so such an s always
+        exists.  Prefixes are grouped by row in P order and each is
+        compared with its group's first member only: two members that
+        both agree with it agree with each other.
         """
         groups: dict[tuple, list[str]] = {}
         for p in self.prefixes:
             if self.counter_value(p) <= d:
-                groups.setdefault(self.row(p) if rows is None else rows[p], []).append(p)
+                groups.setdefault(self.row(p), []).append(p)
         for p, *others in groups.values():
             for q in others:
                 for a in self.alphabet:
-                    for s in self.suffixes:
-                        if (self.membership(p + a + s) != self.membership(q + a + s)
-                                or self.actions(p + a + s) != self.actions(q + a + s)):
-                            return p, q, a, s
+                    mine, theirs = self.row(p + a)[1], self.row(q + a)[1]
+                    if mine != theirs:
+                        s = next(s for s, x, y in zip(self.suffixes, mine, theirs) if x != y)
+                        return p, q, a, s
         return None
 
     def repair(self, d: int) -> "ObservationTable":
@@ -168,23 +201,21 @@ class ObservationTable:
         every pair passed stays closed, and a promoted prefix's
         extensions come last: the sweep promotes what a rescan from the
         start after each promotion would.  An inconsistency witness then
-        extends S, which changes every row, and the sweep runs again.
-        New cells are queried as the checks read them, and the
-        consistency check reuses the sweep's rows.  Returns self.
+        extends S, which adds a column to every row, and the sweep runs
+        again.  New cells are queried as the checks read them.  Returns
+        self.
         """
         while True:
-            rows = {p: self.row(p) for p in self.prefixes}
-            seen = set(rows.values())
+            seen = {self.row(p) for p in self.prefixes}
             labels = list(self.prefixes)
             for p in labels:    # grows as rows are promoted
                 for a in self.alphabet:
                     w = p + a
                     if self.counter_value(w) <= d and (r := self.row(w)) not in seen:
                         seen.add(r)
-                        rows[w] = r
                         self.add_prefix(w)
                         labels.append(w)
-            witness = self.find_inconsistent(d, rows)
+            witness = self.find_inconsistent(d)
             if witness is None:
                 return self
             self.add_suffix(witness[2] + witness[3])

@@ -23,7 +23,10 @@ search stays exact; with outputs the skip is also what keeps dissimilar
 outputs apart, since the nodes that carry them are incompatible.
 
 The table oracle closes an observation table the slow way: promote the
-first unclosed row, then rescan P from its start.
+first unclosed row, then rescan P from its start.  The row oracle works
+a row out from scratch on the hidden machine, as pairs of membership and
+action vector, and the witness oracle searches for an inconsistency
+over those rows, column by column.
 
 The equivalence oracle is the capped length-lex product search that
 decided equivalence before the return-summary decision: it stops at
@@ -42,8 +45,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from ocalearn import learning
+from ocalearn.automata import sgn
 from ocalearn.learning import SimulatedTeacher, learn
-from ocalearn.table import ObservationTable
+from ocalearn.table import ActionsVector, ObservationTable
 
 
 def _build_trie(pos, neg, outputs):
@@ -218,6 +222,39 @@ def restart_repair(table, d):
         if witness is None:
             return table
         table.add_suffix(witness[2] + witness[3])
+
+
+def oracle_row(hidden, table, label):
+    """The row of ``label`` under the table's S, from runs of ``hidden``:
+    its counter-value, then per suffix s the membership and the action
+    vector of label + s."""
+    def actions(word):
+        base = hidden.counter_effect(word)
+        return ActionsVector(sgn(base), tuple(hidden.counter_effect(word + a) - base
+                                              for a in hidden.alphabet))
+
+    return (hidden.counter_effect(label),
+            tuple((hidden.accepts(label + s), actions(label + s)) for s in table.suffixes))
+
+
+def oracle_inconsistency(hidden, table, d):
+    """The first (p, q, a, s) with equal oracle rows at counter-value at
+    most d, where s is the first column on which pa and qa differ.
+    Prefixes are grouped by oracle row in P order, groups are taken in
+    the order of their first members, and q runs over each group after
+    its first member p.  None when there is none."""
+    groups = {}
+    for q in table.prefixes:
+        if hidden.counter_effect(q) <= d:
+            groups.setdefault(oracle_row(hidden, table, q), []).append(q)
+    for p, *others in groups.values():
+        for q in others:
+            for a in table.alphabet:
+                mine, theirs = oracle_row(hidden, table, p + a), oracle_row(hidden, table, q + a)
+                for s, x, y in zip(table.suffixes, mine[1], theirs[1]):
+                    if x != y:
+                        return p, q, a, s
+    return None
 
 
 def capped_equiv(a, b):

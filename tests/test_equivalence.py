@@ -312,15 +312,44 @@ def test_deadline_cuts_a_long_equivalent_search():
     # a 1000-state machine and its split copy spend the deadline in the
     # length-lex search's |A||B| nodes; the 8-state ring against its
     # 2400-state letter-counting copy passes that search in milliseconds
-    # and spends it in the decision's sweeps, over a second in all on a
-    # shared 2-core host
+    # and spends it in the decision's sweeps, about half a second in all
+    # on a shared 2-core host
     big, small = _ring(1000), _ring(8)
     for a, b, seconds in ((big, split_copy(big, random.Random(1)), 0.2),
-                          (small, _with_letter_count(small, 300), 0.3)):
+                          (small, _with_letter_count(small, 300), 0.15)):
         start = time.monotonic()
         with pytest.raises(EquivalenceTimeout):
             check_sync_equiv(a, b, deadline=start + seconds)
         assert time.monotonic() - start <= seconds + 0.25
+
+
+def test_decision_reads_the_clock_inside_its_sweeps(monkeypatch):
+    # the ring against its letter-counting copy takes about ten sweeps
+    # whose rows read thousands of return bits; the clock is read every
+    # few thousand of them, and a deadline that passes at some read
+    # raises there
+    a, b = _ring(8), _with_letter_count(_ring(8), 300)
+    reads = []
+
+    def clock(limit):
+        def monotonic():
+            reads.append(None)
+            return 0.0 if len(reads) < limit else 2.0
+        return SimpleNamespace(monotonic=monotonic)
+
+    monkeypatch.setattr(equivalence, "time", clock(float("inf")))
+    assert equivalence._decide_by_summaries(a, b, 1.0)
+    total = len(reads)
+    assert total > 100
+    reads.clear()
+    monkeypatch.setattr(equivalence, "time", clock(total // 2))
+    with pytest.raises(EquivalenceTimeout):
+        equivalence._decide_by_summaries(a, b, 1.0)
+    assert len(reads) == total // 2
+    reads.clear()
+    monkeypatch.setattr(equivalence, "time", clock(float("inf")))
+    assert equivalence._decide_by_summaries(a, b, None)
+    assert reads == []
 
 
 def test_passed_deadline_raises_and_no_deadline_reads_no_clock(monkeypatch):

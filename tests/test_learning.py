@@ -1,4 +1,6 @@
+import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ocalearn import (Droca, GenConfig, InvalidInput, LearnConfig, LearnTimeout,
                       ObservationTable, SimulatedTeacher, brute_force_equiv,
                       check_sync_equiv, construct_droca, derive_seed,
-                      generate_droca, learn, learning)
-from conftest import make_anbna, make_five_state_a_plus, random_voca
+                      generate_droca, learn, learning, minsepdfa, sat)
+from conftest import make_anbna, make_five_state_a_plus, random_machine, random_voca
 from oracles import learn_counting_rows
 from test_minsepdfa import cold_ladder
 from test_table import golden_table
@@ -19,6 +21,37 @@ def test_teacher_examples(anbna):
     assert teacher.cv("aa") == 2
     assert teacher.seq(anbna) is None
     assert (teacher.stats.n_mq, teacher.stats.n_cv, teacher.stats.n_seq) == (1, 1, 1)
+
+
+def test_teacher_answers_match_the_hidden_runs():
+    # answers stepped on from the longest prefix already run equal a run
+    # from the initial configuration, whatever order the words come in
+    rng = random.Random(17)
+    for seed in range(40):
+        target = random_machine(seed, max_states=6, alphabet_size=1 + seed % 3)
+        words = ["".join(rng.choices(target.alphabet, k=rng.randrange(10))) for _ in range(30)]
+        prefixes = [w[:i] for w in words for i in range(len(w))]
+        rng.shuffle(words)
+        rng.shuffle(prefixes)
+        for order in (prefixes + words, words + prefixes):
+            teacher = SimulatedTeacher(target)
+            for i, word in enumerate(order):
+                assert teacher.mq(word) == int(target.accepts(word))
+                assert teacher.cv(word) == target.counter_effect(word)
+                assert (teacher.stats.n_mq, teacher.stats.n_cv) == (i + 1, i + 1)
+
+
+def test_teacher_rejects_a_bad_letter_and_answers_on(anbna):
+    teacher = SimulatedTeacher(anbna)
+    assert teacher.cv("aa") == 2
+    for query in (teacher.mq, teacher.cv):
+        with pytest.raises(InvalidInput):
+            query("aac")
+        with pytest.raises(InvalidInput):
+            query("c")
+    for word in ("aab", "aa", "aabba", "aabb", "", "ab"):
+        assert teacher.mq(word) == int(anbna.accepts(word))
+        assert teacher.cv(word) == anbna.counter_effect(word)
 
 
 def test_construct_droca_agrees_with_table(anbna):
@@ -142,6 +175,31 @@ def test_learn_reads_the_deadline_after_table_repair():
         learn(SlowTeacher(make_anbna()), LearnConfig(timeout_s=0.01))
     assert err.value.stats.n_sat == 0
     assert err.value.stats.n_mq > 0
+
+
+@pytest.mark.parametrize("owner, phase", [(learning, "build_samples"),
+                                          (minsepdfa, "build_apta")])
+def test_learn_reads_the_deadline_in_the_construction_phase(monkeypatch, owner, phase):
+    # a deadline that passes while the samples or the prefix tree are built
+    # ends the session before any CNF is encoded
+    now = [0.0]
+    clock = SimpleNamespace(monotonic=lambda: now[0])
+    monkeypatch.setattr(learning, "time", clock)
+    monkeypatch.setattr(sat, "time", clock)
+    original = getattr(owner, phase)
+
+    def slow(*args):
+        result = original(*args)
+        now[0] += 10
+        return result
+
+    encoded = []
+    monkeypatch.setattr(owner, phase, slow)
+    monkeypatch.setattr(minsepdfa, "encode_size_n", lambda *args: encoded.append(args))
+    with pytest.raises(LearnTimeout) as err:
+        learn(SimulatedTeacher(make_anbna()), LearnConfig(timeout_s=5))
+    assert encoded == []
+    assert err.value.stats.n_sat == 0
 
 
 def test_learn_voca_mode_uses_no_cv_queries():
@@ -272,8 +330,8 @@ def test_warm_ladder_returns_the_cold_ladder_dfa(monkeypatch):
     find_min_sep_dfa = learning.find_min_sep_dfa
     cold_calls = []
 
-    def cross_checked(samples, solve, at_least):
-        warm = find_min_sep_dfa(samples, solve=solve, at_least=at_least)
+    def cross_checked(samples, solve, at_least, deadline):
+        warm = find_min_sep_dfa(samples, solve=solve, at_least=at_least, deadline=deadline)
         cold = cold_ladder(samples)
         assert (warm.states, warm.transition, warm.finals) == \
             (cold.states, cold.transition, cold.finals)

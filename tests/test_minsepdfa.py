@@ -1,12 +1,13 @@
 import random
 from itertools import count
+from types import SimpleNamespace
 
 import pytest
 
 from ocalearn import (ActionsVector, InvalidInput, ObservationTable,
                       SampleConflict, SampleSet, SimulatedTeacher, SolverError,
-                      build_apta, build_samples, encode_size_n,
-                      find_min_sep_dfa, sat_solve)
+                      SolverTimeout, build_apta, build_samples, encode_size_n,
+                      find_min_sep_dfa, sat, sat_solve)
 from ocalearn.minsepdfa import clique_bound, decode_dfa
 from conftest import make_anbna, random_machine
 from test_table import golden_table
@@ -161,6 +162,43 @@ def test_encoder_clauses_are_well_formed():
                 assert all(0 < abs(lit) <= cnf.num_vars for lit in clause)
                 assert len({abs(lit) for lit in clause}) == len(clause)
             assert any(not clause for clause in cnf.clauses) == (n < size)
+
+
+def test_encoder_reads_the_deadline_as_it_goes(monkeypatch):
+    # the encoding reads the clock every 32 nodes of both node passes and
+    # once per state and symbol of the transition clauses, the same CNF
+    # comes out while the deadline holds, a deadline that passes at some
+    # read raises there, and no deadline reads no clock
+    rng = random.Random(3)
+    table = ObservationTable(SimulatedTeacher(random_machine(3, max_states=6, alphabet_size=2)))
+    for _ in range(20):
+        table.add_prefix("".join(rng.choices("ab", k=8)))
+    table.repair(2)
+    apta = build_apta(build_samples(table))
+    n = apta.domains[0] + 1
+    reads = []
+
+    def clock(limit):
+        def monotonic():
+            reads.append(None)
+            return 0.0 if len(reads) < limit else 2.0
+        return SimpleNamespace(monotonic=monotonic)
+
+    monkeypatch.setattr(sat, "time", clock(float("inf")))
+    assert encode_size_n(apta, n, 1.0).clauses == encode_size_n(apta, n).clauses
+    total = len(reads)
+    assert apta.num_nodes > 200
+    assert total == (len(range(0, apta.num_nodes, 32)) + len(range(32, apta.num_nodes, 32))
+                     + n * len(apta.alphabet))
+    reads.clear()
+    monkeypatch.setattr(sat, "time", clock(total // 2))
+    with pytest.raises(SolverTimeout):
+        encode_size_n(apta, n, 1.0)
+    assert len(reads) == total // 2
+    reads.clear()
+    monkeypatch.setattr(sat, "time", clock(float("inf")))
+    encode_size_n(apta, n)
+    assert reads == []
 
 
 def test_ladder_start_below_the_minimum_changes_nothing():

@@ -5,7 +5,8 @@ import pytest
 from ocalearn import (ActionsVector, InvalidInput, ObservationTable,
                       SimulatedTeacher, build_samples)
 from conftest import make_anbna, random_machine, random_voca
-from oracles import distinct_rows, restart_repair, unclosed
+from oracles import (distinct_rows, oracle_inconsistency, oracle_row, restart_repair,
+                     unclosed)
 
 
 def golden_table(machine):
@@ -162,23 +163,47 @@ def test_inconsistency_witness():
     assert "a" in table2.suffixes
 
 
-def test_find_inconsistent_reads_the_rows_it_is_given(monkeypatch):
-    # repair hands its sweep's rows to the consistency check; given them,
-    # it computes no row and finds the witness it finds on its own
+def test_find_inconsistent_matches_the_witness_oracle():
+    # the witness read off interned cells is the one a search over rows
+    # worked out from scratch on the hidden machine finds
     rng = random.Random(5)
     witnesses = 0
     for seed in range(12):
-        table = ObservationTable(SimulatedTeacher(random_machine(seed, alphabet_size=2)))
+        target = random_machine(seed, alphabet_size=2)
+        table = ObservationTable(SimulatedTeacher(target))
         for _ in range(4):
             table.add_prefix("".join(rng.choice("ab") for _ in range(rng.randrange(1, 6))))
         for d in range(4):
-            rows = {p: table.row(p) for p in table.prefixes}
-            expected = table.find_inconsistent(d)
-            with monkeypatch.context() as patch:
-                patch.setattr(ObservationTable, "row", None)
-                assert table.find_inconsistent(d, rows) == expected
+            expected = oracle_inconsistency(target, table, d)
+            assert table.find_inconsistent(d) == expected
             witnesses += expected is not None
     assert witnesses > 0
+
+
+def test_rows_partition_the_labels_as_the_oracle_rows_do():
+    # rows extended a cell at a time as S grows, over interned cells, tell
+    # two labels apart exactly when their rows worked out from scratch do
+    rng = random.Random(11)
+    targets = [random_machine(seed, max_states=6, alphabet_size=k)
+               for seed in range(20) for k in (1, 2, 3)]
+    targets += [random_voca(seed, max_states=6, alphabet_size=2) for seed in range(20)]
+    for target in targets:
+        table = ObservationTable(SimulatedTeacher(target))
+        for _ in range(rng.randrange(2, 7)):
+            step = rng.randrange(3)
+            word = "".join(rng.choices(target.alphabet, k=rng.randrange(1, 5)))
+            if step == 0:
+                table.add_prefix(word)
+            elif step == 1:
+                table.add_suffix(word)
+            else:
+                table.repair(rng.randrange(3))
+            labels = table.boundary()
+            rows = [table.row(label) for label in labels]
+            oracle = [oracle_row(target, table, label) for label in labels]
+            for i in range(len(labels)):
+                for j in range(i):
+                    assert (rows[i] == rows[j]) == (oracle[i] == oracle[j])
 
 
 def test_enc_reads_cache(anbna):
@@ -186,6 +211,20 @@ def test_enc_reads_cache(anbna):
     assert table.enc("aba") == ("a0", "b1", "a0")
     assert table.enc("ab") == ("a0", "b1")
     assert table.enc("") == ()
+
+
+def test_enc_matches_the_hidden_encoding():
+    # encodings derived from the parent's, in any order of words, are the
+    # hidden machine's own
+    rng = random.Random(3)
+    for seed in range(30):
+        target = random_machine(seed, max_states=6, alphabet_size=2)
+        table = ObservationTable(SimulatedTeacher(target))
+        words = ["".join(rng.choices(target.alphabet, k=rng.randrange(8))) for _ in range(40)]
+        words += [w[:i] for w in words for i in range(len(w))]
+        rng.shuffle(words)
+        for word in words:
+            assert table.enc(word) == target.encode(word)
 
 
 def test_samples_read_exactly_the_table_closure(anbna):
