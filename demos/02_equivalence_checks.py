@@ -8,8 +8,7 @@ length-lex smallest witness: either the first word where the counters
 diverge or the first word only one machine accepts.
 """
 
-from ocalearn import (Droca, GenConfig, check_sync_equiv, generate_droca,
-                      reach_witness, voca_check_equiv)
+from ocalearn import Droca, GenConfig, check_sync_equiv, generate_droca, voca_check_equiv
 
 base = Droca(
     states=["q0", "q1", "q2", "q3"],
@@ -34,11 +33,6 @@ print("initial a no longer increments:", check_sync_equiv(base, slower))
 unforgiving = Droca(base.states, base.alphabet, base.initial,
                     base.delta0, base.delta1, finals=[])
 print("no finals at all:", check_sync_equiv(base, unforgiving))
-
-print()
-print("reachability witnesses (word, arrival counter):")
-for state in base.states:
-    print(f"  {state}: {reach_witness(base, state)}")
 
 print()
 print("visibly one-counter machines share their action map, so only")

@@ -8,8 +8,7 @@ equivalence checks that return length-lex-minimal counterexamples.
 from .automata import (Configuration, Dfa, Droca, RunTrace, doubled,
                        doubled_alphabet, pretty_encoded, sgn, validate)
 from .equivalence import (ACCEPT_MISMATCH, COUNTER_DESYNC, Counterexample,
-                          Verdict, brute_force_equiv, check_sync_equiv,
-                          reach_witness, voca_check_equiv)
+                          Verdict, check_sync_equiv, voca_check_equiv)
 from .errors import (EquivalenceTimeout, GenerationFailure, InvalidInput,
                      LearnTimeout, ParseError, SampleConflict, SolverError,
                      SolverTimeout, WorkbenchError)

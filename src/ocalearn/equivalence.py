@@ -17,9 +17,7 @@ product finds the witness: it runs first, for at most |A|·|B| nodes,
 and resumes after the decision only on pairs the decision refutes, so it
 needs no counter or length caps.  The paper's witness bounds, height
 K^4 and length 2*K^5 in general and 2(K+K^2) and 4K(K+K^2) for VOCAs
-with one action map, are theorems the tests check.  The search reads the
-witness back from its parent map with the helper that ``reach_witness``
-uses.
+with one action map, are theorems the tests check.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Configuration, Droca
+from .automata import Droca
 from .errors import EquivalenceTimeout, InvalidInput
 
 COUNTER_DESYNC = "counter-desync"
@@ -86,74 +84,6 @@ def voca_check_equiv(a: Droca, b: Droca, deadline: float | None = None) -> Verdi
         raise InvalidInput("automaton is not visibly one-counter")
     _require_same_alphabet(a, b)
     return _product_search(a, b, deadline)
-
-
-def brute_force_equiv(a: Droca, b: Droca, max_len: int) -> Verdict:
-    """Test oracle: enumerate all words of length <= max_len in
-    length-lex order and return the first counter-effect or acceptance
-    disagreement."""
-    _require_same_alphabet(a, b)
-    frontier = deque([("", Configuration(a.initial, 0), Configuration(b.initial, 0))])
-    while frontier:
-        word, ca, cb = frontier.popleft()
-        if ca.counter != cb.counter:
-            return Verdict(False, Counterexample(word, COUNTER_DESYNC))
-        if (ca.state in a.finals) != (cb.state in b.finals):
-            return Verdict(False, Counterexample(word, ACCEPT_MISMATCH))
-        if len(word) < max_len:
-            for letter in a.alphabet:
-                frontier.append((word + letter, a.step(ca, letter), b.step(cb, letter)))
-    return EQUIVALENT
-
-
-def reachable_configurations(a: Droca, parents: dict):
-    """Configurations ``(state index, counter)`` reachable from the
-    initial one with counter at most ``|a|**2``, yielded in breadth-first
-    order, letters in alphabet order.  ``parents`` receives each
-    configuration's (parent, letter index), which :func:`_words_back`
-    reads.
-    """
-    d0, d1, _, init = a.indexed_tables()
-    cap = a.size ** 2
-    parents[(init, 0)] = (None, -1)
-    queue = deque([(init, 0)])
-    while queue:
-        node = queue.popleft()
-        yield node
-        q, n = node
-        for ai, (t, e) in enumerate(d0[q] if n == 0 else d1[q]):
-            child = (t, n + e)
-            if child[1] <= cap and child not in parents:
-                parents[child] = (node, ai)
-                queue.append(child)
-
-
-def reach_witness(a: Droca, state: str) -> tuple[str, int] | None:
-    """A short word reaching ``state``, by BFS over configurations with
-    counter at most ``|a|**2``.
-
-    Returns the shortest witness arriving with counter zero when the
-    state is reachable at counter zero; otherwise the shortest witness
-    arriving below ``|a|`` when one exists, else the shortest witness
-    with the smallest arrival counter, which is never above ``|a|``.
-    Returns ``None`` when the state is unreachable at all (reachability
-    never needs heights beyond ``|a|**2``).
-    """
-    if state not in set(a.states):
-        raise InvalidInput(f"unknown state {state!r}")
-    target = a.states.index(state)
-    parents = {}
-    hits = []
-    for node in reachable_configurations(a, parents):
-        if node[0] == target:
-            if node[1] == 0:
-                return _words_back(parents, node, a.alphabet), 0
-            hits.append(node)
-    if not hits:
-        return None
-    low = [node for node in hits if node[1] < a.size]
-    node = low[0] if low else min(hits, key=lambda node: node[1])
-    return _words_back(parents, node, a.alphabet), node[1]
 
 
 def _words_back(parents, node, alphabet):

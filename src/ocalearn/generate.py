@@ -14,10 +14,10 @@ final state plus empty counter.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from .automata import Droca
-from .equivalence import reachable_configurations
 from .errors import GenerationFailure, InvalidInput
 
 _MASK = (1 << 64) - 1
@@ -103,9 +103,17 @@ def reachable_count(automaton: Droca) -> int:
     """Distinct states visited by BFS over configurations with counter
     at most ``|A|**2``, starting from the initial configuration; the
     search stops once every state has been seen."""
-    seen = set()
-    for q, _ in reachable_configurations(automaton, {}):
-        seen.add(q)
-        if len(seen) == automaton.size:
-            break
-    return len(seen)
+    d0, d1, _, init = automaton.indexed_tables()
+    cap = automaton.size ** 2
+    seen = {(init, 0)}
+    states = {init}
+    queue = deque(seen)
+    while queue and len(states) < automaton.size:
+        q, n = queue.popleft()
+        for t, e in (d0[q] if n == 0 else d1[q]):
+            child = (t, n + e)
+            if child[1] <= cap and child not in seen:
+                seen.add(child)
+                states.add(t)
+                queue.append(child)
+    return len(states)

@@ -108,9 +108,7 @@ class LearnConfig:
             raise InvalidInput("timeout must be a non-negative number")
 
 
-def construct_droca(table: ObservationTable, *,
-                    action_map: dict[tuple[str, int], int] | None = None,
-                    solve=sat_solve, at_least: int = 1,
+def construct_droca(table: ObservationTable, *, solve=sat_solve, at_least: int = 1,
                     deadline: float | None = None) -> Droca:
     """Build a one-counter hypothesis agreeing with the table.
 
@@ -134,9 +132,9 @@ def construct_droca(table: ObservationTable, *,
     not yet constrained by any sample, so a clash is repaired by
     promoting it into P (signalled via :class:`PrefixConflict`).
     Transitions that no replay fixes keep the skeleton target with the
-    action of ``action_map`` (visibly one-counter mode), else 0.  In
-    visibly one-counter mode every counter-value comes from the map, so
-    no clash can arise.
+    action of the table's ``action_map`` (visibly one-counter mode),
+    else 0.  In visibly one-counter mode every counter-value comes from
+    the map, so no clash can arise.
     """
     skeleton = find_min_sep_dfa(build_samples(table), solve=solve, at_least=at_least,
                                 deadline=deadline)
@@ -165,7 +163,7 @@ def construct_droca(table: ObservationTable, *,
         if actions.setdefault(key, delta) != delta:
             raise PrefixConflict(prefix)
 
-    defaults = action_map or {}
+    defaults = table.action_map or {}
     delta0 = {}
     delta1 = {}
     for q in skeleton.states:
@@ -190,25 +188,6 @@ class PrefixConflict(Exception):
         self.prefix = prefix
 
 
-class _DerivedCvTeacher:
-    """Teacher view that derives counter-values from a public action map,
-    so visibly-one-counter sessions issue no cv queries."""
-
-    def __init__(self, inner, action_map):
-        self.inner = inner
-        self.alphabet = inner.alphabet
-        self.action_map = action_map
-
-    def mq(self, word: str) -> int:
-        return self.inner.mq(word)
-
-    def cv(self, word: str) -> int:
-        counter = 0
-        for letter in word:
-            counter += self.action_map[(letter, sgn(counter))]
-        return counter
-
-
 def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
     """Learn a machine counter-synchronous with and equivalent to the
     teacher's hidden one.  Returns the final hypothesis and statistics."""
@@ -225,13 +204,7 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
         stats.n_sat += 1
         return sat_solve(cnf, config.solver, deadline)
 
-    action_map = None
-    view = teacher
-    if config.voca:
-        action_map = teacher.voca_action_map()
-        view = _DerivedCvTeacher(teacher, action_map)
-
-    table = ObservationTable(view)
+    table = ObservationTable(teacher, teacher.voca_action_map() if config.voca else None)
     d = 0
     size = 1    # the table only grows, so hypothesis sizes never drop
     while True:
@@ -240,8 +213,7 @@ def learn(teacher, config: LearnConfig | None = None) -> tuple[Droca, Stats]:
             finish(d)
             raise LearnTimeout("table repair ran past its deadline", stats)
         try:
-            hypothesis = construct_droca(table, action_map=action_map,
-                                         solve=checked_solve, at_least=size,
+            hypothesis = construct_droca(table, solve=checked_solve, at_least=size,
                                          deadline=deadline)
             ce = teacher.seq(hypothesis, deadline)
         except PrefixConflict as conflict:

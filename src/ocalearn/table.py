@@ -2,7 +2,8 @@
 
 A table holds a prefix-closed set P of row labels, a suffix-closed set S
 of column labels, and read-through caches of membership bits and
-counter-values: the first read of a word asks the teacher.  Rows are
+counter-values: the first read of a word asks the teacher, or, for a
+counter-value given a visibly one-counter action map, derives it.  Rows are
 labelled by P and its one-letter extensions; the cell at (p, s) carries
 the membership of ps together with the action vector of ps, and every
 row additionally carries the counter-value of its label.  Closedness and
@@ -55,22 +56,26 @@ class ObservationTable:
     """The learner's entire knowledge about the hidden machine.
 
     ``memb`` and ``cv`` cache the teacher's answers: a word is queried
-    at its first read and never again.  Every other per-word fact is
-    worked out once too: a word's action vector, its cell (membership
-    and vector, interned to a small int), its encoding, derived from its
-    parent's, and a label's row, extended by one cell per suffix as S
-    grows.  All scan orders (P insertion, then alphabet, then S
-    insertion) are fixed, which makes a learning session deterministic
-    for a given teacher.
+    at its first read and never again.  Given the public (letter, sign)
+    -> action map of a visibly one-counter target, the table asks no
+    counter-values: it derives each from the longest cached prefix, a
+    letter at a time, and caches the prefixes on the way.  Every other
+    per-word fact is worked out once too: a word's action vector, its
+    cell (membership and vector, interned to a small int), its encoding,
+    derived from its parent's, and a label's row, extended by one cell
+    per suffix as S grows.  All scan orders (P insertion, then alphabet,
+    then S insertion) are fixed, which makes a learning session
+    deterministic for a given teacher.
     """
 
-    def __init__(self, teacher):
+    def __init__(self, teacher, action_map: dict[tuple[str, int], int] | None = None):
         self.teacher = teacher
+        self.action_map = action_map
         self.alphabet = tuple(teacher.alphabet)
         self.prefixes: dict[str, None] = {"": None}
         self.suffixes: dict[str, None] = {"": None}
         self.memb: dict[str, int] = {}
-        self.cv: dict[str, int] = {}
+        self.cv: dict[str, int] = {} if action_map is None else {"": 0}
         self._vectors: dict[tuple, ActionsVector] = {}     # (sign, deltas) -> vector
         self._vector_of: dict[str, ActionsVector] = {}
         self._cell_ids: dict[tuple[int, ActionsVector], int] = {}
@@ -116,11 +121,18 @@ class ObservationTable:
             return bit
 
     def counter_value(self, word: str) -> int:
+        cv = self.cv
         try:
-            return self.cv[word]
+            return cv[word]
         except KeyError:
-            value = self.cv[word] = self.teacher.cv(word)
-            return value
+            if self.action_map is None:
+                value = cv[word] = self.teacher.cv(word)
+                return value
+        i = longest_known_prefix(cv, word)
+        value = cv[word[:i]]
+        for j in range(i, len(word)):
+            value = cv[word[:j + 1]] = value + self.action_map[(word[j], sgn(value))]
+        return value
 
     def actions(self, word: str) -> ActionsVector:
         vector = self._vector_of.get(word)

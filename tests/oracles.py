@@ -28,7 +28,9 @@ a row out from scratch on the hidden machine, as pairs of membership and
 action vector, and the witness oracle searches for an inconsistency
 over those rows, column by column.
 
-The equivalence oracle is the capped length-lex product search that
+The enumeration oracle runs every word up to a length on both machines
+in length-lex order and reports the first disagreement.  The capped
+equivalence oracle is the length-lex product search that
 decided equivalence before the return-summary decision: it stops at
 counter (|A||B|)^2 + 1 and length 2K^5, or at the paper's VOCA bounds
 2(K+K^2) + 1 and 4K(K+K^2) when both machines are VOCAs with one action
@@ -45,7 +47,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from ocalearn import learning
-from ocalearn.automata import sgn
+from ocalearn.automata import Configuration, sgn
+from ocalearn.equivalence import (ACCEPT_MISMATCH, COUNTER_DESYNC, EQUIVALENT,
+                                  Counterexample, Verdict)
 from ocalearn.learning import SimulatedTeacher, learn
 from ocalearn.table import ActionsVector, ObservationTable
 
@@ -257,6 +261,25 @@ def oracle_inconsistency(hidden, table, d):
     return None
 
 
+def brute_force_equiv(a, b, max_len):
+    """The first word of length at most ``max_len``, in length-lex order,
+    on which the counter effects or the acceptance of the machines
+    differ, as a ``Verdict``; ``EQUIVALENT`` when there is none."""
+    if a.alphabet != b.alphabet:
+        raise ValueError("machines over different alphabets")
+    frontier = deque([("", Configuration(a.initial, 0), Configuration(b.initial, 0))])
+    while frontier:
+        word, ca, cb = frontier.popleft()
+        if ca.counter != cb.counter:
+            return Verdict(False, Counterexample(word, COUNTER_DESYNC))
+        if (ca.state in a.finals) != (cb.state in b.finals):
+            return Verdict(False, Counterexample(word, ACCEPT_MISMATCH))
+        if len(word) < max_len:
+            for letter in a.alphabet:
+                frontier.append((word + letter, a.step(ca, letter), b.step(cb, letter)))
+    return EQUIVALENT
+
+
 def capped_equiv(a, b):
     """``(equivalent, word, kind)`` from the capped product search; the
     kinds are the strings of ``ocalearn.equivalence``."""
@@ -341,8 +364,8 @@ def learn_counting_rows(target, config=None):
     teacher = _RowCountingTeacher(target)
 
     class CountingTable(ObservationTable):
-        def __init__(self, view):
-            super().__init__(view)
+        def __init__(self, view, action_map=None):
+            super().__init__(view, action_map)
             teacher.table = self
 
         def repair(self, d):

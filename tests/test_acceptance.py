@@ -10,12 +10,12 @@ import time
 import pytest
 
 from ocalearn import (ACCEPT_MISMATCH, BenchConfig, GenConfig, LearnConfig,
-                      ObservationTable, SimulatedTeacher,
-                      brute_force_equiv, check_sync_equiv, derive_seed,
-                      generate_droca, learn, run_benchmark, voca_check_equiv)
+                      ObservationTable, SimulatedTeacher, check_sync_equiv,
+                      derive_seed, generate_droca, learn, run_benchmark,
+                      voca_check_equiv)
 from ocalearn.minsepdfa import SampleSet, find_min_sep_dfa
 from conftest import make_anbna, make_five_state_a_plus, random_voca
-from oracles import learn_counting_rows, min_sep_dfa_size
+from oracles import brute_force_equiv, learn_counting_rows, min_sep_dfa_size
 
 
 def _report(number, ok, detail):

@@ -6,11 +6,10 @@ from types import SimpleNamespace
 import pytest
 
 from ocalearn import (ACCEPT_MISMATCH, COUNTER_DESYNC, Droca, EquivalenceTimeout,
-                      InvalidInput, brute_force_equiv, check_sync_equiv,
-                      derive_seed, equivalence, reach_witness,
-                      reachable_count, voca_check_equiv)
+                      InvalidInput, check_sync_equiv, derive_seed, equivalence,
+                      voca_check_equiv)
 from conftest import random_machine, random_voca, split_copy
-from oracles import capped_equiv
+from oracles import brute_force_equiv, capped_equiv
 
 
 def test_reflexive(anbna):
@@ -366,57 +365,3 @@ def test_passed_deadline_raises_and_no_deadline_reads_no_clock(monkeypatch):
     monkeypatch.setattr(equivalence, "time", SimpleNamespace(monotonic=no_clock))
     for check in (check_sync_equiv, voca_check_equiv):
         assert check(a, b).equivalent
-
-
-def test_reach_witness_examples(anbna):
-    assert reach_witness(anbna, "q0") == ("", 0)
-    assert reach_witness(anbna, "q2") == ("aba", 0)
-    with pytest.raises(InvalidInput):
-        reach_witness(anbna, "nope")
-
-
-def test_reach_witness_unreachable():
-    machine = Droca(states=["p", "q"], alphabet=["a"], initial="p",
-                    delta0={("p", "a"): ("p", 0), ("q", "a"): ("q", 0)},
-                    delta1={("p", "a"): ("p", 0), ("q", "a"): ("q", 0)},
-                    finals=["q"])
-    assert reach_witness(machine, "q") is None
-
-
-def test_reach_witness_bounds_random():
-    from collections import deque
-    for i in range(100):
-        machine = random_machine(derive_seed(321, i), max_states=6)
-        d0, d1, _, init = machine.indexed_tables()
-        cap = 4 * machine.size ** 2
-        seen = {(init, 0)}
-        reachable = {init}
-        min_arrival = {init: 0}
-        queue = deque([(init, 0)])
-        while queue:
-            q, n = queue.popleft()
-            row = d0[q] if n == 0 else d1[q]
-            for state, action in row:
-                child = (state, n + action)
-                if child[1] <= cap and child not in seen:
-                    seen.add(child)
-                    reachable.add(state)
-                    min_arrival[state] = min(min_arrival.get(state, child[1]), child[1])
-                    queue.append(child)
-        assert reachable_count(machine) == len(reachable)
-        for idx, state in enumerate(machine.states):
-            witness = reach_witness(machine, state)
-            assert (witness is not None) == (idx in reachable)
-            if witness is not None:
-                word, counter = witness
-                trace = machine.run(word)
-                assert trace.configs[-1].state == state
-                assert trace.configs[-1].counter == counter
-                # arrival below |A| whenever any word achieves it; never
-                # above |A| (zero-counter reachability always preferred)
-                assert counter <= machine.size
-                if min_arrival[idx] < machine.size:
-                    assert counter < machine.size
-                if min_arrival[idx] == 0:
-                    assert counter == 0
-                assert trace.height <= machine.size ** 2

@@ -1,7 +1,10 @@
+from collections import deque
+
 import pytest
 
 from ocalearn import (GenConfig, InvalidInput, derive_seed, generate_droca,
                       reachable_count, splitmix64, store, validate)
+from conftest import random_machine
 
 
 def test_reachable_count_golden(anbna):
@@ -19,6 +22,28 @@ def test_reachable_count_small():
                    delta1={("s", "a"): ("s", 1), ("t", "a"): ("t", 0)},
                    finals=["t"])
     assert reachable_count(island) == 1
+
+
+def test_reachable_count_matches_a_wider_search():
+    # a search with the counter capped at 4·|A|² reaches no state that
+    # the generator's count, capped at |A|², misses
+    for i in range(100):
+        machine = random_machine(derive_seed(321, i), max_states=6)
+        d0, d1, _, init = machine.indexed_tables()
+        cap = 4 * machine.size ** 2
+        seen = {(init, 0)}
+        reachable = {init}
+        queue = deque([(init, 0)])
+        while queue:
+            q, n = queue.popleft()
+            row = d0[q] if n == 0 else d1[q]
+            for state, action in row:
+                child = (state, n + action)
+                if child[1] <= cap and child not in seen:
+                    seen.add(child)
+                    reachable.add(state)
+                    queue.append(child)
+        assert reachable_count(machine) == len(reachable)
 
 
 def test_generation_basic_shape():

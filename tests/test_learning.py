@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocalearn import (Droca, GenConfig, InvalidInput, LearnConfig, LearnTimeout,
-                      ObservationTable, SimulatedTeacher, brute_force_equiv,
-                      check_sync_equiv, construct_droca, derive_seed,
-                      generate_droca, learn, learning, minsepdfa, sat)
+                      ObservationTable, SimulatedTeacher, check_sync_equiv,
+                      construct_droca, derive_seed, generate_droca, learn,
+                      learning, minsepdfa, sat)
 from conftest import make_anbna, make_five_state_a_plus, random_machine, random_voca
-from oracles import learn_counting_rows
+from oracles import brute_force_equiv, learn_counting_rows
 from test_minsepdfa import cold_ladder
 from test_table import golden_table
 
@@ -232,6 +232,25 @@ def test_learn_default_mode_on_voca_targets():
         assert check_sync_equiv(hypothesis, target).equivalent
 
 
+def test_soak_learns_every_target():
+    # 7-8-state random targets over 1-3 letters, and VOCAs of up to 8
+    # states in both modes: every session ends equivalent to its target
+    # and no larger, and voca mode asks no counter-value
+    sessions = [(generate_droca(GenConfig(n_states=7 + i % 2, alphabet_size=1 + i % 3,
+                                          seed=derive_seed(31337, i))), LearnConfig())
+                for i in range(60)]
+    for i in range(60):
+        target = random_voca(derive_seed(31337, 1, i), max_states=8, alphabet_size=1 + i % 3)
+        sessions += [(target, LearnConfig(voca=True)), (target, LearnConfig())]
+    for target, config in sessions:
+        hypothesis, stats = learn(SimulatedTeacher(target), config)
+        assert stats.success == 1
+        assert check_sync_equiv(hypothesis, target).equivalent
+        assert hypothesis.size <= target.size
+        assert not config.voca or stats.n_cv == 0
+
+
+
 def test_learn_deadline_overshoot_is_bounded():
     # targets whose sessions each ran past a 20 s deadline on a shared
     # 2-core host, so a 3 s deadline still cuts them on a much faster one;
@@ -279,11 +298,11 @@ def test_row_observer_pairs_with_the_session_counterexamples():
         assert [r.word for r in rows] == [ce.word for ce in stats.counterexamples]
         # the counter-values learn reads: derived from the action map in
         # visibly one-counter mode, cv queries otherwise
-        view = SimulatedTeacher(target)
-        if config.voca:
-            view = learning._DerivedCvTeacher(view, target.voca_action_map())
+        table = ObservationTable(SimulatedTeacher(target),
+                                 target.voca_action_map() if config.voca else None)
         for r in rows:
-            assert r.height == max(view.cv(r.word[:i]) for i in range(len(r.word) + 1))
+            assert r.height == max(table.counter_value(r.word[:i])
+                                   for i in range(len(r.word) + 1))
             assert r.rows_after is not None
 
 

@@ -227,6 +227,28 @@ def test_enc_matches_the_hidden_encoding():
             assert table.enc(word) == target.encode(word)
 
 
+def test_counter_values_derived_from_the_action_map():
+    # given the action map, the table derives every counter-value from
+    # its longest cached prefix, words in any order and prefixes asked
+    # before and after, and asks the teacher for none; one word is far
+    # longer than a derivation through the parent could recurse
+    rng = random.Random(5)
+    for seed in range(30):
+        target = random_voca(seed, max_states=6, alphabet_size=1 + seed % 3)
+        teacher = SimulatedTeacher(target)
+        table = ObservationTable(teacher, target.voca_action_map())
+        words = ["".join(rng.choices(target.alphabet, k=rng.randrange(12))) for _ in range(40)]
+        words += [w[:i] for w in words for i in range(len(w))]
+        rng.shuffle(words)
+        if seed == 7:     # a: +1 at zero, -1 above; b: +1
+            long = "".join(rng.choices(target.alphabet, k=1500))
+            words = [long[:300], long, long[:1100], long + target.alphabet[0]] + words
+        for word in words:
+            assert table.counter_value(word) == target.counter_effect(word)
+        assert teacher.stats.n_cv == 0
+
+
+
 def test_samples_read_exactly_the_table_closure(anbna):
     # the teacher is asked for the membership of every table word and the
     # counter-value of every prefix and one-letter extension of one: the
