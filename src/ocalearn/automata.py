@@ -165,13 +165,19 @@ class Droca:
                 for sign, delta in enumerate((self.delta0, self.delta1))}
 
 
-def longest_known_prefix(known, word: str) -> int:
-    """Length of the longest prefix of ``word`` that is a key of
-    ``known``, which must hold the empty word."""
+def extend_known(known, word, step):
+    """The value of ``word`` in ``known``, a cache that holds the empty
+    word and no None: the longest cached prefix's value, stepped on by
+    ``step(value, word, j)``, which returns the value of ``word[:j + 1]``;
+    every prefix passed is cached."""
     i = len(word)
-    while word[:i] not in known:
+    value = known.get(word)
+    while value is None:
         i -= 1
-    return i
+        value = known.get(word[:i])
+    for j in range(i, len(word)):
+        value = known[word[:j + 1]] = step(value, word, j)
+    return value
 
 
 def doubled(letter: str, sign: int) -> str:

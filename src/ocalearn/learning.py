@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .automata import Configuration, Droca, doubled, longest_known_prefix, sgn
+from .automata import Configuration, Droca, doubled, extend_known, sgn
 from .equivalence import Counterexample, check_sync_equiv
 # not called here; bound because perfbench/tracer.py wraps it by this name
 from .equivalence import voca_check_equiv  # noqa: F401
@@ -69,14 +69,10 @@ class SimulatedTeacher:
         self.alphabet = hidden.alphabet
         self.stats = stats if stats is not None else Stats()
         self._configs = {"": Configuration(hidden.initial, 0)}
+        self._step = lambda config, word, j: hidden.step(config, word[j])
 
     def _run(self, word: str) -> Configuration:
-        configs = self._configs
-        i = longest_known_prefix(configs, word)
-        config = configs[word[:i]]
-        for j in range(i, len(word)):
-            config = configs[word[:j + 1]] = self.hidden.step(config, word[j])
-        return config
+        return extend_known(self._configs, word, self._step)
 
     def mq(self, word: str) -> int:
         self.stats.n_mq += 1
@@ -145,17 +141,17 @@ def construct_droca(table: ObservationTable, *, solve=sat_solve, at_least: int =
     words = table.words()
     word_set = set(words)
     states = {"": skeleton.initial}     # replayed word -> skeleton state
+
+    def replay(state, word, j):     # along ``code``, the encoding of the word replayed
+        prefix = word[:j]
+        if prefix not in word_set:
+            before = table.counter_value(prefix)
+            delta = table.counter_value(word[:j + 1]) - before
+            outside.append(((state, sgn(before), word[j]), delta, prefix))
+        return skeleton.transition[(state, code[j])]
     for word in words:
         code = table.enc(word)
-        i = longest_known_prefix(states, word)
-        state = states[word[:i]]
-        for j in range(i, len(word)):
-            prefix = word[:j]
-            if prefix not in word_set:
-                before = table.counter_value(prefix)
-                delta = table.counter_value(word[:j + 1]) - before
-                outside.append(((state, sgn(before), word[j]), delta, prefix))
-            state = states[word[:j + 1]] = skeleton.transition[(state, code[j])]
+        state = extend_known(states, word, replay)
         vector = table.actions(word)
         for letter, delta in zip(table.alphabet, vector.deltas):
             actions[(state, vector.sign, letter)] = delta

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automata import Dfa, doubled_alphabet
+from .automata import Dfa, doubled_alphabet, extend_known
 from .errors import InvalidInput, SampleConflict, SolverError
 from .sat import CnfInstance, check_deadline, sat_solve
 from .table import ActionsVector
@@ -71,7 +71,8 @@ def build_samples(table) -> SampleSet:
 class Apta:
     """Prefix-tree acceptor: one node per distinct sample prefix.  A
     node's output is a counter sign and the index of its vector among
-    that sign's distinct vectors, ``vectors[sign]``."""
+    that sign's distinct vectors, ``vectors[sign]``.  Inserting a symbol
+    outside ``alphabet`` raises :class:`InvalidInput`."""
 
     def __init__(self, alphabet):
         self.alphabet = tuple(alphabet)
@@ -106,6 +107,8 @@ class Apta:
         for sym in word:
             nxt = self.children[node].get(sym)
             if nxt is None:
+                if sym not in self.alphabet:
+                    raise InvalidInput(f"symbol {sym!r} is not in the sample alphabet")
                 nxt = len(self.children)
                 self.children[node][sym] = nxt
                 self.children.append({})
@@ -281,12 +284,18 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> CnfInsta
 
 def decode_dfa(apta: Apta, assignment: dict[int, bool], n: int) -> Dfa:
     """The n-state DFA of a model of ``encode_size_n(apta, n)``; its
-    initial state is the root's colour."""
+    initial state is the root's colour.  A model that gives the root no
+    colour, or some state no successor on some symbol, raises
+    :class:`SolverError`."""
     color, accepting, trans, _, _ = _variables(apta, n)
     finals = frozenset(i for i in range(n) if assignment[accepting[i]])
     transition = {(i, sym): j for sym, rows in trans.items()
                   for i in range(n) for j in range(n) if assignment[rows[i][j]]}
-    initial = next(i for i in range(n) if assignment[color[0][i]])
+    initial = next((i for i in range(n) if assignment[color[0][i]]), None)
+    if initial is None:
+        raise SolverError("the model gives the prefix-tree root no colour")
+    if len(transition) < n * len(apta.alphabet):
+        raise SolverError("the model leaves some state without a successor")
     return Dfa(states=tuple(range(n)), alphabet=apta.alphabet, initial=initial,
                transition=transition, finals=finals)
 
@@ -332,15 +341,15 @@ def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1,
 
 
 def _check_separates(dfa: Dfa, samples: SampleSet) -> None:
+    states = {(): dfa.initial}      # each distinct sample prefix is stepped once
+    step = lambda state, word, j: dfa.transition[(state, word[j])]
     for words, label in ((samples.pos, True), (samples.neg, False)):
         for word in words:
-            if dfa.accepts(word) != label:
+            if (extend_known(states, word, step) in dfa.finals) != label:
                 raise SolverError(f"decoded DFA mislabels sample {word!r}")
     held: dict[tuple, ActionsVector] = {}
     for word, vector in samples.outputs:
-        state = dfa.initial
-        for sym in word:
-            state = dfa.transition[(state, sym)]
+        state = extend_known(states, word, step)
         if held.setdefault((state, vector.sign), vector) != vector:
             raise SolverError(f"decoded DFA merges vectors {held[state, vector.sign]} "
                               f"and {vector} at state {state}")

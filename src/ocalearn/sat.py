@@ -101,7 +101,10 @@ def _solve_external(cnf, exe, deadline):
             status = line[2:].strip()
         elif line.startswith("v "):
             for tok in line[2:].split():
-                lit = int(tok)
+                try:
+                    lit = int(tok)
+                except ValueError:
+                    raise SolverError(f"non-integer literal {tok!r} in solver output") from None
                 if lit != 0:
                     values[abs(lit)] = lit > 0
     if status == "UNSATISFIABLE":

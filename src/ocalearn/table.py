@@ -14,10 +14,11 @@ sweep over P per column set, promoting unclosed rows as it meets them.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import islice
 
-from .automata import doubled, longest_known_prefix, sgn
+from .automata import doubled, extend_known, sgn
 from .errors import InvalidInput
 
 
@@ -82,6 +83,10 @@ class ObservationTable:
         self._cell_of: dict[str, int] = {}
         self._rows: dict[str, tuple[int, tuple[int, ...]]] = {}
         self._codes: dict[str, tuple[str, ...]] = {"": ()}
+        self._derive_cv = lambda value, word, j: value + action_map[(word[j], sgn(value))]
+        table = weakref.proxy(self)     # a strong one would keep a dead table in a cycle
+        self._encode_step = lambda code, word, j: code + (
+            doubled(word[j], sgn(table.counter_value(word[:j]))),)
 
     # -- structure ---------------------------------------------------
 
@@ -128,11 +133,7 @@ class ObservationTable:
             if self.action_map is None:
                 value = cv[word] = self.teacher.cv(word)
                 return value
-        i = longest_known_prefix(cv, word)
-        value = cv[word[:i]]
-        for j in range(i, len(word)):
-            value = cv[word[:j + 1]] = value + self.action_map[(word[j], sgn(value))]
-        return value
+        return extend_known(cv, word, self._derive_cv)
 
     def actions(self, word: str) -> ActionsVector:
         vector = self._vector_of.get(word)
@@ -158,13 +159,7 @@ class ObservationTable:
         """Encoded form of a table word, from its prefixes' counter-values:
         the encoding of its longest encoded prefix, extended a letter at
         a time."""
-        codes = self._codes
-        i = longest_known_prefix(codes, word)
-        code = codes[word[:i]]
-        for j in range(i, len(word)):
-            code += (doubled(word[j], sgn(self.counter_value(word[:j]))),)
-            codes[word[:j + 1]] = code
-        return code
+        return extend_known(self._codes, word, self._encode_step)
 
     def row(self, label: str) -> tuple[int, tuple[int, ...]]:
         """The label's counter-value and the cells of label + s, s in S."""

@@ -201,6 +201,26 @@ def test_criterion_6c_seq_budget(session_corpus):
                                f"equivalence queries (worst ratio {worst:.3f})")
 
 
+def _totals(stats):
+    return (sum(s.learnt_states for s in stats), sum(s.n_seq for s in stats),
+            sum(s.n_mq for s in stats), sum(s.n_cv for s in stats),
+            sum(s.n_sat for s in stats), sum(s.max_ce_len for s in stats))
+
+
+def test_corpus_session_totals_are_pinned(session_corpus):
+    # (learnt states, n_seq, n_mq, n_cv, n_sat, summed max_ce_len) over
+    # the criterion-6 corpus and the 7-state frontier corpus of the
+    # benchmark: a change that should leave every session as it was must
+    # leave these totals as they are
+    assert _totals([stats for _, stats, _ in session_corpus]) == (403, 253, 3772, 7644, 258, 367)
+    frontier = []
+    for i in range(4):
+        target = generate_droca(GenConfig(n_states=7, alphabet_size=2,
+                                          seed=derive_seed(555, 7, i)))
+        frontier.append(learn(SimulatedTeacher(target), LearnConfig(timeout_s=300))[1])
+    assert _totals(frontier) == (28, 14, 444, 956, 16, 20)
+
+
 # -- criterion 7: counterexample bounds and oracle agreement ----------------
 
 def test_criterion_7_bounds_and_brute_force(session_corpus):

@@ -114,3 +114,28 @@ def test_splitmix_and_derive_are_stable():
     assert splitmix64(1) == 10451216379200822465
     assert derive_seed(3, 1, 2) == derive_seed(3, 1, 2)
     assert derive_seed(3, 1, 2) != derive_seed(3, 2, 1)
+
+
+def test_reachable_count_reaches_a_state_first_seen_at_counter_twelve():
+    # u0 u1 u2 add 1 on a, and b leaves u0 for d0 only at a positive
+    # counter, which is then a multiple of 3; d0..d3 subtract 1 on a, and
+    # a at counter zero reaches t only from d0, so the counter must have
+    # been a multiple of 4 too: t is first reached from counter 12, which
+    # a cap of |A| = 9 cuts off
+    from ocalearn import Droca
+
+    up, down = ["u0", "u1", "u2"], ["d0", "d1", "d2", "d3"]
+    states = up + down + ["t", "s"]
+    delta0 = {(q, a): ("s", 0) for q in states for a in "ab"}
+    delta1 = dict(delta0)
+    for i, q in enumerate(up):
+        delta0[(q, "a")] = delta1[(q, "a")] = (up[(i + 1) % 3], 1)
+    delta1[("u0", "b")] = ("d0", 0)
+    for i, q in enumerate(down):
+        delta1[(q, "a")] = (down[(i + 1) % 4], -1)
+    delta0[("d0", "a")] = ("t", 0)
+    machine = Droca(states=states, alphabet="ab", initial="u0",
+                    delta0=delta0, delta1=delta1, finals=["t"])
+    assert validate(machine) == []
+    assert machine.accepts("a" * 12 + "b" + "a" * 13)
+    assert reachable_count(machine) == 9

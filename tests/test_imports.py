@@ -1,4 +1,5 @@
-"""Every imported name is used in the file that imports it.
+"""Every imported name is used in the file that imports it, and every
+module-level name of the package is used or exported.
 
 No linter ships with the project, so this walks the syntax tree of each
 module, test and demo.  ``__init__.py`` re-exports what it imports and
@@ -44,6 +45,34 @@ def test_no_unused_imports():
         {p.name for p in CHECKED}
     unused = [entry for path in CHECKED for entry in unused_imports(path)]
     assert unused == []
+
+
+def unused_definitions(package):
+    """The module-level functions, classes and constants of ``package``
+    that no module of it reads and ``__init__.py`` does not import."""
+    defined = []
+    read = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name == "__init__.py":
+            read |= {alias.asname or alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) for alias in node.names}
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.name, t.id) for t in targets if isinstance(t, ast.Name)]
+        read |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return [f"{module}: {name}" for module, name in defined if name not in read]
+
+
+def test_no_unused_definitions():
+    package = ROOT / "src" / "ocalearn"
+    assert len(list(package.glob("*.py"))) >= 12
+    assert unused_definitions(package) == []
 
 
 def test_import_leaves_multiprocessing_unloaded():

@@ -57,6 +57,12 @@ def test_build_apta_shapes():
                              alphabet=("a0",)))
 
 
+def test_a_symbol_outside_the_sample_alphabet_is_invalid_input():
+    samples = SampleSet(pos=(("a0",),), neg=(("b0",),), alphabet=("a0", "a1"))
+    with pytest.raises(InvalidInput, match="'b0'"):
+        find_min_sep_dfa(samples)
+
+
 def test_encode_size_examples():
     apta = build_apta(SampleSet(pos=((),), neg=(("a0",),),
                                 alphabet=("a0",)))

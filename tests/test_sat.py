@@ -317,3 +317,46 @@ def test_backend_selector_validation():
     with pytest.raises(Exception):
         external_path("magic")
     assert external_path("builtin") is None
+
+
+def _replying_solver(tmp_path, reply):
+    """A fake solver script that prints ``reply`` whatever its input."""
+    path = tmp_path / "replying_solver"
+    path.write_text(f"#!{sys.executable}\nprint({reply!r})\n")
+    path.chmod(path.stat().st_mode | stat.S_IXUSR)
+    return f"external:{path}"
+
+
+def test_external_literal_that_is_not_an_int_is_a_solver_error(tmp_path):
+    cnf = CnfInstance()
+    cnf.num_vars = 1
+    cnf.clauses.append((1,))
+    backend = _replying_solver(tmp_path, "s SATISFIABLE\nv 1 x 0")
+    with pytest.raises(SolverError, match="'x'"):
+        sat_solve(cnf, backend)
+
+
+def test_learn_names_a_model_without_a_root_colour(tmp_path, capsys):
+    # a reply with a status line and no values leaves every variable false
+    from ocalearn import store
+    from ocalearn.cli import main
+    from conftest import make_anbna
+
+    target = tmp_path / "anbna.json"
+    target.write_text(store(make_anbna()))
+    backend = _replying_solver(tmp_path, "s SATISFIABLE")
+    assert main(["learn", "--target", str(target), "--sat", backend]) == 1
+    assert "no colour" in capsys.readouterr().err
+
+
+def test_decode_refuses_a_model_without_a_successor():
+    from ocalearn import SampleSet, build_apta, encode_size_n
+    from ocalearn.minsepdfa import _variables, decode_dfa
+
+    apta = build_apta(SampleSet(pos=((),), neg=(("a0",),), alphabet=("a0",)))
+    model = sat_solve(encode_size_n(apta, 2))
+    trans = _variables(apta, 2)[2]
+    for var in trans["a0"][1]:      # state 1 loses its successor on a0
+        model[var] = False
+    with pytest.raises(SolverError, match="successor"):
+        decode_dfa(apta, model, 2)
