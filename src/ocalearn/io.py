@@ -52,8 +52,8 @@ def load(text: str, complete_with_sink: bool = False) -> Droca:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("json", f"not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:     # syntax, nesting depth, int digits
+        raise ParseError("json", f"not readable JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("json", "top-level value must be an object")
     for field in _FIELDS:

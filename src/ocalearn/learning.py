@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .automata import Configuration, Droca, doubled, extend_known, sgn
+from .automata import Configuration, Droca, doubled, extend_known
 from .equivalence import Counterexample, check_sync_equiv
 # not called here; bound because perfbench/tracer.py wraps it by this name
 from .equivalence import voca_check_equiv  # noqa: F401
@@ -114,45 +114,42 @@ def construct_droca(table: ObservationTable, *, solve=sat_solve, at_least: int =
     the minimal size (see :func:`find_min_sep_dfa`), and calls ``solve``
     on each CNF (:func:`learn` passes :func:`sat_solve` with the backend
     string ``LearnConfig.solver``).  Past ``deadline`` the search raises
-    :class:`SolverTimeout`.  Counter-actions come from replaying each
-    table word through the skeleton along its cached encoding, from the
+    :class:`SolverTimeout`.  Counter-actions come from replaying the
+    samples' outputs, each encoded table word with its vector, from the
     state of its longest prefix already replayed, so every prefix is
-    stepped once.  The word's action vector is written at its end state
+    stepped once.  The vector is written at the word's end state
     without a check: the skeleton search has refused every model that
     gives two table words of one sign and one state different vectors.
     A step from a prefix that is itself a table word is not recorded,
     since its action is that prefix's own vector.
 
-    Only the steps from prefixes outside the table are checked against
-    the action fixed for their (state, sign, letter).  Such a prefix is
-    not yet constrained by any sample, so a clash is repaired by
-    promoting it into P (signalled via :class:`PrefixConflict`).
+    Only a step from a prefix outside the table is checked, against the
+    action fixed for the (state, sign, letter) of its symbol.  Such a
+    prefix is not yet constrained by any sample, so a clash is repaired
+    by promoting it into P (signalled via :class:`PrefixConflict`).
     Transitions that no replay fixes keep the skeleton target with the
     action of the table's ``action_map`` (visibly one-counter mode),
     else 0.  In visibly one-counter mode every counter-value comes from
     the map, so no clash can arise.
     """
-    skeleton = find_min_sep_dfa(build_samples(table), solve=solve, at_least=at_least,
-                                deadline=deadline)
+    samples = build_samples(table)
+    skeleton = find_min_sep_dfa(samples, solve=solve, at_least=at_least, deadline=deadline)
     names = {q: f"s{q}" for q in skeleton.states}
 
     actions: dict[tuple[int, int, str], int] = {}
     outside = []    # (key, delta, prefix) of the steps from prefixes outside the table
-    words = table.words()
-    word_set = set(words)
-    states = {"": skeleton.initial}     # replayed word -> skeleton state
+    table_words = {code for code, _ in samples.outputs}   # encoded
+    states = {(): skeleton.initial}     # replayed encoded word -> skeleton state
 
-    def replay(state, word, j):     # along ``code``, the encoding of the word replayed
-        prefix = word[:j]
-        if prefix not in word_set:
-            before = table.counter_value(prefix)
-            delta = table.counter_value(word[:j + 1]) - before
-            outside.append(((state, sgn(before), word[j]), delta, prefix))
+    def replay(state, code, j):
+        if code[:j] not in table_words:
+            letter, sign = code[j][:-1], int(code[j][-1])
+            prefix = "".join(sym[:-1] for sym in code[:j])
+            delta = table.counter_value(prefix + letter) - table.counter_value(prefix)
+            outside.append(((state, sign, letter), delta, prefix))
         return skeleton.transition[(state, code[j])]
-    for word in words:
-        code = table.enc(word)
-        state = extend_known(states, word, replay)
-        vector = table.actions(word)
+    for code, vector in samples.outputs:
+        state = extend_known(states, code, replay)
         for letter, delta in zip(table.alphabet, vector.deltas):
             actions[(state, vector.sign, letter)] = delta
     for key, delta, prefix in outside:
@@ -160,18 +157,15 @@ def construct_droca(table: ObservationTable, *, solve=sat_solve, at_least: int =
             raise PrefixConflict(prefix)
 
     defaults = table.action_map or {}
-    delta0 = {}
-    delta1 = {}
+    delta0, delta1 = {}, {}
     for q in skeleton.states:
         for a in table.alphabet:
             for sign, delta in ((0, delta0), (1, delta1)):
                 target = skeleton.transition[(q, doubled(a, sign))]
                 action = actions.get((q, sign, a), defaults.get((a, sign), 0))
                 delta[(names[q], a)] = (names[target], action)
-    return Droca(states=tuple(names[q] for q in skeleton.states),
-                 alphabet=table.alphabet,
-                 initial=names[skeleton.initial],
-                 delta0=delta0, delta1=delta1,
+    return Droca(states=tuple(names[q] for q in skeleton.states), alphabet=table.alphabet,
+                 initial=names[skeleton.initial], delta0=delta0, delta1=delta1,
                  finals=frozenset(names[q] for q in skeleton.finals))
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automata import Dfa, doubled_alphabet, extend_known
+from .automata import Dfa, doubled_alphabet
 from .errors import InvalidInput, SampleConflict, SolverError
 from .sat import CnfInstance, check_deadline, sat_solve
 from .table import ActionsVector
@@ -57,12 +57,10 @@ class SampleSet:
 def build_samples(table) -> SampleSet:
     """Assemble the sample set of an observation table; its reads ask
     the teacher for every cell not yet cached."""
-    pos: dict[tuple, None] = {}
-    neg: dict[tuple, None] = {}
-    outputs = []
-    for w in table.words():
+    pos, neg, outputs = [], [], []
+    for w in table.words():     # distinct words, so distinct encodings
         enc = table.enc(w)
-        (pos if table.membership(w) else neg)[enc] = None
+        (pos if table.membership(w) else neg).append(enc)
         outputs.append((enc, table.actions(w)))
     return SampleSet(pos=tuple(pos), neg=tuple(neg),
                      alphabet=doubled_alphabet(table.alphabet), outputs=tuple(outputs))
@@ -101,8 +99,7 @@ class Apta:
             excluded[node] = ~(1 << k)
         return len(clique), excluded
 
-    def insert(self, word, label: bool | None = None,
-               vector: ActionsVector | None = None) -> None:
+    def insert(self, word, label: bool | None, output: tuple[int, int] | None) -> None:
         node = 0
         for sym in word:
             nxt = self.children[node].get(sym)
@@ -116,25 +113,35 @@ class Apta:
                 self.labels.append(None)
                 self.outputs.append(None)
             node = nxt
-        output = None
-        if vector is not None:
-            index = self.vectors[vector.sign]
-            output = (vector.sign, index.setdefault(vector, len(index)))
         for values, value in ((self.labels, label), (self.outputs, output)):
             if value is not None:
                 if values[node] not in (None, value):
                     raise SampleConflict("".join(map(str, word)))
                 values[node] = value
 
+    def word(self, node: int) -> tuple:
+        """The sample prefix that leads to ``node``."""
+        word = ()
+        while (edge := self.parent_edges[node]) is not None:
+            node, word = edge[0], (edge[1],) + word
+        return word
+
 
 def build_apta(samples: SampleSet) -> Apta:
+    """The prefix tree of the samples, each word inserted once with its
+    label and output; each sign's vectors numbered in ``samples.ops`` order."""
     apta = Apta(samples.alphabet)
-    for word in samples.pos:
-        apta.insert(word, True)
-    for word in samples.neg:
-        apta.insert(word, False)
+    outputs = {}    # word -> (sign, index of its vector among that sign's)
     for word, vector in samples.outputs:
-        apta.insert(word, vector=vector)
+        index = apta.vectors[vector.sign]
+        output = (vector.sign, index.setdefault(vector, len(index)))
+        if outputs.setdefault(word, output) != output:
+            raise SampleConflict("".join(map(str, word)))
+    for words, label in ((samples.pos, True), (samples.neg, False)):
+        for word in words:
+            apta.insert(word, label, outputs.pop(word, None))
+    for word, output in outputs.items():    # words with an output alone
+        apta.insert(word, None, output)
     return apta
 
 
@@ -334,22 +341,19 @@ def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1,
         assignment = solve(cnf)
         if assignment is not None:
             dfa = decode_dfa(apta, assignment, n)
-            _check_separates(dfa, samples)
+            _check_separates(dfa, apta)
             return dfa
     raise SolverError(f"no separating DFA of {start} to {apta.num_nodes + 1} "
                       "states; the backend is unsound or the lower bound too high")
 
 
-def _check_separates(dfa: Dfa, samples: SampleSet) -> None:
-    states = {(): dfa.initial}      # each distinct sample prefix is stepped once
-    step = lambda state, word, j: dfa.transition[(state, word[j])]
-    for words, label in ((samples.pos, True), (samples.neg, False)):
-        for word in words:
-            if (extend_known(states, word, step) in dfa.finals) != label:
-                raise SolverError(f"decoded DFA mislabels sample {word!r}")
-    held: dict[tuple, ActionsVector] = {}
-    for word, vector in samples.outputs:
-        state = extend_known(states, word, step)
-        if held.setdefault((state, vector.sign), vector) != vector:
-            raise SolverError(f"decoded DFA merges vectors {held[state, vector.sign]} "
-                              f"and {vector} at state {state}")
+def _check_separates(dfa: Dfa, apta: Apta) -> None:
+    states, held = [], {}   # the state of each node: each sample prefix is stepped once
+    for v, (edge, label, output) in enumerate(zip(apta.parent_edges, apta.labels, apta.outputs)):
+        state = dfa.initial if edge is None else dfa.transition[(states[edge[0]], edge[1])]
+        states.append(state)
+        if label is not None and (state in dfa.finals) != label:
+            raise SolverError(f"decoded DFA mislabels sample {apta.word(v)!r}")
+        if output is not None and held.setdefault((state, output[0]), output) != output:
+            raise SolverError(f"decoded DFA merges two vectors of sign {output[0]} at "
+                              f"state {state}, one of them at sample {apta.word(v)!r}")

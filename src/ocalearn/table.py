@@ -14,7 +14,6 @@ sweep over P per column set, promoting unclosed rows as it meets them.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import islice
 
@@ -83,10 +82,6 @@ class ObservationTable:
         self._cell_of: dict[str, int] = {}
         self._rows: dict[str, tuple[int, tuple[int, ...]]] = {}
         self._codes: dict[str, tuple[str, ...]] = {"": ()}
-        self._derive_cv = lambda value, word, j: value + action_map[(word[j], sgn(value))]
-        table = weakref.proxy(self)     # a strong one would keep a dead table in a cycle
-        self._encode_step = lambda code, word, j: code + (
-            doubled(word[j], sgn(table.counter_value(word[:j]))),)
 
     # -- structure ---------------------------------------------------
 
@@ -135,6 +130,9 @@ class ObservationTable:
                 return value
         return extend_known(cv, word, self._derive_cv)
 
+    def _derive_cv(self, value: int, word: str, j: int) -> int:
+        return value + self.action_map[(word[j], sgn(value))]
+
     def actions(self, word: str) -> ActionsVector:
         vector = self._vector_of.get(word)
         if vector is None:
@@ -160,6 +158,9 @@ class ObservationTable:
         the encoding of its longest encoded prefix, extended a letter at
         a time."""
         return extend_known(self._codes, word, self._encode_step)
+
+    def _encode_step(self, code: tuple[str, ...], word: str, j: int) -> tuple[str, ...]:
+        return code + (doubled(word[j], sgn(self.counter_value(word[:j]))),)
 
     def row(self, label: str) -> tuple[int, tuple[int, ...]]:
         """The label's counter-value and the cells of label + s, s in S."""

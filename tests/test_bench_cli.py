@@ -290,3 +290,13 @@ def test_cli_complete_with_sink(tmp_path, capsys):
     assert main(["encode", "--target", str(partial), "--word", "a",
                  "--complete-with-sink"]) == 0
     assert main(["encode", "--target", str(partial), "--word", "a"]) == 1
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"type": ' + "1" * 5000 + "}"],
+                         ids=["too-deep", "too-many-digits"])
+def test_cli_names_json_that_python_cannot_parse(text, tmp_path, capsys):
+    path = tmp_path / "machine.json"
+    path.write_text(text)
+    assert main(["learn", "--target", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: json: ") and "Traceback" not in err

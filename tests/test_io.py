@@ -108,13 +108,21 @@ def test_load_rejects_mislabeled_voca(anbna):
     assert "type" in str(err.value)
 
 
-def test_load_rejects_garbage():
+def test_load_rejects_garbage(anbna):
     with pytest.raises(ParseError):
         load("not json at all {")
     with pytest.raises(ParseError):
         load("[1, 2, 3]")
     with pytest.raises(ParseError):
         load("{}")
+    # refused by Python's parser with other errors than JSONDecodeError:
+    # nesting past the recursion limit, and an integer past the digit limit
+    compact = json.dumps(json.loads(store(anbna)))
+    huge_action = compact.replace(", 1]", ", " + "1" * 5000 + "]", 1)
+    for text in ("[" * 100000, huge_action):
+        with pytest.raises(ParseError) as err:
+            load(text)
+        assert err.value.field == "json"
 
 
 def test_load_file_rejects_text_that_is_not_utf8(tmp_path):

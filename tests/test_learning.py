@@ -438,11 +438,17 @@ def test_prefix_conflict_promotes_the_clashing_prefix(monkeypatch):
             raise
 
     monkeypatch.setattr(learning, "construct_droca", counted)
-    target = generate_droca(GenConfig(n_states=4, alphabet_size=2,
-                                      seed=derive_seed(777, 4, 2, 1),
-                                      restricted=True))
-    hypothesis, stats = learn(SimulatedTeacher(target))
-    assert conflicts == ["babab"]
-    assert stats.success == 1
-    assert check_sync_equiv(hypothesis, target).equivalent
-    assert _counts(stats) == (4, 3, 64, 129, 4, 3, 2)
+    for gen, prefixes, counts in [
+            (GenConfig(4, 2, derive_seed(777, 4, 2, 1), restricted=True), ["babab"],
+             (4, 3, 64, 129, 4, 3, 2)),
+            (GenConfig(6, 2, derive_seed(778, 6, 2, 18), restricted=True), ["abbbaaaba"],
+             (6, 3, 75, 170, 6, 3, 3)),
+            (GenConfig(8, 2, derive_seed(778, 8, 2, 2)), ["babab"],
+             (8, 4, 249, 499, 5, 5, 5))]:
+        conflicts.clear()
+        target = generate_droca(gen)
+        hypothesis, stats = learn(SimulatedTeacher(target))
+        assert conflicts == prefixes
+        assert stats.success == 1
+        assert check_sync_equiv(hypothesis, target).equivalent
+        assert _counts(stats) == counts

@@ -8,7 +8,7 @@ from ocalearn import (ActionsVector, InvalidInput, ObservationTable,
                       SampleConflict, SampleSet, SimulatedTeacher, SolverError,
                       SolverTimeout, build_apta, build_samples, encode_size_n,
                       find_min_sep_dfa, sat, sat_solve)
-from ocalearn.minsepdfa import clique_bound, decode_dfa
+from ocalearn.minsepdfa import Apta, clique_bound, decode_dfa
 from conftest import make_anbna, random_machine
 from test_table import golden_table
 from oracles import _build_trie, _conflicts, min_sep_dfa_size
@@ -55,6 +55,15 @@ def test_build_apta_shapes():
     with pytest.raises(SampleConflict):
         build_apta(SampleSet(pos=(("a0",),), neg=(("a0",),),
                              alphabet=("a0",)))
+
+    # an output whose word has no label still reaches the tree, and a
+    # word given two vectors of one sign is a conflict
+    up, still = ActionsVector(0, (1,)), ActionsVector(0, (0,))
+    apta = build_apta(SampleSet(pos=(), neg=(), alphabet=("a0",), outputs=((("a0",), up),)))
+    assert apta.num_nodes == 2 and apta.labels[1] is None and apta.outputs[1] == (0, 0)
+    with pytest.raises(SampleConflict):
+        build_apta(SampleSet(pos=(("a0",),), neg=(), alphabet=("a0",),
+                             outputs=((("a0",), up), (("a0",), still))))
 
 
 def test_a_symbol_outside_the_sample_alphabet_is_invalid_input():
@@ -327,6 +336,28 @@ def test_a_model_that_merges_dissimilar_vectors_is_refused():
 
     with pytest.raises(SolverError, match="merges"):
         find_min_sep_dfa(samples, solve=all_true)
+
+
+def test_build_apta_inserts_each_sample_word_once(monkeypatch):
+    # a word's label and vector go in by one insert, and each sign's
+    # vectors are numbered in samples.ops order
+    for table in filled_tables():
+        samples = build_samples(table)
+        inserted = []
+        insert = Apta.insert
+
+        def counted(apta, word, *args, **kwargs):
+            inserted.append(word)
+            insert(apta, word, *args, **kwargs)
+
+        monkeypatch.setattr(Apta, "insert", counted)
+        apta = build_apta(samples)
+        monkeypatch.undo()
+        assert len(inserted) == len(samples.pos) + len(samples.neg)
+        assert set(inserted) == set(samples.pos) | set(samples.neg)
+        for sign, vectors in enumerate(apta.vectors):
+            assert list(vectors) == [v for v in samples.ops if v.sign == sign]
+            assert list(vectors.values()) == list(range(len(vectors)))
 
 
 def test_clique_nodes_are_pinned_and_incompatible_nodes_lose_their_colour():

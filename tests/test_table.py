@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -260,3 +262,22 @@ def test_samples_read_exactly_the_table_closure(anbna):
     assert set(table.memb) == set(words)
     assert set(table.cv) == ({w[:i] for w in words for i in range(len(w) + 1)}
                              | {w + a for w in words for a in table.alphabet})
+
+
+@pytest.mark.parametrize("voca", [False, True], ids=["queried", "derived"])
+def test_a_dropped_table_is_freed_without_the_cycle_collector(voca):
+    # the table's per-word steps are methods, bound at call time, so a
+    # table holds no reference to itself and plain reference counting
+    # frees it, and its teacher, once the last reference goes
+    machine = random_voca(3) if voca else make_anbna()
+    teacher = SimulatedTeacher(machine)
+    table = ObservationTable(teacher, machine.voca_action_map() if voca else None)
+    gc.disable()
+    try:
+        table.repair(2)
+        build_samples(table)
+        dead_table, dead_teacher = weakref.ref(table), weakref.ref(teacher)
+        del table, teacher
+        assert dead_table() is None and dead_teacher() is None
+    finally:
+        gc.enable()
