@@ -7,6 +7,7 @@ equivalence checks that return length-lex-minimal counterexamples.
 
 from .automata import (Configuration, Dfa, Droca, RunTrace, doubled,
                        doubled_alphabet, pretty_encoded, sgn, validate)
+from .colouring import encode_size_n
 from .equivalence import (ACCEPT_MISMATCH, COUNTER_DESYNC, Counterexample,
                           Verdict, check_sync_equiv, voca_check_equiv)
 from .errors import (EquivalenceTimeout, GenerationFailure, InvalidInput,
@@ -15,8 +16,7 @@ from .errors import (EquivalenceTimeout, GenerationFailure, InvalidInput,
 from .generate import GenConfig, derive_seed, generate_droca, reachable_count, splitmix64
 from .io import load, load_file, store, store_file
 from .learning import LearnConfig, SimulatedTeacher, Stats, construct_droca, learn
-from .minsepdfa import (Apta, SampleSet, build_apta, build_samples,
-                        encode_size_n, find_min_sep_dfa)
+from .minsepdfa import Apta, SampleSet, build_apta, build_samples, find_min_sep_dfa
 from .sat import CnfInstance, external_path, sat_solve, solve_builtin
 from .table import ActionsVector, ObservationTable
 from .bench import BenchConfig, CSV_HEADER, run_benchmark

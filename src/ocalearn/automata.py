@@ -49,6 +49,8 @@ class Droca:
     strings so that words can be plain ``str`` values.
     """
 
+    __slots__ = ("states", "alphabet", "initial", "delta0", "delta1", "finals", "_indexed")
+
     def __init__(self, states, alphabet, initial, delta0, delta1, finals):
         self.states: tuple[str, ...] = tuple(states)
         self.alphabet: tuple[str, ...] = tuple(alphabet)
@@ -56,8 +58,6 @@ class Droca:
         self.delta0: dict[tuple[str, str], tuple[str, int]] = dict(delta0)
         self.delta1: dict[tuple[str, str], tuple[str, int]] = dict(delta1)
         self.finals: frozenset[str] = frozenset(finals)
-        self._state_index = {q: i for i, q in enumerate(self.states)}
-        self._letter_pos = {a: i for i, a in enumerate(self.alphabet)}
         self._indexed = None
 
     @property
@@ -82,29 +82,37 @@ class Droca:
         """Dense transition tables for search code.
 
         Returns ``(d0, d1, final_mask, init_idx)`` where ``d0[q][a]`` and
-        ``d1[q][a]`` are ``(target_index, action)`` pairs.
+        ``d1[q][a]`` are ``(target_index, action)`` pairs, None for a
+        missing entry; each row is a tuple, and equal pairs are one object.
         """
         if self._indexed is None:
-            idx = self._state_index
-            k = len(self.alphabet)
-            d0 = [[None] * k for _ in self.states]
-            d1 = [[None] * k for _ in self.states]
-            for (q, a), (t, e) in self.delta0.items():
-                d0[idx[q]][self._letter_pos[a]] = (idx[t], e)
-            for (q, a), (t, e) in self.delta1.items():
-                d1[idx[q]][self._letter_pos[a]] = (idx[t], e)
+            idx = {q: i for i, q in enumerate(self.states)}
+            pos = {a: i for i, a in enumerate(self.alphabet)}
+            pairs: dict = {}    # (target, action) -> (target index, action)
+            tables = []
+            for delta in (self.delta0, self.delta1):
+                rows = [[None] * len(pos) for _ in self.states]
+                for (q, a), entry in delta.items():
+                    pair = pairs.get(entry)
+                    if pair is None:
+                        pair = pairs[entry] = (idx[entry[0]], entry[1])
+                    rows[idx[q]][pos[a]] = pair
+                tables.append([tuple(row) for row in rows])
             final_mask = [q in self.finals for q in self.states]
-            self._indexed = (d0, d1, final_mask, idx[self.initial])
+            self._indexed = (*tables, final_mask, idx[self.initial])
         return self._indexed
 
     def step(self, config: Configuration, letter: str) -> Configuration:
         """One transition from ``config`` on ``letter``."""
-        if config.state not in self._state_index:
-            raise InvalidInput(f"unknown state {config.state!r}")
-        if letter not in self._letter_pos:
-            raise InvalidInput(f"letter {letter!r} not in alphabet")
         delta = self.delta0 if config.counter == 0 else self.delta1
-        target, action = delta[(config.state, letter)]
+        try:
+            target, action = delta[(config.state, letter)]
+        except KeyError:
+            if config.state not in self.states:
+                raise InvalidInput(f"unknown state {config.state!r}") from None
+            if letter not in self.alphabet:
+                raise InvalidInput(f"letter {letter!r} not in alphabet") from None
+            raise
         return Configuration(target, config.counter + action)
 
     def run(self, word: str) -> RunTrace:

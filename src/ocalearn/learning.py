@@ -13,6 +13,7 @@ teacher agrees.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ STATS_FIELDS = ("seed", "target_states", "alphabet", "success", "wall_ms",
                 "max_ce_len", "final_d")
 
 
-@dataclass
+@dataclass(slots=True)
 class Stats:
     """Per-session query accounting."""
 
@@ -134,7 +135,7 @@ def construct_droca(table: ObservationTable, *, solve=sat_solve, at_least: int =
     """
     samples = build_samples(table)
     skeleton = find_min_sep_dfa(samples, solve=solve, at_least=at_least, deadline=deadline)
-    names = {q: f"s{q}" for q in skeleton.states}
+    names = {q: sys.intern(f"s{q}") for q in skeleton.states}   # shared by every hypothesis
 
     actions: dict[tuple[int, int, str], int] = {}
     outside = []    # (key, delta, prefix) of the steps from prefixes outside the table
@@ -158,12 +159,14 @@ def construct_droca(table: ObservationTable, *, solve=sat_solve, at_least: int =
 
     defaults = table.action_map or {}
     delta0, delta1 = {}, {}
+    entries = {}    # one (target, action) tuple per distinct entry
     for q in skeleton.states:
         for a in table.alphabet:
+            key = (names[q], a)     # one key for both modes
             for sign, delta in ((0, delta0), (1, delta1)):
                 target = skeleton.transition[(q, doubled(a, sign))]
-                action = actions.get((q, sign, a), defaults.get((a, sign), 0))
-                delta[(names[q], a)] = (names[target], action)
+                entry = (names[target], actions.get((q, sign, a), defaults.get((a, sign), 0)))
+                delta[key] = entries.setdefault(entry, entry)
     return Droca(states=tuple(names[q] for q in skeleton.states), alphabet=table.alphabet,
                  initial=names[skeleton.initial], delta0=delta0, delta1=delta1,
                  finals=frozenset(names[q] for q in skeleton.finals))

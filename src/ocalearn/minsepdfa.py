@@ -18,19 +18,21 @@ identification using SAT solvers", ICGI 2010), which need distinct
 states.  The clique also breaks the symmetry of the colouring: its k-th
 node is pinned to colour k, and every node incompatible with it loses
 colour k, so each node's clauses range over the colours left to it.
+:mod:`ocalearn.colouring` encodes each rung, keeping only what unit
+propagation of the pins leaves open.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .automata import Dfa, doubled_alphabet
+from .colouring import decode_dfa, encode_size_n
 from .errors import InvalidInput, SampleConflict, SolverError
-from .sat import CnfInstance, check_deadline, sat_solve
+from .sat import check_deadline, sat_solve
 from .table import ActionsVector
 
-_ENCODE_CHECK_EVERY = 32       # prefix-tree nodes between two deadline checks
+_CLIQUE_CHECK_EVERY = 32       # subtree classes between two deadline checks
 
 
 @dataclass(frozen=True)
@@ -79,25 +81,28 @@ class Apta:
         self.labels: list[bool | None] = [None]
         self.outputs: list[tuple[int, int] | None] = [None]
         self.vectors: tuple[dict, dict] = ({}, {})     # vector -> index, per sign
+        self._domains = None
 
     @property
     def num_nodes(self) -> int:
         return len(self.children)
 
-    @cached_property
-    def domains(self) -> tuple[int, list[int]]:
+    def domains(self, deadline: float | None = None) -> tuple[int, list[int]]:
         """Clique pre-colouring (Heule & Verwer, ICGI 2010) of the
-        finished tree: the size of :func:`clique_bound`'s clique, and
-        per node a bitmask of the colours it may not take.  The k-th
-        clique node may take colour k alone, and every node incompatible
-        with it loses colour k."""
-        clique = clique_bound(self)
-        excluded = [0] * self.num_nodes
-        for k, (node, clashes) in enumerate(clique):
-            for v in clashes:
-                excluded[v] |= 1 << k
-            excluded[node] = ~(1 << k)
-        return len(clique), excluded
+        finished tree, worked out on the first call: the size of
+        :func:`clique_bound`'s clique, and per node a bitmask of the
+        colours it may not take.  The k-th clique node may take colour k
+        alone, and every node incompatible with it loses colour k.
+        ``deadline`` is passed to :func:`clique_bound`."""
+        if self._domains is None:
+            clique = clique_bound(self, deadline)
+            excluded = [0] * self.num_nodes
+            for k, (node, clashes) in enumerate(clique):
+                for v in clashes:
+                    excluded[v] |= 1 << k
+                excluded[node] = ~(1 << k)
+            self._domains = len(clique), excluded
+        return self._domains
 
     def insert(self, word, label: bool | None, output: tuple[int, int] | None) -> None:
         node = 0
@@ -145,7 +150,7 @@ def build_apta(samples: SampleSet) -> Apta:
     return apta
 
 
-def clique_bound(apta: Apta) -> list[tuple[int, list[int]]]:
+def clique_bound(apta: Apta, deadline: float | None = None) -> list[tuple[int, list[int]]]:
     """A clique of pairwise incompatible prefix-tree nodes, as pairs of
     one node and the nodes incompatible with it; its size is a lower
     bound on the size of any DFA consistent with the labels and outputs.
@@ -159,7 +164,9 @@ def clique_bound(apta: Apta) -> list[tuple[int, list[int]]]:
     incompatibility of any two earlier classes is known when it is
     numbered.  The clique is picked greedily among the classes, in order
     of descending degree, and each class is represented by its first
-    node.
+    node.  ``deadline``, a :func:`time.monotonic` instant, is read once
+    every few dozen classes; past it the search raises
+    :class:`SolverTimeout`.
     """
     class_of = [0] * apta.num_nodes
     classes: dict[tuple, int] = {}
@@ -173,6 +180,8 @@ def clique_bound(apta: Apta) -> list[tuple[int, list[int]]]:
         key = (label, output, frozenset(out.items()))
         if key not in classes:
             c = classes[key] = len(labels)
+            if not c % _CLIQUE_CHECK_EVERY:
+                check_deadline(deadline)
             mask = 0
             for d in range(c):
                 if {label, labels[d]} == {True, False} or (
@@ -197,116 +206,6 @@ def clique_bound(apta: Apta) -> list[tuple[int, list[int]]]:
             for c in clique]
 
 
-def _variables(apta: Apta, n: int):
-    """The variables of :func:`encode_size_n`, numbered by formula:
-    color(v,i) = v·n + i + 1, then accepting(i), then trans(a,i,j) by the
-    index of symbol a, then out(i,s,k) for each sign s with more than one
-    vector (``out[s][i]`` is empty otherwise).  Returns the four by
-    index, and their count."""
-    nodes = apta.num_nodes
-    color = [[v * n + i + 1 for i in range(n)] for v in range(nodes)]
-    accepting = [nodes * n + i + 1 for i in range(n)]
-    first = (nodes + 1) * n + 1
-    trans = {sym: [[first + (a * n + i) * n + j for j in range(n)] for i in range(n)]
-             for a, sym in enumerate(apta.alphabet)}
-    first += len(apta.alphabet) * n * n
-    out = []
-    for vectors in apta.vectors:
-        k = len(vectors) if len(vectors) > 1 else 0
-        out.append([[first + i * k + j for j in range(k)] for i in range(n)])
-        first += n * k
-    return color, accepting, trans, out, first - 1
-
-
-def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> CnfInstance:
-    """CNF satisfiable iff some complete n-state DFA matches every label
-    and holds at most one output per state and sign.
-
-    Variables: color(v,i) assigns node v to state i, accepting(i) marks
-    state i final, trans(a,i,j) fixes the successor of state i on symbol
-    a, and out(i,s,k) gives state i the k-th vector of sign s, numbered
-    in that order by :func:`_variables`, which :func:`decode_dfa` shares.
-    A sign with one vector needs no out variables.
-
-    Symmetry breaking by clique pre-colouring (:attr:`Apta.domains`):
-    each node may take only the colours of its domain, and a unit clause
-    removes every other.  The clauses of a node then range over its
-    domain alone, since each clause dropped with a removed colour
-    follows from its unit; a transition into a removed child colour j
-    keeps the two-literal clause (¬color(p,i), ¬trans(a,i,j)).  A pinned
-    node whose colour is not below n has an empty domain, which makes
-    rungs below the clique size unsatisfiable.
-
-    Each clause is a list of its own, of distinct, non-complementary,
-    declared literals, so the builtin SAT backend watches it without a
-    check or a copy (see :func:`~ocalearn.sat.sat_solve`); solving may
-    reorder the literals inside it.
-
-    ``deadline``, a :func:`time.monotonic` instant, is read every few
-    dozen nodes of both node passes and once per state and symbol of
-    the transition clauses; past it the encoder raises
-    :class:`SolverTimeout`.
-    """
-    cnf = CnfInstance()
-    cnf._well_formed = True
-    color, accepting, trans, out, cnf.num_vars = _variables(apta, n)
-    excluded = apta.domains[1]
-    domains = [[i for i in range(n) if not mask >> i & 1] for mask in excluded]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    negated = [[-x for x in row] for row in color]
-    rejecting = [-x for x in accepting]
-    negated_trans = {sym: [[-x for x in row] for row in rows] for sym, rows in trans.items()}
-    clauses = cnf.clauses
-    for v, domain in enumerate(domains):
-        if not v % _ENCODE_CHECK_EVERY:
-            check_deadline(deadline)
-        not_v = negated[v]
-        clauses.extend([[not_v[i]] for i in range(n) if excluded[v] >> i & 1])
-        clauses.append([color[v][i] for i in domain])
-        clauses.extend([[not_v[i], not_v[j]] for k, i in enumerate(domain) for j in domain[k + 1:]])
-        if apta.labels[v] is not None:
-            finals = accepting if apta.labels[v] else rejecting
-            clauses.extend([[not_v[i], finals[i]] for i in domain])
-        if apta.outputs[v] is not None and out[apta.outputs[v][0]][0]:
-            sign, k = apta.outputs[v]
-            clauses.extend([[not_v[i], out[sign][i][k]] for i in domain])
-    for row in out[0] + out[1]:
-        clauses.extend([[-x, -y] for k, x in enumerate(row) for y in row[k + 1:]])
-    for sym in apta.alphabet:
-        for row, not_row in zip(trans[sym], negated_trans[sym]):
-            check_deadline(deadline)
-            clauses.append(list(row))
-            clauses.extend([[not_row[j], not_row[j2]] for j, j2 in pairs])
-    for v in range(1, apta.num_nodes):
-        if not v % _ENCODE_CHECK_EVERY:
-            check_deadline(deadline)
-        parent, sym = apta.parent_edges[v]
-        child = [None if excluded[v] >> j & 1 else c for j, c in enumerate(color[v])]
-        for i in domains[parent]:
-            not_p = negated[parent][i]
-            clauses.extend([[not_p, not_t] if c is None else [not_p, not_t, c]
-                            for not_t, c in zip(negated_trans[sym][i], child)])
-    return cnf
-
-
-def decode_dfa(apta: Apta, assignment: dict[int, bool], n: int) -> Dfa:
-    """The n-state DFA of a model of ``encode_size_n(apta, n)``; its
-    initial state is the root's colour.  A model that gives the root no
-    colour, or some state no successor on some symbol, raises
-    :class:`SolverError`."""
-    color, accepting, trans, _, _ = _variables(apta, n)
-    finals = frozenset(i for i in range(n) if assignment[accepting[i]])
-    transition = {(i, sym): j for sym, rows in trans.items()
-                  for i in range(n) for j in range(n) if assignment[rows[i][j]]}
-    initial = next((i for i in range(n) if assignment[color[0][i]]), None)
-    if initial is None:
-        raise SolverError("the model gives the prefix-tree root no colour")
-    if len(transition) < n * len(apta.alphabet):
-        raise SolverError("the model leaves some state without a successor")
-    return Dfa(states=tuple(range(n)), alphabet=apta.alphabet, initial=initial,
-               transition=transition, finals=finals)
-
-
 def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1,
                      deadline: float | None = None) -> Dfa:
     """Smallest complete DFA accepting every positive and rejecting every
@@ -326,21 +225,21 @@ def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1,
     never drops.
 
     ``deadline``, a :func:`time.monotonic` instant, is read at entry,
-    once the prefix tree and its clique bound are built, before each
-    rung's encoding and throughout it (see :func:`encode_size_n`); past
-    it the search raises :class:`SolverTimeout`.
+    while the clique bound is built (see :func:`clique_bound`), before
+    each rung's encoding and throughout it (see :func:`encode_size_n`);
+    past it the search raises :class:`SolverTimeout`.
     """
     if at_least < 1:
         raise InvalidInput(f"at_least must be at least 1, got {at_least!r}")
     check_deadline(deadline)
     apta = build_apta(samples)
-    start = max(at_least, apta.domains[0])
+    start = max(at_least, apta.domains(deadline)[0])
     for n in range(start, apta.num_nodes + 2):
         check_deadline(deadline)
         cnf = encode_size_n(apta, n, deadline)
         assignment = solve(cnf)
         if assignment is not None:
-            dfa = decode_dfa(apta, assignment, n)
+            dfa = decode_dfa(cnf, assignment)
             _check_separates(dfa, apta)
             return dfa
     raise SolverError(f"no separating DFA of {start} to {apta.num_nodes + 1} "

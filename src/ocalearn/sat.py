@@ -22,10 +22,10 @@ from .errors import InvalidInput, SolverError, SolverTimeout
 class CnfInstance:
     """A CNF formula over the variables ``1..num_vars``.
 
-    Variables carry no stored meaning: an encoder that builds an instance
-    numbers its variables by a fixed formula and reads a model back with
-    the same formula.  Clauses may only mention declared variables.
-    :func:`~ocalearn.minsepdfa.encode_size_n` marks its instances
+    The variables mean nothing to the solvers: an encoder reads a model
+    back by its own numbering (:class:`~ocalearn.colouring.ColouringCnf`
+    carries it).  Clauses may only mention declared variables.
+    :func:`~ocalearn.colouring.encode_size_n` marks its instances
     ``_well_formed``, which :func:`sat_solve` trusts.
     """
 
@@ -63,7 +63,7 @@ def sat_solve(cnf: CnfInstance, backend: str = "builtin",
     raises :class:`SolverTimeout`, at entry as well as while solving.
     The builtin backend checks the clauses as :func:`solve_builtin` does,
     except those of an instance built by
-    :func:`~ocalearn.minsepdfa.encode_size_n`: it solves over them in
+    :func:`~ocalearn.colouring.encode_size_n`: it solves over them in
     place, and may reorder the literals inside each.
     """
     path = external_path(backend)

@@ -22,6 +22,12 @@ next branch.  Both only cut colorings that cannot be completed, so the
 search stays exact; with outputs the skip is also what keeps dissimilar
 outputs apart, since the nodes that carry them are incompatible.
 
+The encoding oracle is the n-state colouring CNF in full, before any
+unit propagation: every variable numbered by formula, the clique pins
+as unit clauses, and every clause over the colours the pins leave.  Its
+generic unit propagation, clause by clause to a fixpoint, gives the
+residual formula that the encoder must emit.
+
 The table oracle closes an observation table the slow way: promote the
 first unclosed row, then rescan P from its start.  The row oracle works
 a row out from scratch on the hidden machine, as pairs of membership and
@@ -51,6 +57,7 @@ from ocalearn.automata import Configuration, sgn
 from ocalearn.equivalence import (ACCEPT_MISMATCH, COUNTER_DESYNC, EQUIVALENT,
                                   Counterexample, Verdict)
 from ocalearn.learning import SimulatedTeacher, learn
+from ocalearn.sat import CnfInstance
 from ocalearn.table import ActionsVector, ObservationTable
 
 
@@ -196,6 +203,90 @@ def _colorable(order, children, parent, conflicts, n):
         return False
 
     return assign(0, 0) and search(1)
+
+
+def full_variables(apta, n):
+    """The variables of :func:`full_encoding`, numbered by formula:
+    color(v,i) = v·n + i + 1, then accepting(i), then trans(a,i,j) by the
+    index of symbol a, then out(i,s,k) for each sign s with more than one
+    vector (``out[s][i]`` is empty otherwise).  Returns the four by
+    index, and their count."""
+    nodes = apta.num_nodes
+    color = [[v * n + i + 1 for i in range(n)] for v in range(nodes)]
+    accepting = [nodes * n + i + 1 for i in range(n)]
+    first = (nodes + 1) * n + 1
+    trans = {sym: [[first + (a * n + i) * n + j for j in range(n)] for i in range(n)]
+             for a, sym in enumerate(apta.alphabet)}
+    first += len(apta.alphabet) * n * n
+    out = []
+    for vectors in apta.vectors:
+        k = len(vectors) if len(vectors) > 1 else 0
+        out.append([[first + i * k + j for j in range(k)] for i in range(n)])
+        first += n * k
+    return color, accepting, trans, out, first - 1
+
+
+def full_encoding(apta, n):
+    """Every clause of the n-state encoding over every variable of
+    :func:`full_variables`, in the order that ``encode_size_n`` keeps:
+    per node, a unit clause for each colour the clique pins remove, then
+    exactly one colour among the rest, the label and the output clauses;
+    one vector per state and sign; exactly one successor per state and
+    symbol; and color(p,i) ∧ trans(a,i,j) → color(v,j) per edge, as the
+    two-literal clause (¬color(p,i), ¬trans(a,i,j)) where colour j is
+    removed from v."""
+    cnf = CnfInstance()
+    color, accepting, trans, out, cnf.num_vars = full_variables(apta, n)
+    excluded = apta.domains()[1]
+    domains = [[i for i in range(n) if not mask >> i & 1] for mask in excluded]
+    clauses = cnf.clauses
+    for v, domain in enumerate(domains):
+        clauses.extend([[-color[v][i]] for i in range(n) if excluded[v] >> i & 1])
+        clauses.append([color[v][i] for i in domain])
+        clauses.extend([[-color[v][i], -color[v][j]]
+                        for k, i in enumerate(domain) for j in domain[k + 1:]])
+        if apta.labels[v] is not None:
+            sign = 1 if apta.labels[v] else -1
+            clauses.extend([[-color[v][i], sign * accepting[i]] for i in domain])
+        if apta.outputs[v] is not None and out[apta.outputs[v][0]][0]:
+            s, k = apta.outputs[v]
+            clauses.extend([[-color[v][i], out[s][i][k]] for i in domain])
+    for row in out[0] + out[1]:
+        clauses.extend([[-x, -y] for k, x in enumerate(row) for y in row[k + 1:]])
+    for sym in apta.alphabet:
+        for row in trans[sym]:
+            clauses.append(list(row))
+            clauses.extend([[-x, -y] for k, x in enumerate(row) for y in row[k + 1:]])
+    for v in range(1, apta.num_nodes):
+        parent, sym = apta.parent_edges[v]
+        for i in domains[parent]:
+            clauses.extend([[-color[parent][i], -t] if excluded[v] >> j & 1
+                            else [-color[parent][i], -t, color[v][j]]
+                            for j, t in enumerate(trans[sym][i])])
+    return cnf
+
+
+def propagate_units(clauses):
+    """Level-0 unit propagation of a CNF, clause by clause to a fixpoint:
+    None if it derives the empty clause, else the fixed values by
+    variable and the clauses they leave unsatisfied, in order, without
+    their false literals."""
+    fixed = {}
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            if any(fixed.get(abs(lit)) == (lit > 0) for lit in clause):
+                continue
+            open_lits = [lit for lit in clause if abs(lit) not in fixed]
+            if not open_lits:
+                return None
+            if len(open_lits) == 1:
+                fixed[abs(open_lits[0])] = open_lits[0] > 0
+                changed = True
+    residual = [[lit for lit in clause if abs(lit) not in fixed] for clause in clauses
+                if not any(fixed.get(abs(lit)) == (lit > 0) for lit in clause)]
+    return fixed, residual
 
 
 def _unclosed_pairs(table, d):

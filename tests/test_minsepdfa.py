@@ -8,10 +8,12 @@ from ocalearn import (ActionsVector, InvalidInput, ObservationTable,
                       SampleConflict, SampleSet, SimulatedTeacher, SolverError,
                       SolverTimeout, build_apta, build_samples, encode_size_n,
                       find_min_sep_dfa, sat, sat_solve)
-from ocalearn.minsepdfa import Apta, clique_bound, decode_dfa
+from ocalearn.colouring import decode_dfa
+from ocalearn.minsepdfa import Apta, clique_bound
 from conftest import make_anbna, random_machine
 from test_table import golden_table
-from oracles import _build_trie, _conflicts, min_sep_dfa_size
+from oracles import (_build_trie, _conflicts, full_encoding, full_variables, min_sep_dfa_size,
+                     propagate_units)
 
 
 def test_build_samples_golden(anbna):
@@ -79,7 +81,7 @@ def test_encode_size_examples():
     cnf = encode_size_n(apta, 2)
     model = sat_solve(cnf)
     assert model is not None
-    dfa = decode_dfa(apta, model, 2)
+    dfa = decode_dfa(cnf, model)
     assert dfa.accepts(()) and not dfa.accepts(("a0",))
 
     apta_pos_only = build_apta(SampleSet(pos=((),), neg=(),
@@ -135,9 +137,10 @@ def cold_ladder(samples):
     reproduce."""
     apta = build_apta(samples)
     for n in count(1):
-        model = sat_solve(encode_size_n(apta, n))
+        cnf = encode_size_n(apta, n)
+        model = sat_solve(cnf)
         if model is not None:
-            return decode_dfa(apta, model, n)
+            return decode_dfa(cnf, model)
 
 
 def filled_tables():
@@ -164,10 +167,10 @@ def sample_aptas():
 def test_encoder_clauses_are_well_formed():
     # the builtin backend watches these clauses without checking them:
     # each must be a list of its own, of distinct, non-complementary,
-    # declared literals; only a pinned node beyond the last colour, below
-    # the clique size, has the empty clause
+    # declared literals; the empty clause stands alone, for a rung that
+    # unit propagation refutes, which every rung below the clique size is
     for apta in sample_aptas():
-        size = apta.domains[0]
+        size = apta.domains()[0]
         for n in range(1, size + 2):
             cnf = encode_size_n(apta, n)
             assert cnf._well_formed
@@ -176,21 +179,25 @@ def test_encoder_clauses_are_well_formed():
                 assert type(clause) is list
                 assert all(0 < abs(lit) <= cnf.num_vars for lit in clause)
                 assert len({abs(lit) for lit in clause}) == len(clause)
-            assert any(not clause for clause in cnf.clauses) == (n < size)
+            refuted = propagate_units(full_encoding(apta, n).clauses) is None
+            assert (cnf.clauses == [[]]) == refuted == any(not clause for clause in cnf.clauses)
+            assert refuted or n >= size
 
 
 def test_encoder_reads_the_deadline_as_it_goes(monkeypatch):
-    # the encoding reads the clock every 32 nodes of both node passes and
-    # once per state and symbol of the transition clauses, the same CNF
-    # comes out while the deadline holds, a deadline that passes at some
-    # read raises there, and no deadline reads no clock
+    # the encoding reads the clock every 32 steps of its propagation,
+    # every 32 nodes of both clause passes over the nodes and once per
+    # state and symbol of the transition clauses; the same CNF comes out
+    # while the deadline holds, a deadline that passes at some read, the
+    # first or the last among them, raises there, and no deadline reads
+    # no clock
     rng = random.Random(3)
     table = ObservationTable(SimulatedTeacher(random_machine(3, max_states=6, alphabet_size=2)))
     for _ in range(20):
         table.add_prefix("".join(rng.choices("ab", k=8)))
     table.repair(2)
     apta = build_apta(build_samples(table))
-    n = apta.domains[0] + 1
+    n = apta.domains()[0] + 1
     reads = []
 
     def clock(limit):
@@ -200,20 +207,51 @@ def test_encoder_reads_the_deadline_as_it_goes(monkeypatch):
         return SimpleNamespace(monotonic=monotonic)
 
     monkeypatch.setattr(sat, "time", clock(float("inf")))
+    apta.domains()      # the clique reads the deadline only while it is built
     assert encode_size_n(apta, n, 1.0).clauses == encode_size_n(apta, n).clauses
     total = len(reads)
     assert apta.num_nodes > 200
-    assert total == (len(range(0, apta.num_nodes, 32)) + len(range(32, apta.num_nodes, 32))
+    clause_passes = (len(range(0, apta.num_nodes, 32)) + len(range(32, apta.num_nodes, 32))
                      + n * len(apta.alphabet))
-    reads.clear()
-    monkeypatch.setattr(sat, "time", clock(total // 2))
-    with pytest.raises(SolverTimeout):
-        encode_size_n(apta, n, 1.0)
-    assert len(reads) == total // 2
+    assert total > clause_passes    # the propagation reads it too
+    for limit in (1, total // 2, total):
+        reads.clear()
+        monkeypatch.setattr(sat, "time", clock(limit))
+        with pytest.raises(SolverTimeout):
+            encode_size_n(apta, n, 1.0)
+        assert len(reads) == limit
     reads.clear()
     monkeypatch.setattr(sat, "time", clock(float("inf")))
     encode_size_n(apta, n)
     assert reads == []
+
+
+def test_clique_reads_the_deadline_once_every_32_classes(monkeypatch):
+    # a deadline that passes while the clique is built raises there, at
+    # its third read (classes 0, 32 and 64), also when find_min_sep_dfa
+    # passes it in after its own read at entry; no deadline reads no clock
+    rng = random.Random(3)
+    table = ObservationTable(SimulatedTeacher(random_machine(3, max_states=6, alphabet_size=2)))
+    for _ in range(20):
+        table.add_prefix("".join(rng.choices("ab", k=8)))
+    table.repair(2)
+    samples = build_samples(table)
+    reads = []
+
+    def monotonic():
+        reads.append(None)
+        return 0.0 if len(reads) < 3 else 2.0
+
+    monkeypatch.setattr(sat, "time", SimpleNamespace(monotonic=monotonic))
+    apta = build_apta(samples)
+    for search in (lambda: clique_bound(apta, 1.0),
+                   lambda: find_min_sep_dfa(samples, deadline=1.0)):
+        reads.clear()
+        with pytest.raises(SolverTimeout):
+            search()
+        assert len(reads) == 3
+    reads.clear()
+    assert clique_bound(apta) and apta.domains() and reads == []
 
 
 def test_ladder_start_below_the_minimum_changes_nothing():
@@ -312,29 +350,39 @@ def test_vectors_of_different_signs_share_a_state():
 
 
 def test_a_model_that_mislabels_a_sample_is_refused():
-    # the all-true model makes its one state accepting, so it accepts a⁰
-    samples = SampleSet(pos=((),), neg=(("a0",),), alphabet=("a0",))
+    # two states cannot separate ε and (a⁰)³ from a⁰, and propagation
+    # refutes that rung; at three, the acceptance of the state that a⁰a⁰
+    # takes is left free, and a model with every free acceptance flipped
+    # rejects (a⁰)³
+    samples = SampleSet(pos=((), ("a0",) * 3), neg=(("a0",),), alphabet=("a0",))
 
-    def all_true(cnf):
-        return {var: True for var in range(1, cnf.num_vars + 1)}
+    def flipped(cnf):
+        model = sat_solve(cnf)
+        if model is not None:
+            for x in cnf.accepting:
+                if type(x) is int:
+                    model[x] = not model[x]
+        return model
 
     with pytest.raises(SolverError, match="mislabels sample"):
+        find_min_sep_dfa(samples, solve=flipped)
+    # a backend that satisfies the refuted rung is refused as well
+    with pytest.raises(SolverError, match="empty clause"):
         find_min_sep_dfa(samples, solve=all_true)
 
 
+def all_true(cnf):
+    return {var: True for var in range(1, cnf.num_vars + 1)}
+
+
 def test_a_model_that_merges_dissimilar_vectors_is_refused():
-    # ε and a⁰a⁰ share a vector, a⁰ differs: the clique bound starts the
-    # ladder at two states, where the all-true model sends a⁰ and a⁰a⁰
-    # to state 1
-    samples = SampleSet(pos=((), ("a0",), ("a0", "a0")), neg=(), alphabet=("a0", "a1"),
+    # ε and a⁰a⁰ hold different vectors of sign 0: the clique pins them
+    # to states 1 and 0 and leaves a⁰ open, and the all-true model gives
+    # every state successor 1 on a⁰, which takes a⁰a⁰ to ε's state
+    samples = SampleSet(pos=(), neg=(), alphabet=("a0", "a1"),
                         outputs=(((), ActionsVector(0, (0,))),
-                                 (("a0",), ActionsVector(0, (1,))),
-                                 (("a0", "a0"), ActionsVector(0, (0,)))))
-
-    def all_true(cnf):
-        return {var: True for var in range(1, cnf.num_vars + 1)}
-
-    with pytest.raises(SolverError, match="merges"):
+                                 (("a0", "a0"), ActionsVector(0, (1,)))))
+    with pytest.raises(SolverError, match="merges two vectors of sign 0 at state 1"):
         find_min_sep_dfa(samples, solve=all_true)
 
 
@@ -381,16 +429,74 @@ def test_clique_nodes_are_pinned_and_incompatible_nodes_lose_their_colour():
         assert len(clique) >= 3
         n = cold_ladder(samples).size
         cnf = encode_size_n(apta, n)
-        units = {clause[0] for clause in cnf.clauses if len(clause) == 1}
         removed = set()
         for k, (node, clashes) in enumerate(clique):
             assert clashes == [v for v in range(apta.num_nodes)
                                if conflicts[node_of[words[node]]] >> node_of[words[v]] & 1]
             assert all(other in clashes for other, _ in clique if other != node)
-            assert node * n + k + 1 in units
+            assert cnf.color[node][k] is True
+            assert all(cnf.color[v][k] is False for v in clashes)
             removed |= {(node, i) for i in range(n) if i != k}
             removed |= {(v, k) for v in clashes}
+        # the unit clauses of the full encoding are the pins alone
+        units = {clause[0] for clause in full_encoding(apta, n).clauses if len(clause) == 1}
         assert {-lit for lit in units if lit < 0} == {v * n + i + 1 for v, i in removed}
-        model = sat_solve(cnf)
+        dfa = decode_dfa(cnf, sat_solve(cnf))
         for k, (node, _) in enumerate(clique):
-            assert model[node * n + k + 1]
+            state = dfa.initial
+            for sym in words[node]:
+                state = dfa.transition[(state, sym)]
+            assert state == k
+
+
+def flattened(color, accepting, trans, out):
+    """The entries of the four variable families in the full encoding's order."""
+    return ([x for row in color for x in row] + list(accepting)
+            + [x for rows in trans.values() for row in rows for x in row]
+            + [x for rows in out for row in rows for x in row])
+
+
+def test_residual_is_the_unit_propagation_of_the_full_encoding():
+    # generic unit propagation of the oracle's full encoding refutes
+    # exactly the rungs that the encoder refutes; otherwise it fixes the
+    # values the encoder fixes, leaves the variables it numbers, in
+    # order, and leaves its clauses, clause for clause, and the builtin
+    # model of the residual, lifted through the fixed values, is the
+    # builtin model of the full encoding.  The one-state tree also
+    # covers n = 1, where every successor set starts as one state.
+    from test_sat import _anbna_apta
+
+    one_state = build_apta(SampleSet(pos=((), ("a0",), ("a0", "b0"), ("b0", "b0", "a0")),
+                                     neg=(), alphabet=("a0", "b0")))
+    checked = {"refuted": 0, "sat": 0}
+    for apta in sample_aptas() + [_anbna_apta(), one_state]:
+        for n in range(1, apta.domains()[0] + 2):
+            full = full_encoding(apta, n)
+            cnf = encode_size_n(apta, n)
+            propagated = propagate_units(full.clauses)
+            if propagated is None:
+                assert cnf.clauses == [[]] and cnf.num_vars == 0
+                checked["refuted"] += 1
+                continue
+            fixed, residual = propagated
+            variables = flattened(*full_variables(apta, n)[:4])
+            values = flattened(cnf.color, cnf.accepting, cnf.trans, cnf.out)
+            assert variables == list(range(1, full.num_vars + 1)) and len(values) == len(variables)
+            entries = list(zip(variables, values))
+            assert {x: e for x, e in entries if type(e) is bool} == fixed
+            numbering = {x: e for x, e in entries if type(e) is not bool}
+            assert list(numbering.values()) == list(range(1, cnf.num_vars + 1))
+            assert cnf.clauses == [[numbering[lit] if lit > 0 else -numbering[-lit]
+                                    for lit in clause] for clause in residual]
+            model = sat_solve(cnf)
+            expected = sat_solve(full)
+            assert (model is None) == (expected is None)
+            if model is None:
+                continue
+            lifted = {x: e if type(e) is bool else model[e] for x, e in entries}
+            assert lifted == expected
+            assert all(any(lifted[abs(lit)] == (lit > 0) for lit in clause)
+                       for clause in full.clauses)
+            checked["sat"] += 1
+    assert min(checked.values()) > 0
+    assert one_state.domains()[0] == 1

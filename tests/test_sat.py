@@ -86,12 +86,12 @@ def test_hand_built_instances_drop_repeated_literals_and_tautologies():
 def test_encoder_instances_solve_as_their_tuple_copies():
     # the builtin backend solves an encoder's instance over its own
     # clause lists, unchecked; a checked copy must give the same model
-    from ocalearn.minsepdfa import encode_size_n
+    from ocalearn.colouring import encode_size_n
     from test_minsepdfa import sample_aptas
 
     models = 0
     for apta in sample_aptas():
-        for n in range(1, apta.domains[0] + 2):
+        for n in range(1, apta.domains()[0] + 2):
             cnf = encode_size_n(apta, n)
             copies = [tuple(clause) for clause in cnf.clauses]
             model = sat_solve(cnf)
@@ -207,7 +207,7 @@ def _anbna_apta():
 def test_external_backend_agrees_on_identification_instances(external_solver):
     # instances produced by the DFA-identification encoder, up to a few
     # thousand clauses
-    from ocalearn.minsepdfa import encode_size_n
+    from ocalearn.colouring import encode_size_n
 
     apta = _anbna_apta()
     backend = f"external:{external_solver}"
@@ -236,15 +236,16 @@ ANBNA_RUNG_DFAS = {
 def test_builtin_search_is_pinned_on_identification_instances():
     # any change to the builtin solver's decisions shows here as a
     # different model, not only as a different hypothesis downstream
-    from ocalearn.minsepdfa import decode_dfa, encode_size_n
+    from ocalearn.colouring import decode_dfa, encode_size_n
 
     apta = _anbna_apta()
     for n, expected in ANBNA_RUNG_DFAS.items():
-        model = sat_solve(encode_size_n(apta, n))
+        cnf = encode_size_n(apta, n)
+        model = sat_solve(cnf)
         if expected is None:
             assert model is None
             continue
-        dfa = decode_dfa(apta, model, n)
+        dfa = decode_dfa(cnf, model)
         successors = tuple(dfa.transition[(i, sym)] for i in range(n) for sym in apta.alphabet)
         assert (dfa.initial, tuple(sorted(dfa.finals)), successors) == expected
 
@@ -351,12 +352,15 @@ def test_learn_names_a_model_without_a_root_colour(tmp_path, capsys):
 
 def test_decode_refuses_a_model_without_a_successor():
     from ocalearn import SampleSet, build_apta, encode_size_n
-    from ocalearn.minsepdfa import _variables, decode_dfa
+    from ocalearn.colouring import decode_dfa
 
     apta = build_apta(SampleSet(pos=((),), neg=(("a0",),), alphabet=("a0",)))
-    model = sat_solve(encode_size_n(apta, 2))
-    trans = _variables(apta, 2)[2]
-    for var in trans["a0"][1]:      # state 1 loses its successor on a0
+    cnf = encode_size_n(apta, 2)
+    model = sat_solve(cnf)
+    # the clique pins the root to state 1 and a⁰ to state 0, which no
+    # sample leaves, so its successor on a⁰ is free
+    assert cnf.color[0] == (False, True) and cnf.trans["a0"][1] == (True, False)
+    for var in cnf.trans["a0"][0]:      # state 0 loses its successor on a0
         model[var] = False
     with pytest.raises(SolverError, match="successor"):
-        decode_dfa(apta, model, 2)
+        decode_dfa(cnf, model)
