@@ -9,7 +9,7 @@ final state coincide with acceptance by final state and empty counter.
 
 import statistics
 
-from ocalearn import BenchConfig, run_benchmark
+from ocalearn.bench import BenchConfig, run_benchmark
 
 config = BenchConfig(min_states=2, max_states=5, samples=5, seed=2024,
                      timeout_s=120, restricted=True)

@@ -17,8 +17,7 @@ from .generate import GenConfig, derive_seed, generate_droca, reachable_count, s
 from .io import load, load_file, store, store_file
 from .learning import LearnConfig, SimulatedTeacher, Stats, construct_droca, learn
 from .minsepdfa import Apta, SampleSet, build_apta, build_samples, find_min_sep_dfa
-from .sat import CnfInstance, external_path, sat_solve, solve_builtin
+from .sat import CnfInstance, external_path, sat_solve
 from .table import ActionsVector, ObservationTable
-from .bench import BenchConfig, CSV_HEADER, run_benchmark
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -82,21 +82,29 @@ class Droca:
         """Dense transition tables for search code.
 
         Returns ``(d0, d1, final_mask, init_idx)`` where ``d0[q][a]`` and
-        ``d1[q][a]`` are ``(target_index, action)`` pairs, None for a
-        missing entry; each row is a tuple, and equal pairs are one object.
+        ``d1[q][a]`` are ``(target_index, action)`` pairs; each row is a
+        tuple, and equal pairs are one object.  A repeated state id, or a
+        (state, letter) pair without a transition in some counter mode,
+        raises :class:`InvalidInput` naming the first one.
         """
         if self._indexed is None:
             idx = {q: i for i, q in enumerate(self.states)}
+            if len(idx) < len(self.states):
+                repeated = next(q for i, q in enumerate(self.states) if idx[q] != i)
+                raise InvalidInput(f"repeated state id {repeated!r}")
             pos = {a: i for i, a in enumerate(self.alphabet)}
             pairs: dict = {}    # (target, action) -> (target index, action)
             tables = []
-            for delta in (self.delta0, self.delta1):
+            for sign, delta in enumerate((self.delta0, self.delta1)):
                 rows = [[None] * len(pos) for _ in self.states]
                 for (q, a), entry in delta.items():
                     pair = pairs.get(entry)
                     if pair is None:
                         pair = pairs[entry] = (idx[entry[0]], entry[1])
                     rows[idx[q]][pos[a]] = pair
+                for q, row in zip(self.states, rows):
+                    if None in row:
+                        raise _missing(q, self.alphabet[row.index(None)], sign)
                 tables.append([tuple(row) for row in rows])
             final_mask = [q in self.finals for q in self.states]
             self._indexed = (*tables, final_mask, idx[self.initial])
@@ -112,7 +120,7 @@ class Droca:
                 raise InvalidInput(f"unknown state {config.state!r}") from None
             if letter not in self.alphabet:
                 raise InvalidInput(f"letter {letter!r} not in alphabet") from None
-            raise
+            raise _missing(config.state, letter, sgn(config.counter)) from None
         return Configuration(target, config.counter + action)
 
     def run(self, word: str) -> RunTrace:
@@ -161,8 +169,8 @@ class Droca:
 
     def is_voca(self) -> bool:
         """True when the counter-action is a function of (letter, counter sign)."""
-        return all(len({delta[(q, a)][1] for q in self.states}) <= 1
-                   for a in self.alphabet for delta in (self.delta0, self.delta1))
+        return all(len({action for _, action in column}) <= 1
+                   for table in self.indexed_tables()[:2] for column in zip(*table))
 
     def voca_action_map(self) -> dict[tuple[str, int], int]:
         """The (letter, sign) -> action map of a visibly one-counter automaton."""
@@ -171,6 +179,11 @@ class Droca:
         q = self.states[0]
         return {(a, sign): delta[(q, a)][1] for a in self.alphabet
                 for sign, delta in enumerate((self.delta0, self.delta1))}
+
+
+def _missing(state, letter, sign) -> InvalidInput:
+    mode = "positive" if sign else "zero"
+    return InvalidInput(f"no transition from state {state!r} on {letter!r} at counter {mode}")
 
 
 def extend_known(known, word, step):

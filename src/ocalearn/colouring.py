@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .automata import Dfa
-from .errors import SolverError
-from .sat import CnfInstance, check_deadline
+from .errors import SolverError, check_deadline
+from .sat import CnfInstance
 
 if TYPE_CHECKING:
     from .minsepdfa import Apta

@@ -22,12 +22,11 @@ with one action map, are theorems the tests check.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 
 from .automata import Droca
-from .errors import EquivalenceTimeout, InvalidInput
+from .errors import EquivalenceTimeout, InvalidInput, check_deadline
 
 COUNTER_DESYNC = "counter-desync"
 ACCEPT_MISMATCH = "accept-mismatch"
@@ -146,7 +145,7 @@ def _length_lex_search(a: Droca, b: Droca, queue: deque, parents: dict,
     dequeued = 0
     while queue and dequeued != limit:
         if not dequeued % _DEADLINE_CHECK_EVERY:
-            _check_deadline(deadline)
+            check_deadline(deadline, EquivalenceTimeout)
         dequeued += 1
         node = queue.popleft()
         pa, pb, n = node
@@ -192,7 +191,7 @@ def _decide_by_summaries(a: Droca, b: Droca, deadline: float | None) -> bool:
     bad = [0, 0]        # bad[mode]: bitmask of the pairs bad in that mode
     for i, (pa, pb) in enumerate(pairs):    # grows with the counter-blind product
         if not i % _DEADLINE_CHECK_EVERY:
-            _check_deadline(deadline)
+            check_deadline(deadline, EquivalenceTimeout)
         for mode, (da, db) in enumerate(((d0a, d0b), (d1a, d1b))):
             moves = list(zip(da[pa], db[pb]))
             if fin_a[pa] != fin_b[pb] or any(ea != eb for (_, ea), (_, eb) in moves):
@@ -213,7 +212,7 @@ def _decide_by_summaries(a: Droca, b: Droca, deadline: float | None) -> bool:
         for i, row in enumerate(steps[1]):
             if cost >= _DEADLINE_CHECK_EVERY:
                 cost = 0
-                _check_deadline(deadline)
+                check_deadline(deadline, EquivalenceTimeout)
             cost += 1
             new = ret[i]
             for t, e in row:
@@ -237,7 +236,7 @@ def _decide_by_summaries(a: Droca, b: Droca, deadline: float | None) -> bool:
     while work:
         popped += 1
         if not popped % _DEADLINE_CHECK_EVERY:
-            _check_deadline(deadline)
+            check_deadline(deadline, EquivalenceTimeout)
         i, mode = work.pop()
         for t, e in steps[mode][i]:
             if e < 0:
@@ -256,8 +255,3 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise EquivalenceTimeout("equivalence query ran past its deadline")

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the deadline check
+that the SAT, colouring, minimal-DFA and equivalence layers share."""
+
+import time
 
 
 class WorkbenchError(Exception):
@@ -47,3 +50,10 @@ class LearnTimeout(WorkbenchError):
     def __init__(self, message, stats):
         super().__init__(message)
         self.stats = stats
+
+
+def check_deadline(deadline: float | None, error: type[WorkbenchError] = SolverTimeout) -> None:
+    """Raise ``error`` once :func:`time.monotonic` is past ``deadline``;
+    a None deadline reads no clock."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise error(f"{error.__name__}: the deadline has passed")

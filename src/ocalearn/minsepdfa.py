@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from .automata import Dfa, doubled_alphabet
 from .colouring import decode_dfa, encode_size_n
-from .errors import InvalidInput, SampleConflict, SolverError
-from .sat import check_deadline, sat_solve
+from .errors import InvalidInput, SampleConflict, SolverError, check_deadline
+from .sat import sat_solve
 from .table import ActionsVector
 
 _CLIQUE_CHECK_EVERY = 32       # subtree classes between two deadline checks

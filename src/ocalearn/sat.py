@@ -4,19 +4,18 @@ Two interchangeable backends decide satisfiability: a builtin
 conflict-driven clause-learning solver, and any external solver
 speaking the DIMACS format on a file argument and reporting
 ``s SATISFIABLE`` / ``s UNSATISFIABLE`` plus ``v`` value lines on
-stdout.  Both are deterministic for a fixed input.
+stdout.  Both are deterministic for a fixed input.  :func:`sat_solve` is
+the one way into either; it checks a hand-built instance for both, and
+the external backend loads its process modules on first use.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-import subprocess
-import tempfile
 import time
 from itertools import islice
 
-from .errors import InvalidInput, SolverError, SolverTimeout
+from .errors import InvalidInput, SolverError, SolverTimeout, check_deadline
 
 
 class CnfInstance:
@@ -29,9 +28,9 @@ class CnfInstance:
     ``_well_formed``, which :func:`sat_solve` trusts.
     """
 
-    def __init__(self):
-        self.num_vars = 0
-        self.clauses: list = []         # sequences of nonzero ints
+    def __init__(self, num_vars: int = 0, clauses=()):
+        self.num_vars = num_vars
+        self.clauses: list = list(clauses)      # sequences of nonzero ints
         self._well_formed = False
 
     def to_dimacs(self) -> str:
@@ -58,30 +57,53 @@ def sat_solve(cnf: CnfInstance, backend: str = "builtin",
               deadline: float | None = None) -> dict[int, bool] | None:
     """A satisfying assignment (total over declared variables) or None.
 
-    ``backend`` is ``"builtin"`` or ``"external:<executable>"``.
+    ``backend`` is ``"builtin"`` or ``"external:<executable>"``.  An
+    instance not built by :func:`~ocalearn.colouring.encode_size_n` is
+    checked first, for either backend (:class:`InvalidInput` on a bad
+    variable count or literal), and the builtin one solves a copy without
+    repeated literals and tautologies; an encoder instance is solved in
+    place, which may reorder the literals inside its clauses.
     ``deadline`` is a :func:`time.monotonic` instant; past it the call
     raises :class:`SolverTimeout`, at entry as well as while solving.
-    The builtin backend checks the clauses as :func:`solve_builtin` does,
-    except those of an instance built by
-    :func:`~ocalearn.colouring.encode_size_n`: it solves over them in
-    place, and may reorder the literals inside each.
     """
     path = external_path(backend)
+    clauses = cnf.clauses if cnf._well_formed else _checked(cnf.num_vars, cnf.clauses)
+    check_deadline(deadline)
     if path is not None:
         return _solve_external(cnf, path, deadline)
-    if not cnf._well_formed:
-        return solve_builtin(cnf.num_vars, cnf.clauses, deadline)
-    check_deadline(deadline)
-    return _Cdcl(cnf.num_vars, cnf.clauses, deadline).solve()
+    return _Cdcl(cnf.num_vars, clauses, deadline).solve()
 
 
-def check_deadline(deadline):
-    if deadline is not None and time.monotonic() > deadline:
-        raise SolverTimeout("SAT solver ran past its deadline")
+def _checked(num_vars, clauses) -> list[list[int]]:
+    """Each clause as a fresh list of its distinct literals, in order,
+    tautologies skipped; a ``num_vars`` that is not a non-negative int,
+    or a literal that is not an int in ``±1..num_vars``, raises
+    :class:`InvalidInput`."""
+    if not (isinstance(num_vars, int) and num_vars >= 0):
+        raise InvalidInput(f"variable count {num_vars!r} is not a non-negative int")
+    checked = []
+    for clause in clauses:
+        seen = set()
+        lits = []
+        tautology = False
+        for lit in clause:
+            if not (isinstance(lit, int) and 0 < abs(lit) <= num_vars):
+                raise InvalidInput(f"literal {lit!r} is not an int in ±1..{num_vars}")
+            if -lit in seen:
+                tautology = True
+            elif lit not in seen:
+                seen.add(lit)
+                lits.append(lit)
+        if not tautology:
+            checked.append(lits)
+    return checked
 
 
 def _solve_external(cnf, exe, deadline):
-    check_deadline(deadline)
+    # imported here, so that ``import ocalearn`` does not load subprocess
+    import os
+    import subprocess
+    import tempfile
     with tempfile.TemporaryDirectory(prefix="ocalearn_sat_") as tmp:
         path = os.path.join(tmp, "instance.cnf")
         with open(path, "w", encoding="ascii") as handle:
@@ -114,61 +136,20 @@ def _solve_external(cnf, exe, deadline):
     raise SolverError(f"no status line in solver output (exit {proc.returncode})")
 
 
-def solve_builtin(num_vars: int, clauses, deadline: float | None = None):
-    """Conflict-driven clause-learning solver.
-
-    Watched-literal propagation, first-UIP clause learning, activity-based
-    decisions with phase saving, and geometric restarts.  Deterministic:
-    ties break on variable index and there is no randomization.  A
-    ``num_vars`` that is not a non-negative int, or a literal that is not
-    an int, is 0 or names a variable above ``num_vars``, raises
-    :class:`InvalidInput`; repeated literals and tautologies are dropped,
-    and ``clauses`` is left as it was.  Past ``deadline`` (a
-    :func:`time.monotonic` instant), checked at entry, every few thousand
-    clauses while the clauses are read, on every conflict and every few
-    hundred decisions, it raises :class:`SolverTimeout`.
-
-    Values, watch lists, decision levels and reasons live in arrays
-    indexed by the signed literal itself (``-v`` lands in a slot of its
-    own through Python's negative indexing).  The decision heap is lazy
-    but keeps at most one live entry per variable: an entry is live while
-    it carries the variable's current activity, and an activity rescale
-    rebuilds the heap from the current activities.
-    """
-    if not (isinstance(num_vars, int) and num_vars >= 0):
-        raise InvalidInput(f"variable count {num_vars!r} is not a non-negative int")
-    check_deadline(deadline)
-    return _Cdcl(num_vars, _checked(num_vars, clauses), deadline).solve()
-
-
-def _checked(num_vars, clauses):
-    """Each clause as a fresh list of its distinct literals, in order;
-    tautologies are skipped, and a literal that is not an int in
-    ``±1..num_vars`` raises :class:`InvalidInput`."""
-    for clause in clauses:
-        seen = set()
-        lits = []
-        tautology = False
-        for lit in clause:
-            if not (isinstance(lit, int) and 0 < abs(lit) <= num_vars):
-                raise InvalidInput(f"literal {lit!r} is not an int in ±1..{num_vars}")
-            if -lit in seen:
-                tautology = True
-            elif lit not in seen:
-                seen.add(lit)
-                lits.append(lit)
-        if not tautology:
-            yield lits
-
-
 _INGEST_CHECK_EVERY = 4096      # clauses read between two deadline checks
 _DECIDE_CHECK_EVERY = 256       # decisions between two deadline checks
 
 
 class _Cdcl:
-    """The solver of :func:`solve_builtin`.  It watches the given clause
-    lists themselves: each must be a list of distinct, non-complementary
-    literals over ``1..num_vars``, which solving reorders in place."""
+    """The builtin backend: watched-literal propagation, first-UIP clause
+    learning, activity-based decisions with phase saving, and geometric
+    restarts.  Deterministic: ties break on variable index and there is
+    no randomization.  It watches the given clause lists themselves:
+    each must be a list of distinct, non-complementary literals over
+    ``1..num_vars``, which solving reorders in place.  The deadline is
+    read every few thousand clauses while they are read, on every
+    conflict and every few hundred decisions.
+    """
 
     def __init__(self, num_vars, clauses, deadline):
         self.nvars = num_vars

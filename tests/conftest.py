@@ -88,9 +88,12 @@ def split_copy(m: Droca, rng: random.Random) -> Droca:
     """Copy of ``m`` with one state duplicated: the duplicate keeps the
     state's rows and finality and takes a random half of the state's
     incoming transitions, so the copy is one state larger and
-    equivalent to ``m`` by construction."""
+    equivalent to ``m`` by construction.  The duplicate's name is the
+    state's with as many ``s`` appended as make it new."""
     old = rng.choice(m.states)
     new = f"{old}s"
+    while new in m.states:
+        new += "s"
     delta0, delta1 = dict(m.delta0), dict(m.delta1)
     for delta in (delta0, delta1):
         for key, (target, action) in list(delta.items()):

@@ -9,10 +9,10 @@ import time
 
 import pytest
 
-from ocalearn import (ACCEPT_MISMATCH, BenchConfig, GenConfig, LearnConfig,
-                      ObservationTable, SimulatedTeacher, check_sync_equiv,
-                      derive_seed, generate_droca, learn, run_benchmark,
-                      voca_check_equiv)
+from ocalearn import (ACCEPT_MISMATCH, GenConfig, LearnConfig, ObservationTable,
+                      SimulatedTeacher, check_sync_equiv, derive_seed,
+                      generate_droca, learn, voca_check_equiv)
+from ocalearn.bench import BenchConfig, run_benchmark
 from ocalearn.minsepdfa import SampleSet, find_min_sep_dfa
 from conftest import make_anbna, make_five_state_a_plus, random_voca
 from oracles import brute_force_equiv, learn_counting_rows, min_sep_dfa_size

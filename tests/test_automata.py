@@ -3,8 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from ocalearn import (Configuration, Droca, InvalidInput, doubled_alphabet,
-                      pretty_encoded, validate)
+from ocalearn import (Configuration, Droca, InvalidInput, SimulatedTeacher,
+                      check_sync_equiv, doubled_alphabet, learn, pretty_encoded,
+                      reachable_count, validate, voca_check_equiv)
 from conftest import make_anbna, random_machine
 
 
@@ -131,6 +132,27 @@ def test_validate_catches_missing_entry(anbna):
     broken = Droca(anbna.states, anbna.alphabet, anbna.initial,
                    anbna.delta0, delta1, anbna.finals)
     assert any("incomplete transition table" in v for v in validate(broken))
+
+
+def test_malformed_machines_raise_named_errors(anbna):
+    # a machine missing a reachable transition, and one that repeats a
+    # state id, through every call that reads the dense tables or steps
+    delta1 = dict(anbna.delta1)
+    del delta1[("q1", "b")]
+    incomplete = Droca(anbna.states, anbna.alphabet, anbna.initial,
+                       anbna.delta0, delta1, anbna.finals)
+    repeated = Droca(anbna.states + ("q2",), anbna.alphabet, anbna.initial,
+                     anbna.delta0, anbna.delta1, anbna.finals)
+    calls = (lambda m: check_sync_equiv(m, anbna), lambda m: check_sync_equiv(anbna, m),
+             reachable_count, lambda m: m.is_voca(), lambda m: voca_check_equiv(m, m),
+             lambda m: learn(SimulatedTeacher(m)))
+    missing = "no transition from state 'q1' on 'b' at counter positive"
+    for machine, message in ((incomplete, missing), (repeated, "repeated state id 'q2'")):
+        for call in calls:
+            with pytest.raises(InvalidInput, match=message):
+                call(machine)
+    with pytest.raises(InvalidInput, match=missing):     # stepped, not tabled
+        incomplete.run("aabb")
 
 
 def test_validate_catches_decrement_at_zero(anbna):

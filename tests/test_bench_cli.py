@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from ocalearn import (BenchConfig, CSV_HEADER, InvalidInput, bench,
-                      derive_seed, run_benchmark, store)
+from ocalearn import InvalidInput, bench, derive_seed, store
+from ocalearn.bench import CSV_HEADER, BenchConfig, run_benchmark
 from ocalearn.learning import STATS_FIELDS
 from ocalearn.cli import main
 from conftest import make_anbna, random_voca

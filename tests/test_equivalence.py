@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 from ocalearn import (ACCEPT_MISMATCH, COUNTER_DESYNC, Droca, EquivalenceTimeout,
-                      InvalidInput, check_sync_equiv, derive_seed, equivalence,
-                      voca_check_equiv)
+                      InvalidInput, check_sync_equiv, derive_seed, equivalence, errors,
+                      validate, voca_check_equiv)
 from conftest import random_machine, random_voca, split_copy
 from oracles import brute_force_equiv, capped_equiv
 
@@ -171,6 +171,7 @@ def test_voca_cross_validation():
                         action_map=None if i % 4 == 0 else shared)
         # state-split copies are larger and equivalent by construction
         split = split_copy(split_copy(a, rng), rng)
+        assert validate(split) == [] and split.size == a.size + 2
         for left, right in ((a, b), (split, a)):
             fast = voca_check_equiv(left, right)
             sync = check_sync_equiv(left, right)
@@ -336,17 +337,17 @@ def test_decision_reads_the_clock_inside_its_sweeps(monkeypatch):
             return 0.0 if len(reads) < limit else 2.0
         return SimpleNamespace(monotonic=monotonic)
 
-    monkeypatch.setattr(equivalence, "time", clock(float("inf")))
+    monkeypatch.setattr(errors, "time", clock(float("inf")))
     assert equivalence._decide_by_summaries(a, b, 1.0)
     total = len(reads)
     assert total > 100
     reads.clear()
-    monkeypatch.setattr(equivalence, "time", clock(total // 2))
+    monkeypatch.setattr(errors, "time", clock(total // 2))
     with pytest.raises(EquivalenceTimeout):
         equivalence._decide_by_summaries(a, b, 1.0)
     assert len(reads) == total // 2
     reads.clear()
-    monkeypatch.setattr(equivalence, "time", clock(float("inf")))
+    monkeypatch.setattr(errors, "time", clock(float("inf")))
     assert equivalence._decide_by_summaries(a, b, None)
     assert reads == []
 
@@ -362,6 +363,6 @@ def test_passed_deadline_raises_and_no_deadline_reads_no_clock(monkeypatch):
     def no_clock():
         raise AssertionError("clock read without a deadline")
 
-    monkeypatch.setattr(equivalence, "time", SimpleNamespace(monotonic=no_clock))
+    monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=no_clock))
     for check in (check_sync_equiv, voca_check_equiv):
         assert check(a, b).equivalent

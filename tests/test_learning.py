@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ocalearn import (Droca, GenConfig, InvalidInput, LearnConfig, LearnTimeout,
                       ObservationTable, SimulatedTeacher, check_sync_equiv,
                       construct_droca, derive_seed, generate_droca, learn,
-                      learning, minsepdfa, sat)
+                      errors, learning, minsepdfa)
 from conftest import make_anbna, make_five_state_a_plus, random_machine, random_voca
 from oracles import brute_force_equiv, learn_counting_rows
 from test_minsepdfa import cold_ladder
@@ -185,7 +185,7 @@ def test_learn_reads_the_deadline_in_the_construction_phase(monkeypatch, owner, 
     now = [0.0]
     clock = SimpleNamespace(monotonic=lambda: now[0])
     monkeypatch.setattr(learning, "time", clock)
-    monkeypatch.setattr(sat, "time", clock)
+    monkeypatch.setattr(errors, "time", clock)
     original = getattr(owner, phase)
 
     def slow(*args):

@@ -7,7 +7,7 @@ import pytest
 from ocalearn import (ActionsVector, InvalidInput, ObservationTable,
                       SampleConflict, SampleSet, SimulatedTeacher, SolverError,
                       SolverTimeout, build_apta, build_samples, encode_size_n,
-                      find_min_sep_dfa, sat, sat_solve)
+                      errors, find_min_sep_dfa, sat_solve)
 from ocalearn.colouring import decode_dfa
 from ocalearn.minsepdfa import Apta, clique_bound
 from conftest import make_anbna, random_machine
@@ -206,7 +206,7 @@ def test_encoder_reads_the_deadline_as_it_goes(monkeypatch):
             return 0.0 if len(reads) < limit else 2.0
         return SimpleNamespace(monotonic=monotonic)
 
-    monkeypatch.setattr(sat, "time", clock(float("inf")))
+    monkeypatch.setattr(errors, "time", clock(float("inf")))
     apta.domains()      # the clique reads the deadline only while it is built
     assert encode_size_n(apta, n, 1.0).clauses == encode_size_n(apta, n).clauses
     total = len(reads)
@@ -216,12 +216,12 @@ def test_encoder_reads_the_deadline_as_it_goes(monkeypatch):
     assert total > clause_passes    # the propagation reads it too
     for limit in (1, total // 2, total):
         reads.clear()
-        monkeypatch.setattr(sat, "time", clock(limit))
+        monkeypatch.setattr(errors, "time", clock(limit))
         with pytest.raises(SolverTimeout):
             encode_size_n(apta, n, 1.0)
         assert len(reads) == limit
     reads.clear()
-    monkeypatch.setattr(sat, "time", clock(float("inf")))
+    monkeypatch.setattr(errors, "time", clock(float("inf")))
     encode_size_n(apta, n)
     assert reads == []
 
@@ -242,7 +242,7 @@ def test_clique_reads_the_deadline_once_every_32_classes(monkeypatch):
         reads.append(None)
         return 0.0 if len(reads) < 3 else 2.0
 
-    monkeypatch.setattr(sat, "time", SimpleNamespace(monotonic=monotonic))
+    monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=monotonic))
     apta = build_apta(samples)
     for search in (lambda: clique_bound(apta, 1.0),
                    lambda: find_min_sep_dfa(samples, deadline=1.0)):

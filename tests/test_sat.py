@@ -9,21 +9,15 @@ from types import SimpleNamespace
 import pytest
 
 from ocalearn import (CnfInstance, InvalidInput, SolverError, SolverTimeout,
-                      external_path, sat_solve, solve_builtin)
+                      external_path, sat_solve)
 
 
 def test_single_positive_unit():
-    cnf = CnfInstance()
-    cnf.num_vars = 1
-    cnf.clauses.append((1,))
-    assert sat_solve(cnf) == {1: True}
+    assert sat_solve(CnfInstance(1, [(1,)])) == {1: True}
 
 
 def test_contradictory_units():
-    cnf = CnfInstance()
-    cnf.num_vars = 1
-    cnf.clauses.extend([(1,), (-1,)])
-    assert sat_solve(cnf) is None
+    assert sat_solve(CnfInstance(1, [(1,), (-1,)])) is None
 
 
 def test_empty_clause_list_is_satisfiable():
@@ -31,9 +25,7 @@ def test_empty_clause_list_is_satisfiable():
 
 
 def test_dimacs_format():
-    cnf = CnfInstance()
-    cnf.num_vars = 2
-    cnf.clauses.extend([(1, -2), (2,)])
+    cnf = CnfInstance(2, [(1, -2), (2,)])
     assert cnf.to_dimacs() == "p cnf 2 2\n1 -2 0\n2 0\n"
 
 
@@ -54,32 +46,44 @@ def test_builtin_agrees_with_enumeration():
             width = rng.randrange(1, 4)
             clauses.append(tuple(rng.choice((-1, 1)) * rng.randrange(1, num_vars + 1)
                                  for _ in range(width)))
-        model = solve_builtin(num_vars, clauses)
+        model = sat_solve(CnfInstance(num_vars, clauses))
         assert (model is not None) == _brute(num_vars, clauses)
         if model is not None:
             assert all(any((lit > 0) == model[abs(lit)] for lit in clause)
                        for clause in clauses)
 
 
+BAD_INSTANCES = ((1, [(0,)]), (1, [(3,), (-1,)]), (1, [(1, -1, 2)]),
+                 (2, [[1.5]]), (2, [[1, "2"]]), (-2, []), (-1, [(1,)]))
+
+
 def test_builtin_rejects_undeclared_literals():
-    # directly, and through sat_solve on an instance built by hand
-    for num_vars, clauses in ((1, [(0,)]), (1, [(3,), (-1,)]), (1, [(1, -1, 2)]),
-                              (2, [[1.5]]), (2, [[1, "2"]]), (-2, [])):
+    for num_vars, clauses in BAD_INSTANCES:
         with pytest.raises(InvalidInput):
-            solve_builtin(num_vars, clauses)
-        cnf = CnfInstance()
-        cnf.num_vars = num_vars
-        cnf.clauses.extend(clauses)
+            sat_solve(CnfInstance(num_vars, clauses))
+
+
+def test_hand_built_instances_are_checked_before_an_external_solver_runs(tmp_path):
+    # the script leaves a marker file whenever it runs; a bad instance
+    # must be refused before it starts
+    marker = tmp_path / "ran"
+    script = tmp_path / "marking_solver"
+    script.write_text(f"#!{sys.executable}\nopen({str(marker)!r}, 'w').close()\n"
+                      "print('s UNSATISFIABLE')\n")
+    script.chmod(script.stat().st_mode | stat.S_IXUSR)
+    backend = f"external:{script}"
+    for num_vars, clauses in BAD_INSTANCES:
         with pytest.raises(InvalidInput):
-            sat_solve(cnf)
+            sat_solve(CnfInstance(num_vars, clauses), backend)
+        assert not marker.exists()
+    assert sat_solve(CnfInstance(1, [(1, 1)]), backend) is None
+    assert marker.exists()
 
 
 def test_hand_built_instances_drop_repeated_literals_and_tautologies():
-    cnf = CnfInstance()
-    cnf.num_vars = 3
     clauses = [(1, 1, -2), (2, -2), (-1, -1), (2, 3, 2)]
-    cnf.clauses.extend(clauses)
-    assert sat_solve(cnf) == solve_builtin(3, clauses) == {1: False, 2: False, 3: True}
+    cnf = CnfInstance(3, clauses)
+    assert sat_solve(cnf) == {1: False, 2: False, 3: True}
     assert cnf.clauses == clauses
 
 
@@ -95,7 +99,7 @@ def test_encoder_instances_solve_as_their_tuple_copies():
             cnf = encode_size_n(apta, n)
             copies = [tuple(clause) for clause in cnf.clauses]
             model = sat_solve(cnf)
-            assert model == solve_builtin(cnf.num_vars, copies)
+            assert model == sat_solve(CnfInstance(cnf.num_vars, copies))
             assert [sorted(c) for c in cnf.clauses] == [sorted(c) for c in copies]
             models += model is not None
     assert models > 0
@@ -106,14 +110,12 @@ def test_builtin_reads_the_deadline_between_decisions(monkeypatch):
     # each clock read is one second later, so the deadline passes after
     # the reads at entry and while reading the clauses, and only reads
     # between decisions can notice
-    from ocalearn import sat
+    from ocalearn import errors, sat
 
     reads = itertools.count()
-    monkeypatch.setattr(sat, "time", SimpleNamespace(monotonic=lambda: next(reads)))
+    monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: next(reads)))
     num_vars = 8 * sat._DECIDE_CHECK_EVERY
-    cnf = CnfInstance()
-    cnf.num_vars = num_vars
-    cnf.clauses.extend((-v, v + 1) for v in range(1, num_vars))
+    cnf = CnfInstance(num_vars, [(-v, v + 1) for v in range(1, num_vars)])
     assert len(cnf.clauses) < sat._INGEST_CHECK_EVERY
     assert sat_solve(cnf, deadline=1e9) is not None
     reads = itertools.count()
@@ -132,13 +134,13 @@ def _pigeonhole(n):
 
 
 def test_builtin_handles_pigeonhole_unsat():
-    assert solve_builtin(*_pigeonhole(5)) is None
+    assert sat_solve(CnfInstance(*_pigeonhole(5))) is None
 
 
 STUB = """#!{python}
 import sys
 sys.path.insert(0, {srcdir!r})
-from ocalearn.sat import solve_builtin
+from ocalearn.sat import CnfInstance, sat_solve
 
 clauses = []
 num_vars = 0
@@ -153,7 +155,7 @@ with open(sys.argv[1]) as handle:
         lits = [int(tok) for tok in line.split()]
         assert lits[-1] == 0
         clauses.append(tuple(lits[:-1]))
-model = solve_builtin(num_vars, clauses)
+model = sat_solve(CnfInstance(num_vars, clauses))
 if model is None:
     print("s UNSATISFIABLE")
 else:
@@ -289,7 +291,7 @@ def test_builtin_decision_order_survives_activity_rescales():
                              for v in rng.sample(range(1, num_vars + 1), 3))
                        for _ in range(int(4.2 * num_vars))]
             model = solve_near_rescale(num_vars, clauses, var_inc)
-            assert (model is None) == (solve_builtin(num_vars, clauses) is None)
+            assert (model is None) == (sat_solve(CnfInstance(num_vars, clauses)) is None)
             if model is not None:
                 assert all(any((lit > 0) == model[abs(lit)] for lit in clause)
                            for clause in clauses)
@@ -297,9 +299,7 @@ def test_builtin_decision_order_survives_activity_rescales():
 
 
 def test_passed_deadline_raises_on_both_backends(external_solver):
-    cnf = CnfInstance()
-    cnf.num_vars = 1
-    cnf.clauses.append((1,))
+    cnf = CnfInstance(1, [(1,)])
     passed = time.monotonic() - 1
     for backend in ("builtin", f"external:{external_solver}"):
         with pytest.raises(SolverTimeout):
@@ -307,9 +307,7 @@ def test_passed_deadline_raises_on_both_backends(external_solver):
 
 
 def test_external_backend_missing_executable():
-    cnf = CnfInstance()
-    cnf.num_vars = 1
-    cnf.clauses.append((1,))
+    cnf = CnfInstance(1, [(1,)])
     with pytest.raises(SolverError):
         sat_solve(cnf, "external:/nonexistent/solver")
 
@@ -329,9 +327,7 @@ def _replying_solver(tmp_path, reply):
 
 
 def test_external_literal_that_is_not_an_int_is_a_solver_error(tmp_path):
-    cnf = CnfInstance()
-    cnf.num_vars = 1
-    cnf.clauses.append((1,))
+    cnf = CnfInstance(1, [(1,)])
     backend = _replying_solver(tmp_path, "s SATISFIABLE\nv 1 x 0")
     with pytest.raises(SolverError, match="'x'"):
         sat_solve(cnf, backend)
