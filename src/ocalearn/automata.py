@@ -83,15 +83,20 @@ class Droca:
 
         Returns ``(d0, d1, final_mask, init_idx)`` where ``d0[q][a]`` and
         ``d1[q][a]`` are ``(target_index, action)`` pairs; each row is a
-        tuple, and equal pairs are one object.  A repeated state id, or a
-        (state, letter) pair without a transition in some counter mode,
-        raises :class:`InvalidInput` naming the first one.
+        tuple, and equal pairs are one object.  The tables are built at
+        the first call and kept until :meth:`drop_tables`.  A repeated
+        state id, an initial state or transition target that is not a
+        state, a transition from an unknown state or on an unknown
+        letter, or a (state, letter) pair without a transition in some
+        counter mode, raises :class:`InvalidInput` naming the first one.
         """
         if self._indexed is None:
             idx = {q: i for i, q in enumerate(self.states)}
             if len(idx) < len(self.states):
                 repeated = next(q for i, q in enumerate(self.states) if idx[q] != i)
                 raise InvalidInput(f"repeated state id {repeated!r}")
+            if self.initial not in idx:
+                raise InvalidInput(f"the initial state is the unknown state {self.initial!r}")
             pos = {a: i for i, a in enumerate(self.alphabet)}
             pairs: dict = {}    # (target, action) -> (target index, action)
             tables = []
@@ -100,8 +105,14 @@ class Droca:
                 for (q, a), entry in delta.items():
                     pair = pairs.get(entry)
                     if pair is None:
+                        if entry[0] not in idx:
+                            raise InvalidInput(f"the transition from {q!r} on {a!r} targets "
+                                               f"the unknown state {entry[0]!r}")
                         pair = pairs[entry] = (idx[entry[0]], entry[1])
-                    rows[idx[q]][pos[a]] = pair
+                    try:
+                        rows[idx[q]][pos[a]] = pair
+                    except KeyError:
+                        raise InvalidInput(f"a transition from the unknown pair ({q!r}, {a!r})") from None
                 for q, row in zip(self.states, rows):
                     if None in row:
                         raise _missing(q, self.alphabet[row.index(None)], sign)
@@ -109,6 +120,11 @@ class Droca:
             final_mask = [q in self.finals for q in self.states]
             self._indexed = (*tables, final_mask, idx[self.initial])
         return self._indexed
+
+    def drop_tables(self) -> None:
+        """Free the dense tables of :meth:`indexed_tables`, for a machine
+        that is not searched again; a later call builds them anew."""
+        self._indexed = None
 
     def step(self, config: Configuration, letter: str) -> Configuration:
         """One transition from ``config`` on ``letter``."""

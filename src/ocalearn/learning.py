@@ -61,8 +61,10 @@ class SimulatedTeacher:
     included, and runs a word on from its longest such prefix.
     Synchronous-equivalence queries hand back the minimal counterexample
     of :func:`check_sync_equiv`, which raises
-    :class:`EquivalenceTimeout` past ``deadline``.  Every call
-    increments the session statistics.
+    :class:`EquivalenceTimeout` past ``deadline``; the hidden machine
+    keeps the dense tables of that search for the next query, and each
+    hypothesis, queried once, drops its own.  Every call increments the
+    session statistics.
     """
 
     def __init__(self, hidden: Droca, stats: Stats | None = None):
@@ -86,6 +88,7 @@ class SimulatedTeacher:
     def seq(self, hypothesis: Droca, deadline: float | None = None) -> Counterexample | None:
         self.stats.n_seq += 1
         verdict = check_sync_equiv(hypothesis, self.hidden, deadline)
+        hypothesis.drop_tables()    # each hypothesis is queried once, the hidden machine each time
         return None if verdict.equivalent else verdict.counterexample
 
     def voca_action_map(self) -> dict[tuple[str, int], int]:
@@ -115,47 +118,56 @@ def construct_droca(table: ObservationTable, *, solve=sat_solve, at_least: int =
     the minimal size (see :func:`find_min_sep_dfa`), and calls ``solve``
     on each CNF (:func:`learn` passes :func:`sat_solve` with the backend
     string ``LearnConfig.solver``).  Past ``deadline`` the search raises
-    :class:`SolverTimeout`.  Counter-actions come from replaying the
-    samples' outputs, each encoded table word with its vector, from the
-    state of its longest prefix already replayed, so every prefix is
-    stepped once.  The vector is written at the word's end state
-    without a check: the skeleton search has refused every model that
-    gives two table words of one sign and one state different vectors.
-    A step from a prefix that is itself a table word is not recorded,
-    since its action is that prefix's own vector.
+    :class:`SolverTimeout`.  Counter-actions come from the skeleton's run
+    over the samples' prefix tree, which the search hands back with the
+    DFA.  The nodes with an output, the encoded table words, fix the
+    actions of their sign at their state to their vector: the skeleton
+    search has refused every model that gives two table words of one
+    sign and one state different vectors, and hands back the vector each
+    state holds per sign.  A step from such a node is not checked, since
+    its action is the node's own vector.
 
-    Only a step from a prefix outside the table is checked, against the
-    action fixed for the (state, sign, letter) of its symbol.  Such a
-    prefix is not yet constrained by any sample, so a clash is repaired
-    by promoting it into P (signalled via :class:`PrefixConflict`).
-    Transitions that no replay fixes keep the skeleton target with the
-    action of the table's ``action_map`` (visibly one-counter mode),
-    else 0.  In visibly one-counter mode every counter-value comes from
-    the map, so no clash can arise.
+    Only a step from a node outside the table is checked, against the
+    action fixed for the (state, sign, letter) of its symbol, with its
+    delta read off the table's cached counter-values.  Such a prefix is
+    not yet constrained by any sample, so a clash is repaired by
+    promoting it into P (signalled via :class:`PrefixConflict`).  The
+    clashing step reported is the first in the order in which the
+    samples' outputs, in build order, first pass the steps.  Transitions
+    that no step fixes keep the skeleton target with the action of the
+    table's ``action_map`` (visibly one-counter mode), else 0.  In
+    visibly one-counter mode every counter-value comes from the map, so
+    no clash can arise.
     """
     samples = build_samples(table)
     skeleton = find_min_sep_dfa(samples, solve=solve, at_least=at_least, deadline=deadline)
     names = {q: sys.intern(f"s{q}") for q in skeleton.states}   # shared by every hypothesis
+    apta, states = skeleton.apta, skeleton.node_states
 
-    actions: dict[tuple[int, int, str], int] = {}
-    outside = []    # (key, delta, prefix) of the steps from prefixes outside the table
-    table_words = {code for code, _ in samples.outputs}   # encoded
-    states = {(): skeleton.initial}     # replayed encoded word -> skeleton state
-
-    def replay(state, code, j):
-        if code[:j] not in table_words:
-            letter, sign = code[j][:-1], int(code[j][-1])
-            prefix = "".join(sym[:-1] for sym in code[:j])
-            delta = table.counter_value(prefix + letter) - table.counter_value(prefix)
-            outside.append(((state, sign, letter), delta, prefix))
-        return skeleton.transition[(state, code[j])]
-    for code, vector in samples.outputs:
-        state = extend_known(states, code, replay)
-        for letter, delta in zip(table.alphabet, vector.deltas):
-            actions[(state, vector.sign, letter)] = delta
-    for key, delta, prefix in outside:
-        if actions.setdefault(key, delta) != delta:
-            raise PrefixConflict(prefix)
+    vectors = [list(index) for index in apta.vectors]   # each sign's vectors, by index
+    fixed = {(q, sign, letter): delta for (q, sign), (_, index) in skeleton.outputs.items()
+             for letter, delta in zip(table.alphabet, vectors[sign][index].deltas)}
+    words = [""]    # the plain word of each node
+    outside = []    # (node, key, delta) of each step from a node outside the table
+    for v, (u, sym) in enumerate(apta.parent_edges[1:], 1):
+        letter = sym[:-1]
+        words.append(words[u] + letter)
+        if apta.outputs[u] is None:
+            delta = table.counter_value(words[v]) - table.counter_value(words[u])
+            outside.append((v, (states[u], int(sym[-1]), letter), delta))
+    actions = dict(fixed)
+    if any(actions.setdefault(key, delta) != delta for _, key, delta in outside):
+        # which step clashes first depends on the order: that of the samples
+        order = {}
+        for code, _ in samples.outputs:
+            v = 0
+            for sym in code:
+                v = apta.children[v][sym]
+                order.setdefault(v, len(order))
+        outside.sort(key=lambda step: order[step[0]])
+        actions = dict(fixed)
+        v = next(v for v, key, delta in outside if actions.setdefault(key, delta) != delta)
+        raise PrefixConflict(words[apta.parent_edges[v][0]])
 
     defaults = table.action_map or {}
     delta0, delta1 = {}, {}
@@ -173,7 +185,7 @@ def construct_droca(table: ObservationTable, *, solve=sat_solve, at_least: int =
 
 
 class PrefixConflict(Exception):
-    """A replay step at a word outside the table clashed with an action
+    """A step from a word outside the table clashed with an action
     already fixed; the word must join P before construction can succeed."""
 
     def __init__(self, prefix):

@@ -160,45 +160,71 @@ def clique_bound(apta: Apta, deadline: float | None = None) -> list[tuple[int, l
     them one state, so a set of pairwise incompatible nodes needs as many
     states.  Nodes with equal labelled subtrees are interchangeable and
     never incompatible, so the nodes are hash-consed into subtree classes,
-    children first: a class's children are numbered before it, and the
-    incompatibility of any two earlier classes is known when it is
-    numbered.  The clique is picked greedily among the classes, in order
-    of descending degree, and each class is represented by its first
-    node.  ``deadline``, a :func:`time.monotonic` instant, is read once
-    every few dozen classes; past it the search raises
+    children first, and a class's children are numbered before it.
+
+    Each class's conflicts, a bitmask over all classes, are then worked
+    out in that order from OR-ed bitmasks, with no pairwise scan: the
+    classes of the opposite label, those with another output of the same
+    sign, and, per child on a symbol, the classes whose child on that
+    symbol clashes with it.  That last mask is kept per (symbol, child
+    class); it is the OR of the parent masks on that symbol of the
+    child's conflicts, which are complete, as the child is numbered
+    first.  The clique is picked greedily among the classes, in order of
+    descending degree, and each class is represented by its first node.
+    ``deadline``, a :func:`time.monotonic` instant, is read once every
+    32 classes of the second pass; past it the search raises
     :class:`SolverTimeout`.
     """
     class_of = [0] * apta.num_nodes
     classes: dict[tuple, int] = {}
-    labels: list[bool | None] = []
-    outputs: list[tuple[int, int] | None] = []
-    edges: list[dict] = []              # symbol -> child class
-    conflicts: list[int] = []           # bitmask of the classes each one clashes with
+    kinds: list[tuple] = []                 # (label, output, edges) of each class
+    labelled = {True: 0, False: 0}          # bitmasks of the classes of each label
+    signed = [0, 0]                         # ... with an output of each sign
+    same_output: dict[tuple[int, int], int] = {}    # ... with each output
+    parents: dict = {sym: {} for sym in apta.alphabet}  # sym -> class -> classes with it as sym-child
     for v in reversed(range(apta.num_nodes)):   # a child is numbered after its parent
         label, output = apta.labels[v], apta.outputs[v]
-        out = {sym: class_of[child] for sym, child in apta.children[v].items()}
-        key = (label, output, frozenset(out.items()))
-        if key not in classes:
-            c = classes[key] = len(labels)
-            if not c % _CLIQUE_CHECK_EVERY:
-                check_deadline(deadline)
-            mask = 0
-            for d in range(c):
-                if {label, labels[d]} == {True, False} or (
-                        output is not None and outputs[d] is not None
-                        and output[0] == outputs[d][0] and output != outputs[d]) or any(
-                        sym in edges[d] and conflicts[child] >> edges[d][sym] & 1
-                        for sym, child in out.items()):
-                    mask |= 1 << d
-                    conflicts[d] |= 1 << c
-            labels.append(label)
-            outputs.append(output)
-            edges.append(out)
-            conflicts.append(mask)
-        class_of[v] = classes[key]
+        out = tuple((sym, class_of[child]) for sym, child in apta.children[v].items())
+        key = (label, output, frozenset(out))
+        c = classes.get(key)
+        if c is None:
+            c = classes[key] = len(kinds)
+            kinds.append((label, output, out))
+            bit = 1 << c
+            if label is not None:
+                labelled[label] |= bit
+            if output is not None:
+                signed[output[0]] |= bit
+                same_output[output] = same_output.get(output, 0) | bit
+            for sym, child in out:
+                parents[sym][child] = parents[sym].get(child, 0) | bit
+        class_of[v] = c
+    is_child = {sym: sum(1 << child for child in of) for sym, of in parents.items()}
+    conflicts: list[int] = []           # bitmask of the classes each one clashes with
+    clashing: dict[tuple, int] = {}     # (sym, class) -> classes whose sym-child clashes with it
+    for c, (label, output, out) in enumerate(kinds):
+        if not c % _CLIQUE_CHECK_EVERY:
+            check_deadline(deadline)
+        mask = 0 if label is None else labelled[not label]
+        if output is not None:
+            mask |= signed[output[0]] & ~same_output[output]
+        for edge in out:
+            m = clashing.get(edge)
+            if m is None:
+                sym, child = edge
+                of = parents[sym]
+                m = 0
+                rest = conflicts[child] & is_child[sym]
+                while rest:
+                    low = rest & -rest
+                    m |= of[low.bit_length() - 1]
+                    rest ^= low
+                clashing[edge] = m
+            mask |= m
+        conflicts.append(mask)
     clique = []
     members = 0
-    for c in sorted(range(len(labels)), key=lambda c: -conflicts[c].bit_count()):
+    for c in sorted(range(len(kinds)), key=lambda c: -conflicts[c].bit_count()):
         if members & ~conflicts[c] == 0:
             members |= 1 << c
             clique.append(c)
@@ -206,13 +232,27 @@ def clique_bound(apta: Apta, deadline: float | None = None) -> list[tuple[int, l
             for c in clique]
 
 
+class SeparatingDfa(Dfa):
+    """A DFA of :func:`find_min_sep_dfa`, with the prefix tree it
+    separates, the state of each tree node, and the output that each
+    state holds per counter sign, keyed by (state, sign).  These three
+    are plain attributes, not dataclass fields: they take no part in
+    equality, and importing the module generates no code for them."""
+
+    def __init__(self, dfa: Dfa, apta: Apta, node_states: list, outputs: dict):
+        super().__init__(**vars(dfa))
+        self.apta, self.node_states, self.outputs = apta, node_states, outputs
+
+
 def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1,
-                     deadline: float | None = None) -> Dfa:
+                     deadline: float | None = None) -> SeparatingDfa:
     """Smallest complete DFA accepting every positive and rejecting every
     negative sample, whose states each reach words of one sign with equal
     vectors only, found by growing the state count from the larger of
     ``at_least`` and :func:`clique_bound`.  ``solve`` maps a
-    :class:`CnfInstance` to a model or None.
+    :class:`CnfInstance` to a model or None.  The DFA comes with the
+    prefix tree, the state of each node and each state's outputs, from
+    the one run over the tree that checks the model.
 
     Both must be lower bounds on the minimal size: then every skipped rung
     is unsatisfiable, and the first satisfiable rung, its CNF and so its
@@ -240,14 +280,17 @@ def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1,
         assignment = solve(cnf)
         if assignment is not None:
             dfa = decode_dfa(cnf, assignment)
-            _check_separates(dfa, apta)
-            return dfa
+            states, outputs = _check_separates(dfa, apta)
+            return SeparatingDfa(dfa, apta, states, outputs)
     raise SolverError(f"no separating DFA of {start} to {apta.num_nodes + 1} "
                       "states; the backend is unsound or the lower bound too high")
 
 
-def _check_separates(dfa: Dfa, apta: Apta) -> None:
-    states, held = [], {}   # the state of each node: each sample prefix is stepped once
+def _check_separates(dfa: Dfa, apta: Apta) -> tuple[list, dict]:
+    """The state of each node, each sample prefix stepped once, and the
+    output each state holds per sign; a node that the DFA mislabels or
+    whose vector it merges with another raises :class:`SolverError`."""
+    states, held = [], {}
     for v, (edge, label, output) in enumerate(zip(apta.parent_edges, apta.labels, apta.outputs)):
         state = dfa.initial if edge is None else dfa.transition[(states[edge[0]], edge[1])]
         states.append(state)
@@ -256,3 +299,4 @@ def _check_separates(dfa: Dfa, apta: Apta) -> None:
         if output is not None and held.setdefault((state, output[0]), output) != output:
             raise SolverError(f"decoded DFA merges two vectors of sign {output[0]} at "
                               f"state {state}, one of them at sample {apta.word(v)!r}")
+    return states, held

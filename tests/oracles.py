@@ -28,6 +28,15 @@ as unit clauses, and every clause over the colours the pins leave.  Its
 generic unit propagation, clause by clause to a fixpoint, gives the
 residual formula that the encoder must emit.
 
+The pairwise clique oracle is the subtree-class clique search that
+compared each new class with every earlier class, one pair at a time:
+opposite labels, another output of one sign, or a common symbol whose
+children already clash.  The replay oracle builds a hypothesis the way
+the learner did before it walked the prefix tree: every encoded table
+word stepped through the skeleton from its longest prefix already
+stepped, the table words fixing their vectors, and the steps from
+prefixes outside the table checked in the order the replay meets them.
+
 The table oracle closes an observation table the slow way: promote the
 first unclosed row, then rescan P from its start.  The row oracle works
 a row out from scratch on the hidden machine, as pairs of membership and
@@ -53,10 +62,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from ocalearn import learning
-from ocalearn.automata import Configuration, sgn
+from ocalearn.automata import Configuration, Droca, doubled, extend_known, sgn
+from ocalearn.errors import check_deadline
 from ocalearn.equivalence import (ACCEPT_MISMATCH, COUNTER_DESYNC, EQUIVALENT,
                                   Counterexample, Verdict)
-from ocalearn.learning import SimulatedTeacher, learn
+from ocalearn.learning import PrefixConflict, SimulatedTeacher, learn
 from ocalearn.sat import CnfInstance
 from ocalearn.table import ActionsVector, ObservationTable
 
@@ -264,6 +274,81 @@ def full_encoding(apta, n):
                             else [-color[parent][i], -t, color[v][j]]
                             for j, t in enumerate(trans[sym][i])])
     return cnf
+
+
+def pairwise_clique_bound(apta, deadline=None):
+    """:func:`ocalearn.minsepdfa.clique_bound` by pairwise class scans:
+    the same classes, clique, representatives and clash lists, and the
+    deadline read at the same classes."""
+    class_of = [0] * apta.num_nodes
+    classes = {}
+    labels, outputs, edges, conflicts = [], [], [], []
+    for v in reversed(range(apta.num_nodes)):
+        label, output = apta.labels[v], apta.outputs[v]
+        out = {sym: class_of[child] for sym, child in apta.children[v].items()}
+        key = (label, output, frozenset(out.items()))
+        if key not in classes:
+            c = classes[key] = len(labels)
+            if not c % 32:
+                check_deadline(deadline)
+            mask = 0
+            for d in range(c):
+                if {label, labels[d]} == {True, False} or (
+                        output is not None and outputs[d] is not None
+                        and output[0] == outputs[d][0] and output != outputs[d]) or any(
+                        sym in edges[d] and conflicts[child] >> edges[d][sym] & 1
+                        for sym, child in out.items()):
+                    mask |= 1 << d
+                    conflicts[d] |= 1 << c
+            labels.append(label)
+            outputs.append(output)
+            edges.append(out)
+            conflicts.append(mask)
+        class_of[v] = classes[key]
+    clique = []
+    members = 0
+    for c in sorted(range(len(labels)), key=lambda c: -conflicts[c].bit_count()):
+        if members & ~conflicts[c] == 0:
+            members |= 1 << c
+            clique.append(c)
+    return [(class_of.index(c), [v for v, d in enumerate(class_of) if conflicts[c] >> d & 1])
+            for c in clique]
+
+
+def replay_construct_droca(table, skeleton, samples):
+    """The hypothesis of ``table`` over ``skeleton``, a DFA separating
+    ``samples``, by replaying each encoded table word; a clash at a step
+    from a prefix outside the table raises :class:`PrefixConflict`."""
+    names = {q: f"s{q}" for q in skeleton.states}
+    actions, outside = {}, []
+    table_words = {code for code, _ in samples.outputs}
+    states = {(): skeleton.initial}
+
+    def replay(state, code, j):
+        if code[:j] not in table_words:
+            letter, sign = code[j][:-1], int(code[j][-1])
+            prefix = "".join(sym[:-1] for sym in code[:j])
+            delta = table.counter_value(prefix + letter) - table.counter_value(prefix)
+            outside.append(((state, sign, letter), delta, prefix))
+        return skeleton.transition[(state, code[j])]
+    for code, vector in samples.outputs:
+        state = extend_known(states, code, replay)
+        for letter, delta in zip(table.alphabet, vector.deltas):
+            actions[(state, vector.sign, letter)] = delta
+    for key, delta, prefix in outside:
+        if actions.setdefault(key, delta) != delta:
+            raise PrefixConflict(prefix)
+    defaults = table.action_map or {}
+    delta0, delta1 = {}, {}
+    for q in skeleton.states:
+        for a in table.alphabet:
+            for sign, delta in ((0, delta0), (1, delta1)):
+                target = skeleton.transition[(q, doubled(a, sign))]
+                delta[(names[q], a)] = (names[target],
+                                        actions.get((q, sign, a), defaults.get((a, sign), 0)))
+    return Droca(states=[names[q] for q in skeleton.states], alphabet=table.alphabet,
+                 initial=names[skeleton.initial], delta0=delta0, delta1=delta1,
+                 finals=[names[q] for q in skeleton.finals])
 
 
 def propagate_units(clauses):

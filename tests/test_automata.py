@@ -135,19 +135,27 @@ def test_validate_catches_missing_entry(anbna):
 
 
 def test_malformed_machines_raise_named_errors(anbna):
-    # a machine missing a reachable transition, and one that repeats a
-    # state id, through every call that reads the dense tables or steps
+    # a machine missing a reachable transition, one that repeats a state
+    # id, one with a transition to an unknown state and one with an
+    # unknown initial state, through every call that reads the dense
+    # tables or steps
     delta1 = dict(anbna.delta1)
     del delta1[("q1", "b")]
     incomplete = Droca(anbna.states, anbna.alphabet, anbna.initial,
                        anbna.delta0, delta1, anbna.finals)
     repeated = Droca(anbna.states + ("q2",), anbna.alphabet, anbna.initial,
                      anbna.delta0, anbna.delta1, anbna.finals)
+    unknown_target = Droca(anbna.states, anbna.alphabet, anbna.initial,
+                           {**anbna.delta0, ("q0", "a"): ("zz", 1)}, anbna.delta1, anbna.finals)
+    unknown_initial = Droca(anbna.states, anbna.alphabet, "nope",
+                            anbna.delta0, anbna.delta1, anbna.finals)
     calls = (lambda m: check_sync_equiv(m, anbna), lambda m: check_sync_equiv(anbna, m),
              reachable_count, lambda m: m.is_voca(), lambda m: voca_check_equiv(m, m),
              lambda m: learn(SimulatedTeacher(m)))
     missing = "no transition from state 'q1' on 'b' at counter positive"
-    for machine, message in ((incomplete, missing), (repeated, "repeated state id 'q2'")):
+    for machine, message in ((incomplete, missing), (repeated, "repeated state id 'q2'"),
+                             (unknown_target, "unknown state 'zz'"),
+                             (unknown_initial, "unknown state 'nope'")):
         for call in calls:
             with pytest.raises(InvalidInput, match=message):
                 call(machine)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocalearn import (Droca, GenConfig, InvalidInput, LearnConfig, LearnTimeout,
-                      ObservationTable, SimulatedTeacher, check_sync_equiv,
-                      construct_droca, derive_seed, generate_droca, learn,
+                      ObservationTable, SimulatedTeacher, build_samples, check_sync_equiv,
+                      construct_droca, derive_seed, find_min_sep_dfa, generate_droca, learn,
                       errors, learning, minsepdfa)
 from conftest import make_anbna, make_five_state_a_plus, random_machine, random_voca
-from oracles import brute_force_equiv, learn_counting_rows
+from oracles import brute_force_equiv, learn_counting_rows, replay_construct_droca
 from test_minsepdfa import cold_ladder
 from test_table import golden_table
 
@@ -84,6 +84,104 @@ def test_construct_droca_agreement_random_sessions():
             trace = hypothesis.run(word)
             assert trace.accepted == bool(table.membership(word))
             assert trace.counter_effect == table.counter_value(word)
+
+
+def test_construct_droca_matches_the_replay_oracle(monkeypatch):
+    # the walk over the prefix tree builds the hypothesis of the word
+    # replay over the same skeleton, and reports the prefix the replay
+    # reports, on random sessions, in both modes, and on the sessions
+    # that promote a clashing prefix
+    skeletons = []
+    find, construct = learning.find_min_sep_dfa, learning.construct_droca
+
+    def kept(samples, **kwargs):
+        skeletons.append((samples, find(samples, **kwargs)))
+        return skeletons[-1][1]
+
+    def checked(table, **kwargs):
+        try:
+            hypothesis = construct(table, **kwargs)
+        except learning.PrefixConflict as conflict:
+            with pytest.raises(learning.PrefixConflict) as replayed:
+                replay_construct_droca(table, skeletons[-1][1], skeletons[-1][0])
+            assert replayed.value.prefix == conflict.prefix
+            conflicts.append(conflict.prefix)
+            raise
+        assert hypothesis == replay_construct_droca(table, skeletons[-1][1], skeletons[-1][0])
+        return hypothesis
+
+    monkeypatch.setattr(learning, "find_min_sep_dfa", kept)
+    monkeypatch.setattr(learning, "construct_droca", checked)
+    sessions = [(generate_droca(GenConfig(2 + derive_seed(4242, i) % 5, 1 + i % 3,
+                                          derive_seed(4242, i), restricted=i % 2 == 1)),
+                 LearnConfig()) for i in range(24)]
+    sessions += [(random_voca(derive_seed(31, i), max_states=5), LearnConfig(voca=True))
+                 for i in range(6)]
+    sessions += [(generate_droca(gen), LearnConfig()) for gen in (
+        GenConfig(4, 2, derive_seed(777, 4, 2, 1), restricted=True),
+        GenConfig(6, 2, derive_seed(778, 6, 2, 18), restricted=True),
+        GenConfig(8, 2, derive_seed(778, 8, 2, 2)))]
+    conflicts = []
+    for target, config in sessions:
+        learn(SimulatedTeacher(target), config)
+    assert conflicts == ["babab", "abbbaaaba", "babab"]
+    assert len(skeletons) > 2 * len(sessions)
+
+
+def test_construct_droca_reports_the_replay_prefix_on_random_tables():
+    # long random columns leave many prefixes outside the table, and which
+    # step clashes first depends on the order the steps are checked in:
+    # for one of these tables, the first clash in node order is not the
+    # one the replay of the samples meets first
+    rng = random.Random(1)
+    conflicts = 0
+    for i in range(30):
+        target = random_machine(i, max_states=7, alphabet_size=2 + i % 2)
+        table = ObservationTable(SimulatedTeacher(target))
+        for _ in range(rng.randrange(6)):
+            table.add_prefix("".join(rng.choices(target.alphabet, k=rng.randrange(1, 8))))
+        for _ in range(rng.randrange(6)):
+            table.add_suffix("".join(rng.choices(target.alphabet, k=rng.randrange(2, 6))))
+        table.repair(rng.randrange(3))
+        while True:
+            samples = build_samples(table)
+            try:
+                expected = replay_construct_droca(table, find_min_sep_dfa(samples), samples)
+            except learning.PrefixConflict as conflict:
+                expected = conflict.prefix
+            try:
+                hypothesis = construct_droca(table)
+            except learning.PrefixConflict as conflict:
+                assert conflict.prefix == expected
+                conflicts += 1
+                table.add_prefix(conflict.prefix)
+                continue
+            assert hypothesis == expected
+            break
+    assert conflicts >= 10
+
+
+def test_hypotheses_keep_no_dense_tables(monkeypatch):
+    # a hypothesis, queried once, drops the tables of its query; the
+    # hidden machine builds its tables once for every query of the
+    # session, and a machine checked again reuses its own
+    built = []
+    indexed_tables = Droca.indexed_tables
+
+    def counted(machine):
+        if machine._indexed is None:
+            built.append(machine)
+        return indexed_tables(machine)
+
+    monkeypatch.setattr(Droca, "indexed_tables", counted)
+    target = make_anbna()
+    hypothesis, stats = learn(SimulatedTeacher(target))
+    assert [m is target for m in built].count(True) == 1
+    assert len(built) == 1 + stats.n_seq
+    assert hypothesis._indexed is None
+    for _ in range(2):
+        assert check_sync_equiv(hypothesis, target).equivalent
+    assert len(built) == 2 + stats.n_seq
 
 
 def test_learn_golden(anbna):

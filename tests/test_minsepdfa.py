@@ -4,16 +4,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from ocalearn import (ActionsVector, InvalidInput, ObservationTable,
+from ocalearn import (ActionsVector, GenConfig, InvalidInput, ObservationTable,
                       SampleConflict, SampleSet, SimulatedTeacher, SolverError,
-                      SolverTimeout, build_apta, build_samples, encode_size_n,
-                      errors, find_min_sep_dfa, sat_solve)
+                      SolverTimeout, build_apta, build_samples, derive_seed, encode_size_n,
+                      errors, find_min_sep_dfa, generate_droca, learn, minsepdfa, sat_solve)
 from ocalearn.colouring import decode_dfa
 from ocalearn.minsepdfa import Apta, clique_bound
 from conftest import make_anbna, random_machine
 from test_table import golden_table
 from oracles import (_build_trie, _conflicts, full_encoding, full_variables, min_sep_dfa_size,
-                     propagate_units)
+                     pairwise_clique_bound, propagate_units)
 
 
 def test_build_samples_golden(anbna):
@@ -252,6 +252,52 @@ def test_clique_reads_the_deadline_once_every_32_classes(monkeypatch):
         assert len(reads) == 3
     reads.clear()
     assert clique_bound(apta) and apta.domains() and reads == []
+
+
+def test_clique_bound_matches_the_pairwise_oracle(monkeypatch):
+    # the bitmask clique, its representatives and clash lists, the colour
+    # domains and the deadline reads are those of the pairwise scans, on
+    # random trees, labelled only or with outputs, and on every tree of
+    # the 7-state frontier sessions
+    trees = []
+    build = minsepdfa.build_apta
+    monkeypatch.setattr(minsepdfa, "build_apta", lambda samples: trees.append(samples) or build(samples))
+    for i in range(4):
+        learn(SimulatedTeacher(generate_droca(GenConfig(7, 2, derive_seed(555, 7, i)))))
+    monkeypatch.undo()
+    rng = random.Random(4711)
+    for _ in range(60):
+        symbols = "abcd"[:rng.randrange(1, 5)]
+        seen = {}
+        for _ in range(rng.randrange(1, 40)):
+            seen.setdefault(tuple(rng.choices(symbols, k=rng.randrange(0, 8))), rng.random() < 0.5)
+        trees.append(SampleSet(pos=tuple(w for w, label in seen.items() if label),
+                               neg=tuple(w for w, label in seen.items() if not label),
+                               alphabet=tuple(symbols)))
+    for seed in range(12):
+        table = ObservationTable(SimulatedTeacher(random_machine(seed, max_states=7,
+                                                                 alphabet_size=1 + seed % 3)))
+        for _ in range(2 * seed):
+            table.add_prefix("".join(rng.choices(table.alphabet, k=rng.randrange(1, 10))))
+        table.repair(2)
+        trees.append(build_samples(table))
+    reads = []
+    monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=lambda: reads.append(0) or 0.0))
+    most_reads = 0
+    for samples in trees:
+        apta, oracle = build_apta(samples), build_apta(samples)
+        reads.clear()
+        clique = clique_bound(apta, 1.0)
+        read = len(reads)
+        reads.clear()
+        assert clique == pairwise_clique_bound(oracle, 1.0)
+        assert len(reads) == read
+        most_reads = max(most_reads, read)
+        domains = apta.domains()
+        with monkeypatch.context() as patch:
+            patch.setattr(minsepdfa, "clique_bound", pairwise_clique_bound)
+            assert domains == oracle.domains()
+    assert most_reads >= 3     # some tree has more than 64 classes
 
 
 def test_ladder_start_below_the_minimum_changes_nothing():
