@@ -7,8 +7,8 @@ The clique pins of :meth:`~ocalearn.minsepdfa.Apta.domains` decide most
 of that CNF: unit propagation of its clauses, run on the tree itself,
 colours most nodes, fixes most transitions and refutes most rungs that
 cannot be coloured.  :func:`encode_size_n` emits only the variables and
-clauses left open, and :func:`decode_dfa` reads a model through the
-fixed values.
+clauses left open, each at-most-one row as one group, and
+:func:`decode_dfa` reads a model through the fixed values.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .automata import Dfa
 from .errors import SolverError, check_deadline
-from .sat import CnfInstance
+from .sat import AtMostOne, CnfInstance
 
 if TYPE_CHECKING:
     from .minsepdfa import Apta
@@ -172,7 +172,9 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> Colourin
     exactly one colour and each state exactly one successor per symbol;
     a coloured node fixes its state's acceptance by its label and its
     state's vector by its output; a state holds one vector per sign; and
-    color(p,i) ∧ trans(a,i,j) → color(v,j) for every edge p -a-> v.
+    color(p,i) ∧ trans(a,i,j) → color(v,j) for every edge p -a-> v.  The
+    "at most one" of each colour, successor and output row is its
+    pairwise clauses, here one :class:`~ocalearn.sat.AtMostOne` group.
 
     Symmetry breaking by clique pre-colouring (:meth:`Apta.domains`)
     removes colours up front, and unit propagation of the clauses on
@@ -184,13 +186,26 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> Colourin
     encoding's order, without their false literals: the builtin solver
     then meets the formula it would have after its own level-0
     propagation.  A refuted rung, among them every rung below the clique
-    size, is the empty clause alone.  :func:`decode_dfa` reads a model
-    through the fixed values.
+    size, is the empty clause alone.
+
+    A row that no clause left mentions outside itself is fixed as well,
+    to the values the builtin solver would give it: a successor row
+    (a, i), where no node that may take colour i has an a-child, to its
+    last open successor, n - 1; the acceptance of a state that no
+    labelled node may take, to False; and the vector row of a state that
+    no node with an output of that sign may take, to all False.  The
+    solver decides variables of equal activity in index order with the
+    phase False, and these take part in no conflict, so each row's last
+    open successor is the only one it sets true, and dropping the rows
+    changes neither its other decisions nor its model of the rest.  A
+    rung whose nodes propagation colours entirely is the empty CNF.
+    :func:`decode_dfa` reads a model through the fixed values.
 
     Each clause is a list of its own, of distinct, non-complementary,
-    declared literals, so the builtin SAT backend watches it without a
-    check or a copy (see :func:`~ocalearn.sat.sat_solve`); solving may
-    reorder the literals inside it.
+    declared literals, and each group one of at least two distinct
+    variables, so the builtin SAT backend watches them without a check
+    or a copy (see :func:`~ocalearn.sat.sat_solve`); solving may reorder
+    the literals inside a clause.
 
     ``deadline``, a :func:`time.monotonic` instant, is read while the
     clique is built, every few dozen steps of the propagation, every few
@@ -210,7 +225,8 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> Colourin
 
     def numbered(mask, width=n):
         """A row of ``width`` entries: a new variable at each bit of
-        ``mask``, in order, and False elsewhere."""
+        ``mask``, in order, and False elsewhere.  It is a list, and a
+        row fixed in full is a tuple."""
         nonlocal count
         row = [False] * width
         for i in range(width):
@@ -219,15 +235,35 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> Colourin
                 row[i] = count
         return row
 
+    # The states that some node may take: with a label, with an output of
+    # each sign, with a child on each symbol.  A free acceptance, vector
+    # or successor row outside these masks is in no clause but its own
+    # rows.  Open nodes suffice: a coloured node fixes its state's
+    # acceptance and vectors, and narrows its successor row to its
+    # child's colours, which leaves the row free only for an open child.
+    labelled, carrying, parents = 0, [0, 0], dict.fromkeys(succ, 0)
+    for v, d in enumerate(dom):
+        if d & (d - 1):
+            if apta.labels[v] is not None:
+                labelled |= d
+            if apta.outputs[v] is not None:
+                carrying[apta.outputs[v][0]] |= d
+            for sym in apta.children[v]:
+                parents[sym] |= d
+            if v:
+                p, sym = apta.parent_edges[v]
+                parents[sym] |= dom[p]
     color = [numbered(d) if d & (d - 1) else unit[d.bit_length() - 1] for d in dom]
-    accepting_var = [value if value is not None else numbered(1, 1)[0] for value in accepting]
-    trans = {sym: [numbered(s) if s & (s - 1) else unit[s.bit_length() - 1] for s in rows]
+    accepting_var = [value if value is not None else numbered(1, 1)[0] if labelled >> i & 1
+                     else False for i, value in enumerate(accepting)]
+    trans = {sym: [numbered(s) if s & (s - 1) and parents[sym] >> i & 1
+                   else unit[s.bit_length() - 1] for i, s in enumerate(rows)]
              for sym, rows in succ.items()}
     out = []
-    for vectors, fixed in zip(apta.vectors, held):
+    for vectors, fixed, carried in zip(apta.vectors, held, carrying):
         k = len(vectors) if len(vectors) > 1 else 0
-        out.append([numbered((1 << k) - 1, k) if index is None
-                    else tuple(j == index for j in range(k)) for index in fixed])
+        out.append([numbered((1 << k) - 1, k) if k and index is None and carried >> i & 1
+                    else tuple(j == index for j in range(k)) for i, index in enumerate(fixed)])
     cnf.num_vars = count
     cnf.color, cnf.accepting, cnf.trans, cnf.out = color, accepting_var, trans, out
 
@@ -238,7 +274,7 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> Colourin
         if lits is None:
             continue
         clauses.append(lits)
-        clauses.extend(_at_most_one(lits))
+        clauses.append(AtMostOne(lits))
         row, label, output = color[v], apta.labels[v], apta.outputs[v]
         if label is not None:
             clauses.extend([[-x, accepting_var[i] if label else -accepting_var[i]]
@@ -247,21 +283,21 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> Colourin
             sign, k = output
             clauses.extend([[-x, out[sign][i][k]]
                             for i, x in enumerate(row) if x and held[sign][i] is None])
-    for rows, fixed in zip(out, held):
-        for row, index in zip(rows, fixed):
-            if index is None:
-                clauses.extend(_at_most_one(row))
-    for sym, rows in trans.items():
-        for row, s in zip(rows, succ[sym]):
+    for rows in out:
+        clauses.extend([AtMostOne(row) for row in rows if type(row) is list])
+    for rows in trans.values():
+        for row in rows:
             check_deadline(deadline)
-            if s & (s - 1):
+            if type(row) is list:
                 lits = [x for x in row if x]
                 clauses.append(lits)
-                clauses.extend(_at_most_one(lits))
+                clauses.append(AtMostOne(lits))
     for v in range(1, apta.num_nodes):
         if not v % _CHECK_EVERY:
             check_deadline(deadline)
         parent, sym = apta.parent_edges[v]
+        if free[v] is None and free[parent] is None:
+            continue        # both coloured: the successor is fixed to the child's colour
         d, lits, rows = dom[v], color[v], trans[sym]
         for i, x in enumerate(color[parent]):
             if x is False:
@@ -277,10 +313,6 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> Colourin
             else:
                 clauses.extend([[*head, -t] for j, t in enumerate(rows[i]) if t and not d >> j & 1])
     return cnf
-
-
-def _at_most_one(lits):
-    return [[-x, -y] for k, x in enumerate(lits) for y in lits[k + 1:]]
 
 
 def decode_dfa(cnf: ColouringCnf, assignment: dict[int, bool]) -> Dfa:

@@ -92,15 +92,22 @@ class Apta:
         finished tree, worked out on the first call: the size of
         :func:`clique_bound`'s clique, and per node a bitmask of the
         colours it may not take.  The k-th clique node may take colour k
-        alone, and every node incompatible with it loses colour k.
-        ``deadline`` is passed to :func:`clique_bound`."""
+        alone, and every node incompatible with it loses colour k; the
+        masks are worked out per subtree class, as a node clashes with
+        what its class clashes with.  ``deadline`` is read as in
+        :func:`clique_bound`."""
         if self._domains is None:
-            clique = clique_bound(self, deadline)
-            excluded = [0] * self.num_nodes
-            for k, (node, clashes) in enumerate(clique):
-                for v in clashes:
-                    excluded[v] |= 1 << k
-                excluded[node] = ~(1 << k)
+            class_of, conflicts, clique = _class_clique(self, deadline)
+            class_excluded = [0] * len(conflicts)
+            for k, c in enumerate(clique):
+                bit, rest = 1 << k, conflicts[c]
+                while rest:
+                    low = rest & -rest
+                    class_excluded[low.bit_length() - 1] |= bit
+                    rest ^= low
+            excluded = [class_excluded[c] for c in class_of]
+            for k, c in enumerate(clique):
+                excluded[class_of.index(c)] = ~(1 << k)
             self._domains = len(clique), excluded
         return self._domains
 
@@ -175,6 +182,15 @@ def clique_bound(apta: Apta, deadline: float | None = None) -> list[tuple[int, l
     32 classes of the second pass; past it the search raises
     :class:`SolverTimeout`.
     """
+    class_of, conflicts, clique = _class_clique(apta, deadline)
+    return [(class_of.index(c), [v for v, d in enumerate(class_of) if conflicts[c] >> d & 1])
+            for c in clique]
+
+
+def _class_clique(apta: Apta, deadline: float | None) -> tuple[list[int], list[int], list[int]]:
+    """The subtree class of each node, each class's conflicts as a
+    bitmask over the classes, and the clique's classes, in order; see
+    :func:`clique_bound`."""
     class_of = [0] * apta.num_nodes
     classes: dict[tuple, int] = {}
     kinds: list[tuple] = []                 # (label, output, edges) of each class
@@ -228,8 +244,7 @@ def clique_bound(apta: Apta, deadline: float | None = None) -> list[tuple[int, l
         if members & ~conflicts[c] == 0:
             members |= 1 << c
             clique.append(c)
-    return [(class_of.index(c), [v for v, d in enumerate(class_of) if conflicts[c] >> d & 1])
-            for c in clique]
+    return class_of, conflicts, clique
 
 
 class SeparatingDfa(Dfa):

@@ -7,6 +7,10 @@ speaking the DIMACS format on a file argument and reporting
 stdout.  Both are deterministic for a fixed input.  :func:`sat_solve` is
 the one way into either; it checks a hand-built instance for both, and
 the external backend loads its process modules on first use.
+
+Besides clauses, an instance may hold :class:`AtMostOne` groups.  The
+builtin solver watches a group as one constraint; everywhere else it
+stands for its pairwise clauses.
 """
 
 from __future__ import annotations
@@ -18,12 +22,28 @@ from itertools import islice
 from .errors import InvalidInput, SolverError, SolverTimeout, check_deadline
 
 
+class AtMostOne(tuple):
+    """At most one of these positive literals is true: the pairwise
+    clauses ``[-x, -y]`` for each ``x`` before ``y``, in that order, held
+    as one constraint (Liffiton & Maglalang, "A Cardinality Solver", SAT
+    2012).  The builtin solver propagates a group exactly as it would
+    those clauses, with the same trail, conflicts and reasons, while it
+    stores, reads and watches one object instead of O(k²)."""
+
+    __slots__ = ()
+
+    def pairwise(self) -> list[list[int]]:
+        return [[-x, -y] for k, x in enumerate(self) for y in self[k + 1:]]
+
+
 class CnfInstance:
     """A CNF formula over the variables ``1..num_vars``.
 
     The variables mean nothing to the solvers: an encoder reads a model
     back by its own numbering (:class:`~ocalearn.colouring.ColouringCnf`
-    carries it).  Clauses may only mention declared variables.
+    carries it).  Clauses may only mention declared variables.  An entry
+    of ``clauses`` may be an :class:`AtMostOne` group, which stands for
+    its pairwise clauses at its place in the order.
     :func:`~ocalearn.colouring.encode_size_n` marks its instances
     ``_well_formed``, which :func:`sat_solve` trusts.
     """
@@ -34,10 +54,23 @@ class CnfInstance:
         self._well_formed = False
 
     def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
-        return "\n".join(lines) + "\n"
+        lines = [" ".join(str(lit) for lit in clause) + " 0"
+                 for clause in _expanded(self.clauses)]
+        return "\n".join([f"p cnf {self.num_vars} {len(lines)}", *lines]) + "\n"
+
+
+def _expanded(clauses):
+    """The clauses with each :class:`AtMostOne` group replaced by its
+    pairwise clauses; a member that is not a positive int raises
+    :class:`InvalidInput`."""
+    for clause in clauses:
+        if type(clause) is not AtMostOne:
+            yield clause
+        elif all(isinstance(x, int) and x > 0 for x in clause):
+            yield from clause.pairwise()
+        else:
+            raise InvalidInput(f"at-most-one group {clause!r} has a member that is "
+                               "not a positive literal")
 
 
 def external_path(backend: str) -> str | None:
@@ -61,8 +94,11 @@ def sat_solve(cnf: CnfInstance, backend: str = "builtin",
     instance not built by :func:`~ocalearn.colouring.encode_size_n` is
     checked first, for either backend (:class:`InvalidInput` on a bad
     variable count or literal), and the builtin one solves a copy without
-    repeated literals and tautologies; an encoder instance is solved in
-    place, which may reorder the literals inside its clauses.
+    repeated literals and tautologies, with each :class:`AtMostOne` group
+    expanded into its pairwise clauses; an encoder instance is solved in
+    place, its groups watched as such, which may reorder the literals
+    inside its clauses.  The external backend reads every group as its
+    pairwise clauses (:meth:`CnfInstance.to_dimacs`).
     ``deadline`` is a :func:`time.monotonic` instant; past it the call
     raises :class:`SolverTimeout`, at entry as well as while solving.
     """
@@ -76,13 +112,14 @@ def sat_solve(cnf: CnfInstance, backend: str = "builtin",
 
 def _checked(num_vars, clauses) -> list[list[int]]:
     """Each clause as a fresh list of its distinct literals, in order,
-    tautologies skipped; a ``num_vars`` that is not a non-negative int,
-    or a literal that is not an int in ``±1..num_vars``, raises
-    :class:`InvalidInput`."""
+    tautologies skipped, and each :class:`AtMostOne` group as its
+    pairwise clauses; a ``num_vars`` that is not a non-negative int, a
+    literal that is not an int in ``±1..num_vars``, or a group member
+    that is not positive, raises :class:`InvalidInput`."""
     if not (isinstance(num_vars, int) and num_vars >= 0):
         raise InvalidInput(f"variable count {num_vars!r} is not a non-negative int")
     checked = []
-    for clause in clauses:
+    for clause in _expanded(clauses):
         seen = set()
         lits = []
         tautology = False
@@ -146,9 +183,16 @@ class _Cdcl:
     restarts.  Deterministic: ties break on variable index and there is
     no randomization.  It watches the given clause lists themselves:
     each must be a list of distinct, non-complementary literals over
-    ``1..num_vars``, which solving reorders in place.  The deadline is
-    read every few thousand clauses while they are read, on every
-    conflict and every few hundred decisions.
+    ``1..num_vars``, which solving reorders in place.  An
+    :class:`AtMostOne` group of at least two distinct variables sits, as
+    a watch entry ``(0, group)``, once in the watch list of each member's
+    negation, where its pairwise clauses would sit: they are contiguous
+    there, and a binary clause never leaves its watch lists.  When a
+    member x becomes true, the group falsifies every other unassigned
+    member y in order, with the reason ``[-y, -x]``, and a true member y
+    yields the conflict ``[-y, -x]``, as those clauses would.  The
+    deadline is read every few thousand clauses while they are read, on
+    every conflict and every few hundred decisions.
     """
 
     def __init__(self, num_vars, clauses, deadline):
@@ -158,9 +202,10 @@ class _Cdcl:
         slots = 2 * num_vars + 1        # one per literal; -v indexes slot slots - v
         self.value = [0] * slots        # 1 true, -1 false, 0 unassigned
         self.watches: list[list] = [[] for _ in range(slots)]
-        # a variable's level and reason sit in the slot of its true literal
+        # a variable's level and reason sit in the slot of its true literal;
+        # a group's reason [-y, -x] for -y is stored as the literal -x
         self.level = [0] * slots
-        self.reason: list[list | None] = [None] * slots
+        self.reason: list[list | int | None] = [None] * slots
         self.seen = bytearray(slots)    # _analyze's marks by true literal, all 0 between calls
         self.activity = [0.0] * n
         self.phase = [False] * n
@@ -178,7 +223,11 @@ class _Cdcl:
             if not chunk:
                 break
             for lits in chunk:
-                if len(lits) > 1:
+                if type(lits) is AtMostOne:
+                    entry = (0, lits)
+                    for x in lits:
+                        watches[-x].append(entry)
+                elif len(lits) > 1:
                     watches[lits[0]].append(lits)
                     watches[lits[1]].append(lits)
                 elif lits:
@@ -220,6 +269,23 @@ class _Cdcl:
                 if first_value == 1:
                     ws[j] = c
                     j += 1
+                    continue
+                if not first:           # an AtMostOne group, (0, members)
+                    ws[j] = c
+                    j += 1
+                    for y in c[1]:
+                        y_value = value[y]
+                        if y_value == -1 or y == -falsified:
+                            continue
+                        if y_value == 1:
+                            del ws[j:i]
+                            self.qhead = len(trail)
+                            return [-y, falsified]
+                        value[-y] = 1
+                        value[y] = -1
+                        level[-y] = current
+                        reason[-y] = falsified
+                        trail.append(-y)
                     continue
                 for idx in range(2, len(c)):
                     lit = c[idx]
@@ -282,6 +348,8 @@ class _Cdcl:
                 idx -= 1
             p = trail[idx]
             conflict = reason[p]
+            if type(conflict) is int:   # a group's reason [p, conflict]
+                conflict = (p, conflict)
             seen[p] = 0
             counter -= 1
             idx -= 1

@@ -315,6 +315,19 @@ def pairwise_clique_bound(apta, deadline=None):
             for c in clique]
 
 
+def clique_domains(clique, num_nodes):
+    """:meth:`ocalearn.minsepdfa.Apta.domains` from the clash lists of
+    :func:`pairwise_clique_bound`, node by node: the k-th clique node
+    may take colour k alone, and every node in its clash list loses
+    colour k."""
+    excluded = [0] * num_nodes
+    for k, (node, clashes) in enumerate(clique):
+        for v in clashes:
+            excluded[v] |= 1 << k
+        excluded[node] = ~(1 << k)
+    return len(clique), excluded
+
+
 def replay_construct_droca(table, skeleton, samples):
     """The hypothesis of ``table`` over ``skeleton``, a DFA separating
     ``samples``, by replaying each encoded table word; a clash at a step

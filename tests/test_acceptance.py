@@ -5,6 +5,7 @@ criteria 6 and 7 share one corpus of 100 random learning sessions,
 built once per test run.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -141,14 +142,25 @@ def session_corpus():
         hypothesis, stats, rows = learn_counting_rows(target, LearnConfig(timeout_s=300))
         assert check_sync_equiv(hypothesis, target).equivalent
         assert hypothesis.size <= target.size
-        sessions.append((target, stats, rows))
+        sessions.append((target, stats, rows, hypothesis))
+    return sessions
+
+
+@pytest.fixture(scope="module")
+def frontier_sessions():
+    """The 7-state frontier corpus of the benchmark: (hypothesis, stats)."""
+    sessions = []
+    for i in range(4):
+        target = generate_droca(GenConfig(n_states=7, alphabet_size=2,
+                                          seed=derive_seed(555, 7, i)))
+        sessions.append(learn(SimulatedTeacher(target), LearnConfig(timeout_s=300)))
     return sessions
 
 
 def test_criterion_6a_rows_increase(session_corpus):
     violations = []
     total = 0
-    for target, _, rows in session_corpus:
+    for target, _, rows, _ in session_corpus:
         for record in rows:
             if record.rows_after is None:
                 continue
@@ -167,7 +179,7 @@ def test_criterion_6a_rows_increase(session_corpus):
 
 def test_criterion_6b_counterexamples_per_level(session_corpus):
     violations = []
-    for target, _, rows in session_corpus:
+    for target, _, rows, _ in session_corpus:
         heights = [r.height for r in rows]
         for d in range(0, max(heights, default=0) + 1):
             count = sum(1 for h in heights if h <= d)
@@ -184,7 +196,7 @@ def test_criterion_6b_counterexamples_per_level(session_corpus):
 def test_criterion_6b_corrected_bound_holds(session_corpus):
     # the capacity argument supports (d+1)*|target|: levels 0..d hold at
     # most |target| distinct configurations each
-    for target, _, rows in session_corpus:
+    for target, _, rows, _ in session_corpus:
         heights = [r.height for r in rows]
         for d in range(0, max(heights, default=0) + 1):
             count = sum(1 for h in heights if h <= d)
@@ -194,7 +206,7 @@ def test_criterion_6b_corrected_bound_holds(session_corpus):
 
 def test_criterion_6c_seq_budget(session_corpus):
     worst = 0.0
-    for target, stats, _ in session_corpus:
+    for target, stats, _, _ in session_corpus:
         assert stats.n_seq <= target.size ** 5 + 1
         worst = max(worst, stats.n_seq / (target.size ** 5 + 1))
     assert _report("6c", True, f"every session used at most |target|^5 + 1 "
@@ -207,24 +219,43 @@ def _totals(stats):
             sum(s.n_sat for s in stats), sum(s.max_ce_len for s in stats))
 
 
-def test_corpus_session_totals_are_pinned(session_corpus):
+def test_corpus_session_totals_are_pinned(session_corpus, frontier_sessions):
     # (learnt states, n_seq, n_mq, n_cv, n_sat, summed max_ce_len) over
     # the criterion-6 corpus and the 7-state frontier corpus of the
     # benchmark: a change that should leave every session as it was must
     # leave these totals as they are
-    assert _totals([stats for _, stats, _ in session_corpus]) == (403, 253, 3772, 7644, 258, 367)
-    frontier = []
-    for i in range(4):
-        target = generate_droca(GenConfig(n_states=7, alphabet_size=2,
-                                          seed=derive_seed(555, 7, i)))
-        frontier.append(learn(SimulatedTeacher(target), LearnConfig(timeout_s=300))[1])
-    assert _totals(frontier) == (28, 14, 444, 956, 16, 20)
+    assert _totals([stats for _, stats, _, _ in session_corpus]) == (403, 253, 3772, 7644, 258, 367)
+    assert _totals([stats for _, stats in frontier_sessions]) == (28, 14, 444, 956, 16, 20)
+
+
+def _session_digest(sessions):
+    """SHA-256 of every session's hypothesis (states, initial state, both
+    transition maps, finals) and counterexamples (word and kind), in
+    session order."""
+    digest = hashlib.sha256()
+    for hypothesis, stats in sessions:
+        record = (hypothesis.states, hypothesis.initial, sorted(hypothesis.delta0.items()),
+                  sorted(hypothesis.delta1.items()), sorted(hypothesis.finals),
+                  [(ce.word, ce.kind) for ce in stats.counterexamples])
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+def test_corpus_sessions_are_pinned_byte_for_byte(session_corpus, frontier_sessions):
+    # totals can stay while a hypothesis or a counterexample changes; a
+    # change that should leave every session as it was must leave each
+    # session's hypothesis and counterexamples as they are
+    corpus = [(hypothesis, stats) for _, stats, _, hypothesis in session_corpus]
+    assert _session_digest(corpus) == \
+        "66e147f1100f80a5bdb0c2eae3ab142d2519d285095bda6d21e21b71e90cf897"
+    assert _session_digest(frontier_sessions) == \
+        "6167dca4f69d68de66838a099a9699ee23c118e3e31a15a8c667dfcebdafa28f"
 
 
 # -- criterion 7: counterexample bounds and oracle agreement ----------------
 
 def test_criterion_7_bounds_and_brute_force(session_corpus):
-    for target, _, rows in session_corpus:
+    for target, _, rows, _ in session_corpus:
         k = target.size
         for record in rows:
             assert len(record.word) <= 2 * k ** 5

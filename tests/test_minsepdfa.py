@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ocalearn import (ActionsVector, GenConfig, InvalidInput, ObservationTable,
+from ocalearn import (ActionsVector, AtMostOne, GenConfig, InvalidInput, ObservationTable,
                       SampleConflict, SampleSet, SimulatedTeacher, SolverError,
                       SolverTimeout, build_apta, build_samples, derive_seed, encode_size_n,
                       errors, find_min_sep_dfa, generate_droca, learn, minsepdfa, sat_solve)
@@ -12,8 +12,8 @@ from ocalearn.colouring import decode_dfa
 from ocalearn.minsepdfa import Apta, clique_bound
 from conftest import make_anbna, random_machine
 from test_table import golden_table
-from oracles import (_build_trie, _conflicts, full_encoding, full_variables, min_sep_dfa_size,
-                     pairwise_clique_bound, propagate_units)
+from oracles import (_build_trie, _conflicts, clique_domains, full_encoding, full_variables,
+                     min_sep_dfa_size, pairwise_clique_bound, propagate_units)
 
 
 def test_build_samples_golden(anbna):
@@ -166,9 +166,12 @@ def sample_aptas():
 
 def test_encoder_clauses_are_well_formed():
     # the builtin backend watches these clauses without checking them:
-    # each must be a list of its own, of distinct, non-complementary,
-    # declared literals; the empty clause stands alone, for a rung that
-    # unit propagation refutes, which every rung below the clique size is
+    # each must be an object of its own, either a list of distinct,
+    # non-complementary, declared literals or a group of at least two
+    # distinct, declared, positive literals; the empty clause stands
+    # alone, for a rung that unit propagation refutes, which every rung
+    # below the clique size is
+    groups = 0
     for apta in sample_aptas():
         size = apta.domains()[0]
         for n in range(1, size + 2):
@@ -176,12 +179,17 @@ def test_encoder_clauses_are_well_formed():
             assert cnf._well_formed
             assert len({id(clause) for clause in cnf.clauses}) == len(cnf.clauses)
             for clause in cnf.clauses:
-                assert type(clause) is list
-                assert all(0 < abs(lit) <= cnf.num_vars for lit in clause)
+                if type(clause) is AtMostOne:
+                    groups += 1
+                    assert len(clause) >= 2 and all(0 < x <= cnf.num_vars for x in clause)
+                else:
+                    assert type(clause) is list
+                    assert all(0 < abs(lit) <= cnf.num_vars for lit in clause)
                 assert len({abs(lit) for lit in clause}) == len(clause)
             refuted = propagate_units(full_encoding(apta, n).clauses) is None
             assert (cnf.clauses == [[]]) == refuted == any(not clause for clause in cnf.clauses)
             assert refuted or n >= size
+    assert groups > 0
 
 
 def test_encoder_reads_the_deadline_as_it_goes(monkeypatch):
@@ -290,13 +298,13 @@ def test_clique_bound_matches_the_pairwise_oracle(monkeypatch):
         clique = clique_bound(apta, 1.0)
         read = len(reads)
         reads.clear()
-        assert clique == pairwise_clique_bound(oracle, 1.0)
+        pairwise = pairwise_clique_bound(oracle, 1.0)
+        assert clique == pairwise
         assert len(reads) == read
         most_reads = max(most_reads, read)
-        domains = apta.domains()
-        with monkeypatch.context() as patch:
-            patch.setattr(minsepdfa, "clique_bound", pairwise_clique_bound)
-            assert domains == oracle.domains()
+        reads.clear()
+        assert apta.domains(1.0) == clique_domains(pairwise, oracle.num_nodes)
+        assert len(reads) == read
     assert most_reads >= 3     # some tree has more than 64 classes
 
 
@@ -503,18 +511,21 @@ def flattened(color, accepting, trans, out):
 
 
 def test_residual_is_the_unit_propagation_of_the_full_encoding():
-    # generic unit propagation of the oracle's full encoding refutes
-    # exactly the rungs that the encoder refutes; otherwise it fixes the
-    # values the encoder fixes, leaves the variables it numbers, in
-    # order, and leaves its clauses, clause for clause, and the builtin
+    # generic unit propagation of the oracle's full encoding, with its
+    # at-most-one rows as pairwise clauses, refutes exactly the rungs
+    # that the encoder refutes.  Otherwise the encoder fixes the values it fixes, and also
+    # the rows of successors, acceptance and outputs that no other clause
+    # mentions; it numbers the variables left, in order, and keeps the
+    # other clauses, clause for clause, each group expanded.  The builtin
     # model of the residual, lifted through the fixed values, is the
-    # builtin model of the full encoding.  The one-state tree also
-    # covers n = 1, where every successor set starts as one state.
+    # builtin model of the full encoding, so the values of those rows are
+    # the builtin solver's own.  The one-state tree also covers n = 1,
+    # where every successor set starts as one state.
     from test_sat import _anbna_apta
 
     one_state = build_apta(SampleSet(pos=((), ("a0",), ("a0", "b0"), ("b0", "b0", "a0")),
                                      neg=(), alphabet=("a0", "b0")))
-    checked = {"refuted": 0, "sat": 0}
+    checked = {"refuted": 0, "sat": 0, "rows": 0, "empty": 0}
     for apta in sample_aptas() + [_anbna_apta(), one_state]:
         for n in range(1, apta.domains()[0] + 2):
             full = full_encoding(apta, n)
@@ -525,15 +536,30 @@ def test_residual_is_the_unit_propagation_of_the_full_encoding():
                 checked["refuted"] += 1
                 continue
             fixed, residual = propagated
-            variables = flattened(*full_variables(apta, n)[:4])
+            color, accepting, trans, out, _ = full_variables(apta, n)
+            unconstrained = set()
+            for row in ([row for rows in trans.values() for row in rows]
+                        + [[x] for x in accepting] + out[0] + out[1]):
+                open_vars = {x for x in row if x not in fixed}
+                if all({abs(lit) for lit in clause} <= open_vars for clause in residual
+                       if any(abs(lit) in open_vars for lit in clause)):
+                    unconstrained |= open_vars
+            checked["rows"] += bool(unconstrained)
+            variables = flattened(color, accepting, trans, out)
             values = flattened(cnf.color, cnf.accepting, cnf.trans, cnf.out)
             assert variables == list(range(1, full.num_vars + 1)) and len(values) == len(variables)
             entries = list(zip(variables, values))
-            assert {x: e for x, e in entries if type(e) is bool} == fixed
+            fixed_here = {x: e for x, e in entries if type(e) is bool}
+            assert set(fixed_here) == set(fixed) | unconstrained
+            assert {x: fixed_here[x] for x in fixed} == fixed
             numbering = {x: e for x, e in entries if type(e) is not bool}
             assert list(numbering.values()) == list(range(1, cnf.num_vars + 1))
-            assert cnf.clauses == [[numbering[lit] if lit > 0 else -numbering[-lit]
-                                    for lit in clause] for clause in residual]
+            kept = [clause for clause in residual if not unconstrained & {abs(lit) for lit in clause}]
+            expanded = [pair for clause in cnf.clauses for pair in
+                        (clause.pairwise() if type(clause) is AtMostOne else [clause])]
+            assert expanded == [[numbering[lit] if lit > 0 else -numbering[-lit]
+                                 for lit in clause] for clause in kept]
+            checked["empty"] += not cnf.clauses
             model = sat_solve(cnf)
             expected = sat_solve(full)
             assert (model is None) == (expected is None)

@@ -8,8 +8,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from ocalearn import (CnfInstance, InvalidInput, SolverError, SolverTimeout,
+from ocalearn import (AtMostOne, CnfInstance, InvalidInput, SolverError, SolverTimeout,
                       external_path, sat_solve)
+from ocalearn.sat import _Cdcl, _checked
 
 
 def test_single_positive_unit():
@@ -27,6 +28,9 @@ def test_empty_clause_list_is_satisfiable():
 def test_dimacs_format():
     cnf = CnfInstance(2, [(1, -2), (2,)])
     assert cnf.to_dimacs() == "p cnf 2 2\n1 -2 0\n2 0\n"
+    # a group stands for its pairwise clauses, in order, at its place
+    cnf = CnfInstance(3, [(1,), AtMostOne((3, 1, 2)), (-2,)])
+    assert cnf.to_dimacs() == "p cnf 3 5\n1 0\n-3 -1 0\n-3 -2 0\n-1 -2 0\n-2 0\n"
 
 
 def _brute(num_vars, clauses):
@@ -54,7 +58,8 @@ def test_builtin_agrees_with_enumeration():
 
 
 BAD_INSTANCES = ((1, [(0,)]), (1, [(3,), (-1,)]), (1, [(1, -1, 2)]),
-                 (2, [[1.5]]), (2, [[1, "2"]]), (-2, []), (-1, [(1,)]))
+                 (2, [[1.5]]), (2, [[1, "2"]]), (-2, []), (-1, [(1,)]),
+                 (2, [AtMostOne((1, -2))]), (2, [AtMostOne((1, 3))]))
 
 
 def test_builtin_rejects_undeclared_literals():
@@ -87,22 +92,112 @@ def test_hand_built_instances_drop_repeated_literals_and_tautologies():
     assert cnf.clauses == clauses
 
 
-def test_encoder_instances_solve_as_their_tuple_copies():
-    # the builtin backend solves an encoder's instance over its own
-    # clause lists, unchecked; a checked copy must give the same model
+class _LoggedCdcl(_Cdcl):
+    """The builtin solver, logging each decision and each conflict with
+    the clause it learns from it."""
+
+    def __init__(self, *args):
+        self.log = []
+        super().__init__(*args)
+
+    def _decide(self):
+        var = super()._decide()
+        self.log.append(var)
+        return var
+
+    def _analyze(self, conflict):
+        conflict = tuple(conflict)
+        learnt, back_level = super()._analyze(conflict)
+        self.log.append((conflict, tuple(learnt), back_level))
+        return learnt, back_level
+
+
+def _native_and_expanded(num_vars, clauses):
+    """The model or None, and the log, of the builtin solver on
+    ``clauses`` with its groups watched natively, and the same for their
+    pairwise expansion; each clause solved as a fresh checked copy."""
+    native = []
+    for clause in clauses:
+        native.extend([clause] if type(clause) is AtMostOne else _checked(num_vars, [clause]))
+    runs = []
+    for watched in (native, _checked(num_vars, clauses)):
+        solver = _LoggedCdcl(num_vars, watched, None)
+        runs.append((solver.solve(), solver.log))
+    return runs
+
+
+def test_encoder_instances_solve_as_their_pairwise_expansions():
+    # the builtin backend watches an encoder's groups natively; the
+    # expansion of each group into its pairwise clauses must give the
+    # same model through the same decisions, conflicts and learnt clauses
     from ocalearn.colouring import encode_size_n
     from test_minsepdfa import sample_aptas
 
-    models = 0
-    for apta in sample_aptas():
+    models = conflicts = groups = 0
+    for apta in sample_aptas() + [_anbna_apta()]:
         for n in range(1, apta.domains()[0] + 2):
             cnf = encode_size_n(apta, n)
-            copies = [tuple(clause) for clause in cnf.clauses]
-            model = sat_solve(cnf)
-            assert model == sat_solve(CnfInstance(cnf.num_vars, copies))
-            assert [sorted(c) for c in cnf.clauses] == [sorted(c) for c in copies]
-            models += model is not None
-    assert models > 0
+            groups += sum(type(clause) is AtMostOne for clause in cnf.clauses)
+            native, expanded = _native_and_expanded(cnf.num_vars, cnf.clauses)
+            assert native == expanded
+            assert native[0] == sat_solve(cnf)
+            models += native[0] is not None
+            conflicts += sum(type(entry) is tuple for entry in native[1])
+    assert models > 0 and conflicts > 0 and groups > 0
+
+
+def _colouring(rng, nodes, edges, k):
+    """k-colouring of a random graph: per node a clause and a group
+    over its colours, and per edge and colour a binary clause."""
+    var = lambda v, c: v * k + c + 1
+    clauses = []
+    for v in range(nodes):
+        clauses.append([var(v, c) for c in range(k)])
+        clauses.append(AtMostOne(var(v, c) for c in range(k)))
+    for _ in range(edges):
+        u, v = rng.sample(range(nodes), 2)
+        clauses.extend([-var(u, c), -var(v, c)] for c in range(k))
+    return nodes * k, clauses
+
+
+def test_groups_solve_as_their_pairwise_expansions():
+    # random instances that mix clauses and groups, satisfiable or not,
+    # and pigeonhole instances with one group per hole, whose proofs run
+    # through restarts: the same model or verdict, decisions, conflicts
+    # and learnt clauses as with every group expanded
+    rng = random.Random(29)
+    instances = [_colouring(rng, nodes, int(2.3 * nodes), 3)
+                 for nodes in (rng.randrange(20, 60) for _ in range(30))]
+    for _ in range(200):
+        num_vars = rng.randrange(3, 11)
+        clauses = []
+        for _ in range(rng.randrange(0, 3 * num_vars)):
+            if rng.random() < 0.3:
+                members = rng.sample(range(1, num_vars + 1), rng.randrange(2, min(num_vars, 6) + 1))
+                clauses.append(AtMostOne(members))
+            else:
+                clauses.append(tuple(rng.choice((-1, 1)) * rng.randrange(1, num_vars + 1)
+                                     for _ in range(rng.randrange(1, 4))))
+        instances.append((num_vars, clauses))
+    for n in (4, 5, 6):
+        num_vars, clauses = _pigeonhole(n)
+        var = lambda p, h: p * n + h + 1
+        instances.append((num_vars, clauses[:n + 1] + [AtMostOne(var(p, h) for p in range(n + 1))
+                                                       for h in range(n)]))
+    verdicts = {True: 0, False: 0}
+    most_conflicts = 0
+    for num_vars, clauses in instances:
+        native, expanded = _native_and_expanded(num_vars, clauses)
+        assert native == expanded
+        (model, log), pairwise = native, _checked(num_vars, clauses)
+        if model is None:
+            assert num_vars > 10 or not _brute(num_vars, pairwise)
+        else:
+            assert all(any((lit > 0) == model[abs(lit)] for lit in clause) for clause in pairwise)
+        verdicts[model is not None] += 1
+        most_conflicts = max(most_conflicts, sum(type(entry) is tuple for entry in log))
+    assert min(verdicts.values()) >= 20
+    assert most_conflicts > 100     # past the first restart
 
 
 def test_builtin_reads_the_deadline_between_decisions(monkeypatch):
@@ -218,8 +313,7 @@ def test_external_backend_agrees_on_identification_instances(external_solver):
         cnf = encode_size_n(apta, n)
         assert len(cnf.clauses) <= 5000
         external = sat_solve(cnf, backend, deadline)
-        builtin = sat_solve(cnf)
-        assert (external is None) == (builtin is None)
+        assert external == sat_solve(cnf)
 
 
 # The DFA the builtin solver's model decodes to at each rung of the table
@@ -259,8 +353,6 @@ def test_builtin_decision_order_survives_activity_rescales():
     # decision must still pick the unassigned variable of highest activity
     # (ties on the lowest index), which needs the decision heap rebuilt
     # from the rescaled activities.
-    from ocalearn.sat import _Cdcl, _checked
-
     rescales = []
 
     class CheckedCdcl(_Cdcl):
@@ -350,13 +442,15 @@ def test_decode_refuses_a_model_without_a_successor():
     from ocalearn import SampleSet, build_apta, encode_size_n
     from ocalearn.colouring import decode_dfa
 
-    apta = build_apta(SampleSet(pos=((),), neg=(("a0",),), alphabet=("a0",)))
+    apta = build_apta(SampleSet(pos=((),), neg=(("a0",), ("a0",) * 3), alphabet=("a0",)))
     cnf = encode_size_n(apta, 2)
     model = sat_solve(cnf)
-    # the clique pins the root to state 1 and a⁰ to state 0, which no
-    # sample leaves, so its successor on a⁰ is free
-    assert cnf.color[0] == (False, True) and cnf.trans["a0"][1] == (True, False)
-    for var in cnf.trans["a0"][0]:      # state 0 loses its successor on a0
+    # the clique pins the root to state 0 and a⁰ to state 1, (a⁰)³ loses
+    # state 0 for its label, and a⁰a⁰ stays open, so state 1's successor
+    # on a⁰ is free
+    assert cnf.color[0] == (True, False) and cnf.trans["a0"][0] == (False, True)
+    assert all(type(var) is int for var in cnf.trans["a0"][1])
+    for var in cnf.trans["a0"][1]:      # state 1 loses its successor on a0
         model[var] = False
     with pytest.raises(SolverError, match="successor"):
         decode_dfa(cnf, model)
