@@ -83,42 +83,23 @@ class Droca:
 
         Returns ``(d0, d1, final_mask, init_idx)`` where ``d0[q][a]`` and
         ``d1[q][a]`` are ``(target_index, action)`` pairs; each row is a
-        tuple, and equal pairs are one object.  The tables are built at
-        the first call and kept until :meth:`drop_tables`.  A repeated
-        state id, an initial state or transition target that is not a
-        state, a transition from an unknown state or on an unknown
-        letter, or a (state, letter) pair without a transition in some
-        counter mode, raises :class:`InvalidInput` naming the first one.
+        tuple, and equal pairs are one object.  The first call runs
+        :func:`validate` and raises :class:`InvalidInput` with its first
+        violation; the tables are then built and kept until
+        :meth:`drop_tables`, and a later call returns them unchecked.
         """
         if self._indexed is None:
+            violations = validate(self)
+            if violations:
+                raise InvalidInput(violations[0])
             idx = {q: i for i, q in enumerate(self.states)}
-            if len(idx) < len(self.states):
-                repeated = next(q for i, q in enumerate(self.states) if idx[q] != i)
-                raise InvalidInput(f"repeated state id {repeated!r}")
-            if self.initial not in idx:
-                raise InvalidInput(f"the initial state is the unknown state {self.initial!r}")
-            pos = {a: i for i, a in enumerate(self.alphabet)}
-            pairs: dict = {}    # (target, action) -> (target index, action)
-            tables = []
-            for sign, delta in enumerate((self.delta0, self.delta1)):
-                rows = [[None] * len(pos) for _ in self.states]
-                for (q, a), entry in delta.items():
-                    pair = pairs.get(entry)
-                    if pair is None:
-                        if entry[0] not in idx:
-                            raise InvalidInput(f"the transition from {q!r} on {a!r} targets "
-                                               f"the unknown state {entry[0]!r}")
-                        pair = pairs[entry] = (idx[entry[0]], entry[1])
-                    try:
-                        rows[idx[q]][pos[a]] = pair
-                    except KeyError:
-                        raise InvalidInput(f"a transition from the unknown pair ({q!r}, {a!r})") from None
-                for q, row in zip(self.states, rows):
-                    if None in row:
-                        raise _missing(q, self.alphabet[row.index(None)], sign)
-                tables.append([tuple(row) for row in rows])
+            deltas = (self.delta0, self.delta1)
+            pairs = {entry: (idx[entry[0]], entry[1])     # one object per distinct pair
+                     for delta in deltas for entry in delta.values()}
+            d0, d1 = ([tuple([pairs[delta[q, a]] for a in self.alphabet]) for q in self.states]
+                      for delta in deltas)
             final_mask = [q in self.finals for q in self.states]
-            self._indexed = (*tables, final_mask, idx[self.initial])
+            self._indexed = (d0, d1, final_mask, idx[self.initial])
         return self._indexed
 
     def drop_tables(self) -> None:
@@ -127,20 +108,22 @@ class Droca:
         self._indexed = None
 
     def step(self, config: Configuration, letter: str) -> Configuration:
-        """One transition from ``config`` on ``letter``."""
+        """One transition from ``config`` on ``letter``, read as it stands
+        (callers build the tables first).  A failed lookup raises the
+        machine's first violation, else names the unknown state or letter."""
         delta = self.delta0 if config.counter == 0 else self.delta1
         try:
             target, action = delta[(config.state, letter)]
         except KeyError:
-            if config.state not in self.states:
-                raise InvalidInput(f"unknown state {config.state!r}") from None
-            if letter not in self.alphabet:
-                raise InvalidInput(f"letter {letter!r} not in alphabet") from None
-            raise _missing(config.state, letter, sgn(config.counter)) from None
+            self.indexed_tables()
+            unknown = (f"unknown state {config.state!r}" if config.state not in self.states
+                       else f"letter {letter!r} not in alphabet")
+            raise InvalidInput(unknown) from None
         return Configuration(target, config.counter + action)
 
     def run(self, word: str) -> RunTrace:
         """Run ``word`` from the initial configuration."""
+        self.indexed_tables()
         config = Configuration(self.initial, 0)
         configs = [config]
         for letter in word:
@@ -174,6 +157,7 @@ class Droca:
         and the positive-mode one the transition on ``a1``.  It accepts
         ``encode(w)`` exactly when this machine accepts ``w``.
         """
+        self.indexed_tables()
         transition = {(q, doubled(a, sign)): t
                       for sign, delta in enumerate((self.delta0, self.delta1))
                       for (q, a), (t, _) in delta.items()}
@@ -195,11 +179,6 @@ class Droca:
         q = self.states[0]
         return {(a, sign): delta[(q, a)][1] for a in self.alphabet
                 for sign, delta in enumerate((self.delta0, self.delta1))}
-
-
-def _missing(state, letter, sign) -> InvalidInput:
-    mode = "positive" if sign else "zero"
-    return InvalidInput(f"no transition from state {state!r} on {letter!r} at counter {mode}")
 
 
 def extend_known(known, word, step):
@@ -258,19 +237,26 @@ class Dfa:
 
 
 def validate(automaton: Droca) -> list[str]:
-    """Check all structural invariants; returns a list of violations.
+    """The structural rules of a machine, in one pass; returns a list of
+    violations, each naming what it is about.
 
-    An empty list means the automaton is valid.  Never raises.
+    An empty list means the automaton is valid.  This is the one check:
+    :meth:`Droca.indexed_tables` runs it on its first build, so every
+    search, run and query refuses a malformed machine, and
+    :func:`~ocalearn.io.load` reports its list as a ``ParseError``.
     """
     violations = []
     states = automaton.states
     letters = automaton.alphabet
+    state_set, letter_set = set(states), set(letters)
     if not states:
         violations.append("no states")
-    if len(set(states)) != len(states):
-        violations.append("duplicate state ids")
-    if len(set(letters)) != len(letters):
-        violations.append("duplicate letters")
+    if len(state_set) != len(states):
+        repeated = next(q for i, q in enumerate(states) if states.index(q) < i)
+        violations.append(f"repeated state id {repeated!r}")
+    if len(letter_set) != len(letters):
+        repeated = next(a for i, a in enumerate(letters) if letters.index(a) < i)
+        violations.append(f"repeated letter {repeated!r}")
     for a in letters:
         if not isinstance(a, str) or len(a) != 1:
             violations.append(f"letter {a!r} is not a single character")
@@ -281,28 +267,31 @@ def validate(automaton: Droca) -> list[str]:
             violations.append(f"state id {q!r} is not a nonempty string")
         elif "," in q:
             violations.append(f"state id {q!r} contains ','")
-    if automaton.initial not in set(states):
-        violations.append(f"initial state {automaton.initial!r} not in states")
-    for q in automaton.finals:
-        if q not in set(states):
-            violations.append(f"final state {q!r} not in states")
-    state_set, letter_set = set(states), set(letters)
-    for name, delta, actions in (("delta0", automaton.delta0, {0, 1}),
-                                 ("delta1", automaton.delta1, {-1, 0, 1})):
+    if automaton.initial not in state_set:
+        violations.append(f"initial state is the unknown state {automaton.initial!r}")
+    for q in sorted(automaton.finals - state_set, key=repr):
+        violations.append(f"final state {q!r} is not a state")
+    for sign, (name, delta, actions) in enumerate((("delta0", automaton.delta0, {0, 1}),
+                                                   ("delta1", automaton.delta1, {-1, 0, 1}))):
+        known = len(delta)
         for (q, a), (t, e) in delta.items():
-            if q not in state_set or a not in letter_set:
-                violations.append(f"{name} entry for unknown pair ({q!r}, {a!r})")
+            if q not in state_set:
+                known -= 1
+                violations.append(f"{name}[{q},{a}] is from the unknown state {q!r}")
+            elif a not in letter_set:
+                known -= 1
+                violations.append(f"{name}[{q},{a}] is on the unknown letter {a!r}")
             if t not in state_set:
                 violations.append(f"{name}[{q},{a}] targets unknown state {t!r}")
             if e not in actions:
-                if name == "delta0" and e == -1:
-                    violations.append(f"decrement at zero: delta0[{q},{a}]")
+                if sign == 0 and e == -1:
+                    violations.append(f"decrement at zero: {name}[{q},{a}]")
                 else:
                     violations.append(f"{name}[{q},{a}] has invalid action {e!r}")
-        missing = [(q, a) for q in states for a in letters if (q, a) not in delta]
+        missing = len(state_set) * len(letter_set) - known
         if missing:
-            q, a = missing[0]
-            violations.append(
-                f"incomplete transition table: {name} missing {len(missing)} "
-                f"entries, first ({q!r}, {a!r})")
+            q, a = next((q, a) for q in states for a in letters if (q, a) not in delta)
+            violations.append(f"incomplete transition table, {missing} missing in {name}: no "
+                              f"transition from state {q!r} on {a!r} at counter "
+                              f"{'positive' if sign else 'zero'}")
     return violations

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .automata import Configuration, Droca, doubled, extend_known
 from .equivalence import Counterexample, check_sync_equiv
@@ -25,10 +25,6 @@ from .errors import EquivalenceTimeout, InvalidInput, LearnTimeout, SolverTimeou
 from .minsepdfa import build_samples, find_min_sep_dfa
 from .sat import external_path, sat_solve
 from .table import ObservationTable
-
-STATS_FIELDS = ("seed", "target_states", "alphabet", "success", "wall_ms",
-                "learnt_states", "n_seq", "n_mq", "n_cv", "n_sat",
-                "max_ce_len", "final_d")
 
 
 @dataclass(slots=True)
@@ -53,6 +49,10 @@ class Stats:
         return json.dumps({name: getattr(self, name) for name in STATS_FIELDS})
 
 
+# the session columns of the bench CSV and of to_json, in field order
+STATS_FIELDS = tuple(f.name for f in fields(Stats) if f.name != "counterexamples")
+
+
 class SimulatedTeacher:
     """Teacher backed by a hidden automaton.
 
@@ -61,13 +61,14 @@ class SimulatedTeacher:
     included, and runs a word on from its longest such prefix.
     Synchronous-equivalence queries hand back the minimal counterexample
     of :func:`check_sync_equiv`, which raises
-    :class:`EquivalenceTimeout` past ``deadline``; the hidden machine
-    keeps the dense tables of that search for the next query, and each
-    hypothesis, queried once, drops its own.  Every call increments the
-    session statistics.
+    :class:`EquivalenceTimeout` past ``deadline``.  The hidden machine
+    builds its dense tables, and so is validated, when the teacher is
+    made, and keeps them for every query; each hypothesis, queried once,
+    drops its own.  Every call increments the session statistics.
     """
 
     def __init__(self, hidden: Droca, stats: Stats | None = None):
+        hidden.indexed_tables()     # refuses a malformed machine before any query
         self.hidden = hidden
         self.alphabet = hidden.alphabet
         self.stats = stats if stats is not None else Stats()

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from ocalearn import (Configuration, Droca, InvalidInput, SimulatedTeacher,
                       check_sync_equiv, doubled_alphabet, learn, pretty_encoded,
-                      reachable_count, validate, voca_check_equiv)
+                      reachable_count, store, validate, voca_check_equiv)
 from conftest import make_anbna, random_machine
 
 
@@ -136,31 +136,40 @@ def test_validate_catches_missing_entry(anbna):
 
 def test_malformed_machines_raise_named_errors(anbna):
     # a machine missing a reachable transition, one that repeats a state
-    # id, one with a transition to an unknown state and one with an
-    # unknown initial state, through every call that reads the dense
-    # tables or steps
+    # id, one with a transition to an unknown state, one with an unknown
+    # initial state, one that decrements at zero, one with a
+    # positive-mode action of 2, one with a final state that is not a
+    # state and one with a transition on a letter outside the alphabet,
+    # through every call that reads the dense tables, runs or stores
+    def changed(delta0=anbna.delta0, delta1=anbna.delta1, **fields):
+        machine = dict(states=anbna.states, alphabet=anbna.alphabet, initial=anbna.initial,
+                       delta0=delta0, delta1=delta1, finals=anbna.finals)
+        return Droca(**{**machine, **fields})
+
     delta1 = dict(anbna.delta1)
     del delta1[("q1", "b")]
-    incomplete = Droca(anbna.states, anbna.alphabet, anbna.initial,
-                       anbna.delta0, delta1, anbna.finals)
-    repeated = Droca(anbna.states + ("q2",), anbna.alphabet, anbna.initial,
-                     anbna.delta0, anbna.delta1, anbna.finals)
-    unknown_target = Droca(anbna.states, anbna.alphabet, anbna.initial,
-                           {**anbna.delta0, ("q0", "a"): ("zz", 1)}, anbna.delta1, anbna.finals)
-    unknown_initial = Droca(anbna.states, anbna.alphabet, "nope",
-                            anbna.delta0, anbna.delta1, anbna.finals)
+    missing = "no transition from state 'q1' on 'b' at counter positive"
+    machines = (
+        (changed(delta1=delta1), missing),
+        (changed(states=anbna.states + ("q2",)), "repeated state id 'q2'"),
+        (changed(delta0={**anbna.delta0, ("q0", "a"): ("zz", 1)}), "unknown state 'zz'"),
+        (changed(initial="nope"), "unknown state 'nope'"),
+        (changed(delta0={**anbna.delta0, ("q0", "a"): ("q0", -1)}),
+         r"decrement at zero: delta0\[q0,a\]"),
+        (changed(delta1={**anbna.delta1, ("q0", "a"): ("q0", 2)}),
+         r"delta1\[q0,a\] has invalid action 2"),
+        (changed(finals=anbna.finals | {"zz"}), "final state 'zz' is not a state"),
+        (changed(delta0={**anbna.delta0, ("q0", "c"): ("q0", 0)}),
+         "on the unknown letter 'c'"),
+    )
     calls = (lambda m: check_sync_equiv(m, anbna), lambda m: check_sync_equiv(anbna, m),
              reachable_count, lambda m: m.is_voca(), lambda m: voca_check_equiv(m, m),
-             lambda m: learn(SimulatedTeacher(m)))
-    missing = "no transition from state 'q1' on 'b' at counter positive"
-    for machine, message in ((incomplete, missing), (repeated, "repeated state id 'q2'"),
-                             (unknown_target, "unknown state 'zz'"),
-                             (unknown_initial, "unknown state 'nope'")):
+             lambda m: learn(SimulatedTeacher(m)), lambda m: m.run("aabb"),
+             lambda m: m.characteristic_dfa(), store)
+    for machine, message in machines:
         for call in calls:
             with pytest.raises(InvalidInput, match=message):
                 call(machine)
-    with pytest.raises(InvalidInput, match=missing):     # stepped, not tabled
-        incomplete.run("aabb")
 
 
 def test_validate_catches_decrement_at_zero(anbna):
