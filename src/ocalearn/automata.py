@@ -13,6 +13,8 @@ from typing import Iterable, NamedTuple
 
 from .errors import InvalidInput
 
+_UNKNOWN = object()     # an action map not yet worked out from the tables
+
 
 def sgn(n: int) -> int:
     """Sign of a non-negative integer: 0 for zero, 1 otherwise."""
@@ -49,7 +51,8 @@ class Droca:
     strings so that words can be plain ``str`` values.
     """
 
-    __slots__ = ("states", "alphabet", "initial", "delta0", "delta1", "finals", "_indexed")
+    __slots__ = ("states", "alphabet", "initial", "delta0", "delta1", "finals",
+                 "_indexed", "_actions")
 
     def __init__(self, states, alphabet, initial, delta0, delta1, finals):
         self.states: tuple[str, ...] = tuple(states)
@@ -59,6 +62,7 @@ class Droca:
         self.delta1: dict[tuple[str, str], tuple[str, int]] = dict(delta1)
         self.finals: frozenset[str] = frozenset(finals)
         self._indexed = None
+        self._actions = _UNKNOWN
 
     @property
     def size(self) -> int:
@@ -103,19 +107,22 @@ class Droca:
         return self._indexed
 
     def drop_tables(self) -> None:
-        """Free the dense tables of :meth:`indexed_tables`, for a machine
-        that is not searched again; a later call builds them anew."""
+        """Free the dense tables of :meth:`indexed_tables` and the action
+        map worked out from them, for a machine that is not searched
+        again; a later call builds both anew."""
         self._indexed = None
+        self._actions = _UNKNOWN
 
     def step(self, config: Configuration, letter: str) -> Configuration:
-        """One transition from ``config`` on ``letter``, read as it stands
-        (callers build the tables first).  A failed lookup raises the
-        machine's first violation, else names the unknown state or letter."""
+        """One transition from ``config`` on ``letter``.  The first step
+        builds the tables, and so refuses a malformed machine; a failed
+        lookup names the unknown state or letter."""
+        if self._indexed is None:
+            self.indexed_tables()
         delta = self.delta0 if config.counter == 0 else self.delta1
         try:
             target, action = delta[(config.state, letter)]
         except KeyError:
-            self.indexed_tables()
             unknown = (f"unknown state {config.state!r}" if config.state not in self.states
                        else f"letter {letter!r} not in alphabet")
             raise InvalidInput(unknown) from None
@@ -169,16 +176,37 @@ class Droca:
 
     def is_voca(self) -> bool:
         """True when the counter-action is a function of (letter, counter sign)."""
-        return all(len({action for _, action in column}) <= 1
-                   for table in self.indexed_tables()[:2] for column in zip(*table))
+        return self._action_map() is not None
 
     def voca_action_map(self) -> dict[tuple[str, int], int]:
         """The (letter, sign) -> action map of a visibly one-counter automaton."""
-        if not self.is_voca():
+        actions = self._action_map()
+        if actions is None:
             raise InvalidInput("automaton is not visibly one-counter")
-        q = self.states[0]
-        return {(a, sign): delta[(q, a)][1] for a in self.alphabet
-                for sign, delta in enumerate((self.delta0, self.delta1))}
+        return dict(actions)
+
+    def _action_map(self):
+        """The (letter, sign) -> action map, or None when some action
+        depends on the state.  It is worked out from the dense tables on
+        the first call and kept with them until :meth:`drop_tables`."""
+        actions = self._actions
+        if actions is _UNKNOWN:
+            actions = self._actions = _column_actions(self.alphabet, self.indexed_tables())
+        return actions
+
+
+def _column_actions(alphabet, tables):
+    """The (letter, sign) -> action map read off the letter columns of
+    dense tables, or None when some column holds two actions."""
+    d0, d1, _, _ = tables
+    actions = {}
+    for ai, a in enumerate(alphabet):
+        for sign, table in enumerate((d0, d1)):
+            column = {row[ai][1] for row in table}
+            if len(column) != 1:
+                return None
+            actions[a, sign] = column.pop()
+    return actions
 
 
 def extend_known(known, word, step):
@@ -243,8 +271,15 @@ def validate(automaton: Droca) -> list[str]:
     An empty list means the automaton is valid.  This is the one check:
     :meth:`Droca.indexed_tables` runs it on its first build, so every
     search, run and query refuses a malformed machine, and
-    :func:`~ocalearn.io.load` reports its list as a ``ParseError``.
+    :func:`~ocalearn.io.load` reports its list as a ``ParseError``.  The
+    rules compare ids through sets, so a machine with an unhashable state
+    id, letter, target or action gets only the violations naming those.
     """
+    try:
+        hash((automaton.states, automaton.alphabet, automaton.initial,
+              tuple(automaton.delta0.values()), tuple(automaton.delta1.values())))
+    except TypeError:
+        return _unhashable_violations(automaton)
     violations = []
     states = automaton.states
     letters = automaton.alphabet
@@ -294,4 +329,27 @@ def validate(automaton: Droca) -> list[str]:
             violations.append(f"incomplete transition table, {missing} missing in {name}: no "
                               f"transition from state {q!r} on {a!r} at counter "
                               f"{'positive' if sign else 'zero'}")
+    return violations
+
+
+def _unhashable_violations(automaton: Droca) -> list[str]:
+    """A violation for each unhashable state id, letter, initial state,
+    target and action of ``automaton``."""
+    def unhashable(x) -> bool:
+        try:
+            hash(x)
+        except TypeError:
+            return True
+        return False
+
+    violations = [f"state id {q!r} is unhashable" for q in automaton.states if unhashable(q)]
+    violations += [f"letter {a!r} is unhashable" for a in automaton.alphabet if unhashable(a)]
+    if unhashable(automaton.initial):
+        violations.append(f"initial state {automaton.initial!r} is unhashable")
+    for name, delta in (("delta0", automaton.delta0), ("delta1", automaton.delta1)):
+        for (q, a), (t, e) in delta.items():
+            if unhashable(t):
+                violations.append(f"{name}[{q},{a}] targets the unhashable {t!r}")
+            if unhashable(e):
+                violations.append(f"{name}[{q},{a}] has the unhashable action {e!r}")
     return violations

@@ -110,26 +110,32 @@ def _product_search(a: Droca, b: Droca, deadline: float | None) -> Verdict:
     neither found a violation nor run out of nodes, the summary decision
     settles the pair, and the search resumes from the same queue and
     parent map only when the decision found a violation, so it ends.
+    Each machine's tables are read here, once, and handed to both.
     """
-    d0a, d1a, fin_a, init_a = a.indexed_tables()
-    d0b, d1b, fin_b, init_b = b.indexed_tables()
+    tables_a, tables_b = a.indexed_tables(), b.indexed_tables()
+    _, _, fin_a, init_a = tables_a
+    _, _, fin_b, init_b = tables_b
     if fin_a[init_a] != fin_b[init_b]:
         return Verdict(False, Counterexample("", ACCEPT_MISMATCH))
     start = (init_a, init_b, 0)
     parents = {start: (None, -1)}
     queue = deque([start])
-    witness = _length_lex_search(a, b, queue, parents, a.size * b.size, deadline)
+    witness = _length_lex_search(tables_a, tables_b, a.alphabet, queue, parents,
+                                 a.size * b.size, deadline)
     if witness is None and queue:
-        if _decide_by_summaries(a, b, deadline):
+        if _decide_by_summaries(tables_a, tables_b, deadline):
             return EQUIVALENT
-        witness = _length_lex_search(a, b, queue, parents, None, deadline)
+        witness = _length_lex_search(tables_a, tables_b, a.alphabet, queue, parents,
+                                     None, deadline)
     return EQUIVALENT if witness is None else Verdict(False, witness)
 
 
-def _length_lex_search(a: Droca, b: Droca, queue: deque, parents: dict,
-                       limit: int | None, deadline: float | None) -> Counterexample | None:
+def _length_lex_search(tables_a: tuple, tables_b: tuple, alphabet: tuple, queue: deque,
+                       parents: dict, limit: int | None,
+                       deadline: float | None) -> Counterexample | None:
     """BFS over (state_a, state_b, shared counter) in length-lex order,
-    dequeuing at most ``limit`` nodes (all when it is None).
+    on the machines' :meth:`~Droca.indexed_tables`, dequeuing at most
+    ``limit`` nodes (all when it is None).
 
     Expanding nodes breadth-first, letters in alphabet order, generates
     words in length-lex order, so each word is checked where it is
@@ -139,9 +145,8 @@ def _length_lex_search(a: Droca, b: Droca, queue: deque, parents: dict,
     word, so the first violation found is the length-lex-minimal one.
     The deadline is read at the first node and then every few thousand.
     """
-    d0a, d1a, fin_a, _ = a.indexed_tables()
-    d0b, d1b, fin_b, _ = b.indexed_tables()
-    alphabet = a.alphabet
+    d0a, d1a, fin_a, _ = tables_a
+    d0b, d1b, fin_b, _ = tables_b
     dequeued = 0
     while queue and dequeued != limit:
         if not dequeued % _DEADLINE_CHECK_EVERY:
@@ -167,8 +172,9 @@ def _length_lex_search(a: Droca, b: Droca, queue: deque, parents: dict,
     return None
 
 
-def _decide_by_summaries(a: Droca, b: Droca, deadline: float | None) -> bool:
-    """Is no bad product configuration reachable?
+def _decide_by_summaries(tables_a: tuple, tables_b: tuple, deadline: float | None) -> bool:
+    """Is no bad product configuration reachable?  The machines are given
+    by their :meth:`~Droca.indexed_tables`.
 
     A state pair is bad at counter zero, or at a positive counter, when
     its acceptance bits differ or some letter's two actions differ in
@@ -183,8 +189,8 @@ def _decide_by_summaries(a: Droca, b: Droca, deadline: float | None) -> bool:
     return.  The deadline is read every few thousand pairs of the
     product, rows and return bits of the sweeps, and reachability steps.
     """
-    d0a, d1a, fin_a, init_a = a.indexed_tables()
-    d0b, d1b, fin_b, init_b = b.indexed_tables()
+    d0a, d1a, fin_a, init_a = tables_a
+    d0b, d1b, fin_b, init_b = tables_b
     index = {(init_a, init_b): 0}
     pairs = [(init_a, init_b)]
     steps = ([], [])    # steps[mode][i]: (target pair, action) per letter

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .automata import Droca, validate
-from .errors import ParseError
+from .errors import InvalidInput, ParseError
 
 _FIELDS = ("type", "alphabet", "states", "initial", "finals", "delta0", "delta1")
 
@@ -90,9 +90,10 @@ def load(text: str, complete_with_sink: bool = False) -> Droca:
 
     automaton = Droca(states=states, alphabet=letters, initial=obj["initial"],
                       delta0=delta0, delta1=delta1, finals=obj["finals"])
-    violations = validate(automaton)
-    if violations:
-        raise ParseError("automaton", "; ".join(violations))
+    try:
+        automaton.indexed_tables()      # validates a clean machine once, for good
+    except InvalidInput:
+        raise ParseError("automaton", "; ".join(validate(automaton))) from None
     if obj["type"] == "voca" and not automaton.is_voca():
         raise ParseError("type", "declared 'voca' but counter-actions depend on the state")
     return automaton

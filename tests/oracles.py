@@ -51,6 +51,9 @@ counter (|A||B|)^2 + 1 and length 2K^5, or at the paper's VOCA bounds
 2(K+K^2) + 1 and 4K(K+K^2) when both machines are VOCAs with one action
 map, and calls a pair equivalent when no violation lies within them.
 
+The column oracle reads a machine's (letter, sign) -> action map off
+``delta0`` and ``delta1`` themselves, one column of states at a time.
+
 The row observer counts what criterion 6a checks, from outside
 ``learn``: for each counterexample, the distinct row values at or below
 its height when it arrives and after the repair that follows it.
@@ -503,6 +506,20 @@ def capped_equiv(a, b):
                 return False, word + letter, "accept-mismatch"
             queue.append(child)
     return True, None, None
+
+
+def action_map_by_columns(m):
+    """The (letter, sign) -> action map of ``m``, letters in alphabet
+    order and sign 0 first, or None when some letter's column of
+    actions in one counter mode holds two values."""
+    actions = {}
+    for a in m.alphabet:
+        for sign, delta in enumerate((m.delta0, m.delta1)):
+            column = {delta[(q, a)][1] for q in m.states}
+            if len(column) != 1:
+                return None
+            actions[(a, sign)] = column.pop()
+    return actions
 
 
 def distinct_rows(table, level):

@@ -3,10 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from ocalearn import (Configuration, Droca, InvalidInput, SimulatedTeacher,
+from ocalearn import (Configuration, Droca, InvalidInput, SimulatedTeacher, automata,
                       check_sync_equiv, doubled_alphabet, learn, pretty_encoded,
                       reachable_count, store, validate, voca_check_equiv)
-from conftest import make_anbna, random_machine
+from conftest import make_anbna, make_five_state_a_plus, random_machine, random_voca
+from oracles import action_map_by_columns
 
 
 def test_step_examples(anbna):
@@ -116,6 +117,62 @@ def test_is_voca():
         two.voca_action_map()
 
 
+def test_action_map_matches_the_column_oracle():
+    # random DROCAs, random VOCAs, VOCAs with one action changed in one
+    # state, and the golden machines
+    machines = [make_anbna(), make_five_state_a_plus()]
+    for seed in range(60):
+        machines.append(random_machine(seed, max_states=5, alphabet_size=1 + seed % 3,
+                                       restricted=seed % 2 == 0))
+        voca = random_voca(seed, max_states=5, alphabet_size=1 + seed % 3)
+        deltas = [dict(voca.delta0), dict(voca.delta1)]
+        sign = seed % 2
+        key = sorted(deltas[sign])[seed % len(deltas[sign])]
+        target, action = deltas[sign][key]
+        deltas[sign][key] = (target, (action + 1) % 2 if sign == 0 else (action + 2) % 3 - 1)
+        machines += [voca, Droca(voca.states, voca.alphabet, voca.initial, *deltas, voca.finals)]
+    kinds = set()
+    for machine in machines:
+        expected = action_map_by_columns(machine)
+        kinds.add(expected is None)
+        assert machine.is_voca() == (expected is not None)
+        if expected is None:
+            with pytest.raises(InvalidInput, match="not visibly one-counter"):
+                machine.voca_action_map()
+        else:
+            assert list(machine.voca_action_map().items()) == list(expected.items())
+    assert kinds == {True, False}
+
+
+def test_action_map_is_kept_with_the_tables(monkeypatch):
+    # a table build works out no map; the first VOCA question works it out
+    # from the tables, every later one reads it, and drop_tables frees it
+    # with the tables
+    machine = random_voca(4, max_states=5)
+    machine.indexed_tables()
+    assert machine._actions is automata._UNKNOWN
+    reads = []
+    indexed_tables = Droca.indexed_tables
+
+    def counted(m):
+        reads.append(m)
+        return indexed_tables(m)
+
+    monkeypatch.setattr(Droca, "indexed_tables", counted)
+    assert machine.is_voca()
+    kept = machine._actions
+    assert reads == [machine]
+    for _ in range(3):
+        assert machine.is_voca()
+        assert machine.voca_action_map() == kept
+        assert machine.voca_action_map() is not kept
+    assert machine._actions is kept and reads == [machine]
+    machine.drop_tables()
+    assert machine._indexed is None and machine._actions is automata._UNKNOWN
+    assert machine.voca_action_map() == kept
+    assert machine._actions is not kept and reads == [machine, machine]
+
+
 def test_anbna_machine_mixes_actions_per_state(anbna):
     # zero-mode a is +1 from q0 but 0 from q1, so the golden machine is
     # not visibly one-counter
@@ -139,8 +196,9 @@ def test_malformed_machines_raise_named_errors(anbna):
     # id, one with a transition to an unknown state, one with an unknown
     # initial state, one that decrements at zero, one with a
     # positive-mode action of 2, one with a final state that is not a
-    # state and one with a transition on a letter outside the alphabet,
-    # through every call that reads the dense tables, runs or stores
+    # state, one with a transition on a letter outside the alphabet, one
+    # with an unhashable state id and one with an unhashable action,
+    # through every call that reads the dense tables, steps, runs or stores
     def changed(delta0=anbna.delta0, delta1=anbna.delta1, **fields):
         machine = dict(states=anbna.states, alphabet=anbna.alphabet, initial=anbna.initial,
                        delta0=delta0, delta1=delta1, finals=anbna.finals)
@@ -161,15 +219,28 @@ def test_malformed_machines_raise_named_errors(anbna):
         (changed(finals=anbna.finals | {"zz"}), "final state 'zz' is not a state"),
         (changed(delta0={**anbna.delta0, ("q0", "c"): ("q0", 0)}),
          "on the unknown letter 'c'"),
+        (changed(states=["q", ["r"]]), r"state id \['r'\] is unhashable"),
+        (changed(delta0={**anbna.delta0, ("q0", "a"): ("q", [1])}),
+         r"delta0\[q0,a\] has the unhashable action \[1\]"),
     )
     calls = (lambda m: check_sync_equiv(m, anbna), lambda m: check_sync_equiv(anbna, m),
-             reachable_count, lambda m: m.is_voca(), lambda m: voca_check_equiv(m, m),
-             lambda m: learn(SimulatedTeacher(m)), lambda m: m.run("aabb"),
+             reachable_count, lambda m: m.is_voca(), lambda m: m.voca_action_map(),
+             lambda m: voca_check_equiv(m, m), lambda m: learn(SimulatedTeacher(m)),
+             lambda m: m.step(Configuration("q0", 0), "a"), lambda m: m.run("aabb"),
              lambda m: m.characteristic_dfa(), store)
     for machine, message in machines:
         for call in calls:
             with pytest.raises(InvalidInput, match=message):
                 call(machine)
+
+
+def test_validate_names_every_unhashable_part(anbna):
+    broken = Droca(["q0", ["r"]], ["a", ["b"]], ["q0"],
+                   {("q0", "a"): (["q0"], 1)}, {("q0", "a"): ("q0", {0})}, [])
+    assert validate(broken) == [
+        "state id ['r'] is unhashable", "letter ['b'] is unhashable",
+        "initial state ['q0'] is unhashable", "delta0[q0,a] targets the unhashable ['q0']",
+        "delta1[q0,a] has the unhashable action {0}"]
 
 
 def test_validate_catches_decrement_at_zero(anbna):

@@ -203,6 +203,47 @@ def _mutants(m, rng):
         yield Droca(m.states, m.alphabet, m.initial, *deltas, m.finals)
 
 
+def test_one_check_reads_each_tables_once(monkeypatch):
+    # whether the budgeted search answers alone (refuted, or out of
+    # nodes), the summary decision finds the pair equivalent, or it refutes
+    # it and the search resumes, each check reads each machine's tables
+    # once; a VOCA check reads the action maps kept from before
+    reads, decisions = [], []
+    indexed_tables, decide = Droca.indexed_tables, equivalence._decide_by_summaries
+
+    def counted(m):
+        reads.append(m)
+        return indexed_tables(m)
+
+    def decide_counted(*args):
+        decisions.append(decide(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(Droca, "indexed_tables", counted)
+    monkeypatch.setattr(equivalence, "_decide_by_summaries", decide_counted)
+    paths = set()
+    for i in range(40):
+        rng = random.Random(derive_seed(29, i))
+        a = (random_voca(derive_seed(29, i, 0), max_states=4) if i % 2
+             else random_machine(derive_seed(29, i, 0), max_states=4))
+        for b in (split_copy(a, rng), *_mutants(a, rng)):
+            checks = [check_sync_equiv]
+            if a.is_voca() and b.is_voca():
+                checks.append(voca_check_equiv)
+            for check in checks:
+                reads.clear()
+                decisions.clear()
+                verdict = check(a, b)
+                assert sorted(map(id, reads)) == sorted((id(a), id(b)))
+                paths.add((verdict.equivalent, tuple(decisions)))
+    assert paths == {(False, ()), (True, ()), (True, (True,)), (False, (False,))}
+
+
+def _decide(a, b, deadline):
+    """The summary decision alone, on the machines' dense tables."""
+    return equivalence._decide_by_summaries(a.indexed_tables(), b.indexed_tables(), deadline)
+
+
 def test_decision_matches_the_capped_search():
     # verdicts and witnesses equal those of the capped search that decided
     # equivalence before, and the brute-force oracle's; the summary
@@ -226,7 +267,7 @@ def test_decision_matches_the_capped_search():
         max_len = 12 if letters < 3 else 7
         for left, right in ((a, split), (split, a), (a, other), *((a, m) for m in _mutants(a, rng))):
             expected = capped_equiv(left, right)
-            assert equivalence._decide_by_summaries(left, right, None) == expected[0]
+            assert _decide(left, right, None) == expected[0]
             checks = [check_sync_equiv]
             if left.is_voca() and right.is_voca():
                 checks.append(voca_check_equiv)
@@ -273,7 +314,7 @@ def test_decision_follows_nested_returns():
                                (1, (True, None, None))):
             other = _nested(depth, mode)
             assert capped_equiv(base, other) == expected
-            assert equivalence._decide_by_summaries(base, other, None) == expected[0]
+            assert _decide(base, other, None) == expected[0]
             verdict = check_sync_equiv(base, other)
             ce = verdict.counterexample
             assert (verdict.equivalent, ce and ce.word, ce and ce.kind) == expected
@@ -338,17 +379,17 @@ def test_decision_reads_the_clock_inside_its_sweeps(monkeypatch):
         return SimpleNamespace(monotonic=monotonic)
 
     monkeypatch.setattr(errors, "time", clock(float("inf")))
-    assert equivalence._decide_by_summaries(a, b, 1.0)
+    assert _decide(a, b, 1.0)
     total = len(reads)
     assert total > 100
     reads.clear()
     monkeypatch.setattr(errors, "time", clock(total // 2))
     with pytest.raises(EquivalenceTimeout):
-        equivalence._decide_by_summaries(a, b, 1.0)
+        _decide(a, b, 1.0)
     assert len(reads) == total // 2
     reads.clear()
     monkeypatch.setattr(errors, "time", clock(float("inf")))
-    assert equivalence._decide_by_summaries(a, b, None)
+    assert _decide(a, b, None)
     assert reads == []
 
 

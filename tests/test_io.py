@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ocalearn import ParseError, load, load_file, store, validate
+from ocalearn import ParseError, check_sync_equiv, load, load_file, store, validate
 from conftest import random_machine
 
 
@@ -28,6 +28,37 @@ def test_store_declares_voca_type():
     voca = random_voca(3)
     assert json.loads(store(voca))["type"] == "voca"
     assert load(store(voca)) == voca
+
+
+def test_load_validates_a_clean_machine_once(anbna, monkeypatch):
+    # a declared voca machine is validated once, by its table build, and
+    # what follows reads its tables; a malformed machine still gets every
+    # violation in its ParseError
+    from conftest import random_voca
+    counted = []
+
+    def validate_counted(machine):
+        counted.append(machine)
+        return validate(machine)
+
+    monkeypatch.setattr("ocalearn.automata.validate", validate_counted)
+    monkeypatch.setattr("ocalearn.io.validate", validate_counted)
+    for machine in (random_voca(3), anbna):
+        text = store(machine)
+        counted.clear()
+        loaded = load(text)
+        assert counted == [loaded]
+        assert store(loaded) == text and check_sync_equiv(loaded, machine).equivalent
+        assert counted == [loaded]
+    obj = json.loads(store(anbna))
+    obj["delta1"]["q0,a"] = ["q9", 2]
+    obj["finals"] = ["q2", "zz"]
+    with pytest.raises(ParseError) as err:
+        load(json.dumps(obj))
+    assert err.value.field == "automaton"
+    for message in ("final state 'zz' is not a state", "delta1[q0,a] targets unknown state 'q9'",
+                    "delta1[q0,a] has invalid action 2"):
+        assert message in str(err.value)
 
 
 def test_load_rejects_unknown_letter_in_delta_key(anbna):
