@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple
 from .errors import InvalidInput
 
 _UNKNOWN = object()     # an action map not yet worked out from the tables
+_ACTIONS = (frozenset({0, 1}), frozenset({-1, 0, 1}))   # the actions at counter zero, positive
 
 
 def sgn(n: int) -> int:
@@ -271,19 +272,19 @@ def validate(automaton: Droca) -> list[str]:
     An empty list means the automaton is valid.  This is the one check:
     :meth:`Droca.indexed_tables` runs it on its first build, so every
     search, run and query refuses a malformed machine, and
-    :func:`~ocalearn.io.load` reports its list as a ``ParseError``.  The
-    rules compare ids through sets, so a machine with an unhashable state
-    id, letter, target or action gets only the violations naming those.
+    :func:`~ocalearn.io.load` reports its list as a ``ParseError``.  Keys
+    are (state, letter) tuples, values (target, action) tuples with an
+    ``int`` action, which a ``bool`` is not.  The rules compare ids
+    through sets, so a machine with an unhashable state id, letter,
+    target or action gets only the violations naming those.
     """
+    states, letters = automaton.states, automaton.alphabet
     try:
-        hash((automaton.states, automaton.alphabet, automaton.initial,
-              tuple(automaton.delta0.values()), tuple(automaton.delta1.values())))
+        state_set, letter_set = set(states), set(letters)
+        initial_known = automaton.initial in state_set
     except TypeError:
         return _unhashable_violations(automaton)
     violations = []
-    states = automaton.states
-    letters = automaton.alphabet
-    state_set, letter_set = set(states), set(letters)
     if not states:
         violations.append("no states")
     if len(state_set) != len(states):
@@ -302,33 +303,45 @@ def validate(automaton: Droca) -> list[str]:
             violations.append(f"state id {q!r} is not a nonempty string")
         elif "," in q:
             violations.append(f"state id {q!r} contains ','")
-    if automaton.initial not in state_set:
+    if not initial_known:
         violations.append(f"initial state is the unknown state {automaton.initial!r}")
-    for q in sorted(automaton.finals - state_set, key=repr):
-        violations.append(f"final state {q!r} is not a state")
-    for sign, (name, delta, actions) in enumerate((("delta0", automaton.delta0, {0, 1}),
-                                                   ("delta1", automaton.delta1, {-1, 0, 1}))):
-        known = len(delta)
-        for (q, a), (t, e) in delta.items():
+    if not automaton.finals <= state_set:
+        for q in sorted(automaton.finals - state_set, key=repr):
+            violations.append(f"final state {q!r} is not a state")
+    for sign, name, delta, actions in ((0, "delta0", automaton.delta0, _ACTIONS[0]),
+                                       (1, "delta1", automaton.delta1, _ACTIONS[1])):
+        for key, value in delta.items():
+            try:
+                (q, a), (t, e) = key, value
+                malformed = type(key) is not tuple or type(value) is not tuple
+            except (TypeError, ValueError):     # a key or value that does not unpack into two
+                malformed = True
+            if malformed:   # a key that is a pair unpacked before its value
+                violations.append(f"{name} key {key!r} is not a (state, letter) tuple"
+                                  if type(key) is not tuple or len(key) != 2 else
+                                  f"{name}[{q},{a}] is {value!r}, not a (target, action) tuple")
+                continue
             if q not in state_set:
-                known -= 1
                 violations.append(f"{name}[{q},{a}] is from the unknown state {q!r}")
             elif a not in letter_set:
-                known -= 1
                 violations.append(f"{name}[{q},{a}] is on the unknown letter {a!r}")
-            if t not in state_set:
-                violations.append(f"{name}[{q},{a}] targets unknown state {t!r}")
-            if e not in actions:
-                if sign == 0 and e == -1:
-                    violations.append(f"decrement at zero: {name}[{q},{a}]")
-                else:
-                    violations.append(f"{name}[{q},{a}] has invalid action {e!r}")
-        missing = len(state_set) * len(letter_set) - known
-        if missing:
-            q, a = next((q, a) for q in states for a in letters if (q, a) not in delta)
-            violations.append(f"incomplete transition table, {missing} missing in {name}: no "
-                              f"transition from state {q!r} on {a!r} at counter "
-                              f"{'positive' if sign else 'zero'}")
+            try:
+                if t not in state_set:
+                    violations.append(f"{name}[{q},{a}] targets unknown state {t!r}")
+                if e not in actions or type(e) is not int:      # True == 1, but is no action
+                    if sign == 0 and e == -1:
+                        violations.append(f"decrement at zero: {name}[{q},{a}]")
+                    else:
+                        violations.append(f"{name}[{q},{a}] has invalid action {e!r}")
+            except TypeError:   # an unhashable target or action
+                return _unhashable_violations(automaton)
+        if violations or len(delta) != len(state_set) * len(letter_set):
+            missing = dict.fromkeys((q, a) for q in states for a in letters if (q, a) not in delta)
+            if missing:
+                q, a = next(iter(missing))
+                violations.append(f"incomplete transition table, {len(missing)} missing in "
+                                  f"{name}: no transition from state {q!r} on {a!r} at counter "
+                                  f"{'positive' if sign else 'zero'}")
     return violations
 
 
@@ -347,7 +360,11 @@ def _unhashable_violations(automaton: Droca) -> list[str]:
     if unhashable(automaton.initial):
         violations.append(f"initial state {automaton.initial!r} is unhashable")
     for name, delta in (("delta0", automaton.delta0), ("delta1", automaton.delta1)):
-        for (q, a), (t, e) in delta.items():
+        for key, value in delta.items():
+            try:
+                (q, a), (t, e) = key, value
+            except (TypeError, ValueError):
+                continue    # not pairs: validate names it once nothing is unhashable
             if unhashable(t):
                 violations.append(f"{name}[{q},{a}] targets the unhashable {t!r}")
             if unhashable(e):

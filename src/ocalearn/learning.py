@@ -133,42 +133,30 @@ def construct_droca(table: ObservationTable, *, solve=sat_solve, at_least: int =
     delta read off the table's cached counter-values.  Such a prefix is
     not yet constrained by any sample, so a clash is repaired by
     promoting it into P (signalled via :class:`PrefixConflict`).  The
-    clashing step reported is the first in the order in which the
-    samples' outputs, in build order, first pass the steps.  Transitions
-    that no step fixes keep the skeleton target with the action of the
-    table's ``action_map`` (visibly one-counter mode), else 0.  In
-    visibly one-counter mode every counter-value comes from the map, so
-    no clash can arise.
+    one walk over the tree's edges checks each step where it reaches it
+    and reports the first clash in tree order: the order in which first
+    the positive, then the negative samples, in build order, first pass
+    the steps.  Transitions that no step fixes keep the skeleton target
+    with the action of the table's ``action_map`` (visibly one-counter
+    mode), else 0.  In visibly one-counter mode every counter-value
+    comes from the map, so no clash can arise.
     """
-    samples = build_samples(table)
-    skeleton = find_min_sep_dfa(samples, solve=solve, at_least=at_least, deadline=deadline)
+    skeleton = find_min_sep_dfa(build_samples(table), solve=solve, at_least=at_least,
+                                deadline=deadline)
     names = {q: sys.intern(f"s{q}") for q in skeleton.states}   # shared by every hypothesis
     apta, states = skeleton.apta, skeleton.node_states
 
     vectors = [list(index) for index in apta.vectors]   # each sign's vectors, by index
-    fixed = {(q, sign, letter): delta for (q, sign), (_, index) in skeleton.outputs.items()
-             for letter, delta in zip(table.alphabet, vectors[sign][index].deltas)}
+    actions = {(q, sign, letter): delta for (q, sign), (_, index) in skeleton.outputs.items()
+               for letter, delta in zip(table.alphabet, vectors[sign][index].deltas)}
     words = [""]    # the plain word of each node
-    outside = []    # (node, key, delta) of each step from a node outside the table
     for v, (u, sym) in enumerate(apta.parent_edges[1:], 1):
         letter = sym[:-1]
         words.append(words[u] + letter)
         if apta.outputs[u] is None:
             delta = table.counter_value(words[v]) - table.counter_value(words[u])
-            outside.append((v, (states[u], int(sym[-1]), letter), delta))
-    actions = dict(fixed)
-    if any(actions.setdefault(key, delta) != delta for _, key, delta in outside):
-        # which step clashes first depends on the order: that of the samples
-        order = {}
-        for code, _ in samples.outputs:
-            v = 0
-            for sym in code:
-                v = apta.children[v][sym]
-                order.setdefault(v, len(order))
-        outside.sort(key=lambda step: order[step[0]])
-        actions = dict(fixed)
-        v = next(v for v, key, delta in outside if actions.setdefault(key, delta) != delta)
-        raise PrefixConflict(words[apta.parent_edges[v][0]])
+            if actions.setdefault((states[u], int(sym[-1]), letter), delta) != delta:
+                raise PrefixConflict(words[u])
 
     defaults = table.action_map or {}
     delta0, delta1 = {}, {}

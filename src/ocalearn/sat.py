@@ -214,8 +214,7 @@ class _Cdcl:
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.unsat = False
-        self.units: list[int] = []
-        watches, units = self.watches, self.units
+        watches, value = self.watches, self.value
         clauses = iter(clauses)
         while True:
             check_deadline(deadline)
@@ -230,10 +229,10 @@ class _Cdcl:
                 elif len(lits) > 1:
                     watches[lits[0]].append(lits)
                     watches[lits[1]].append(lits)
-                elif lits:
-                    units.append(lits[0])
-                else:
+                elif not lits or value[lits[0]] == -1:
                     self.unsat = True
+                elif value[lits[0]] == 0:     # a unit clause, enqueued at level 0
+                    self._enqueue(lits[0])
         # order is a lazy min-heap of (-activity, var) pairs.  in_order[v]
         # records that v's entry at its current activity is in it; every
         # unassigned variable has one, so the first unassigned variable
@@ -397,11 +396,6 @@ class _Cdcl:
         if self.unsat:
             return None
         value = self.value
-        for lit in self.units:
-            if value[lit] == -1:
-                return None
-            if value[lit] == 0:
-                self._enqueue(lit)
         restart_limit = 100.0
         since_restart = 0
         decisions = 0

@@ -197,8 +197,12 @@ def test_malformed_machines_raise_named_errors(anbna):
     # initial state, one that decrements at zero, one with a
     # positive-mode action of 2, one with a final state that is not a
     # state, one with a transition on a letter outside the alphabet, one
-    # with an unhashable state id and one with an unhashable action,
-    # through every call that reads the dense tables, steps, runs or stores
+    # with an unhashable state id, one with an unhashable action, values
+    # that are no (target, action) tuple (an int, a triple, a list), keys
+    # that are no (state, letter) tuple (one that does not unpack into
+    # two, and a string that does, on a machine whose state and letter it
+    # spells) and a bool action, which equals 1, through every call that
+    # reads the dense tables, steps, runs or stores
     def changed(delta0=anbna.delta0, delta1=anbna.delta1, **fields):
         machine = dict(states=anbna.states, alphabet=anbna.alphabet, initial=anbna.initial,
                        delta0=delta0, delta1=delta1, finals=anbna.finals)
@@ -222,6 +226,19 @@ def test_malformed_machines_raise_named_errors(anbna):
         (changed(states=["q", ["r"]]), r"state id \['r'\] is unhashable"),
         (changed(delta0={**anbna.delta0, ("q0", "a"): ("q", [1])}),
          r"delta0\[q0,a\] has the unhashable action \[1\]"),
+        (changed(delta0={**anbna.delta0, ("q0", "a"): 5}),
+         r"delta0\[q0,a\] is 5, not a \(target, action\) tuple"),
+        (changed(delta0={**anbna.delta0, ("q0", "a"): ("q0", 0, 1)}),
+         r"delta0\[q0,a\] is \('q0', 0, 1\), not a \(target, action\) tuple"),
+        (changed(delta0={**anbna.delta0, "q0a": ("q0", 0)}),
+         r"delta0 key 'q0a' is not a \(state, letter\) tuple"),
+        (changed(delta1={**anbna.delta1, ("q0", "a"): ["q0", 1]}),
+         r"delta1\[q0,a\] is \['q0', 1\], not a \(target, action\) tuple"),
+        (Droca(["q"], ["a", "b"], "q", {"qa": ("q", 0), ("q", "b"): ("q", 0)},
+               {("q", "a"): ("q", 0), ("q", "b"): ("q", 0)}, []),
+         r"delta0 key 'qa' is not a \(state, letter\) tuple"),
+        (changed(delta0={**anbna.delta0, ("q0", "a"): ("q0", True)}),
+         r"delta0\[q0,a\] has invalid action True"),
     )
     calls = (lambda m: check_sync_equiv(m, anbna), lambda m: check_sync_equiv(anbna, m),
              reachable_count, lambda m: m.is_voca(), lambda m: m.voca_action_map(),
