@@ -16,8 +16,7 @@ from .errors import (EquivalenceTimeout, GenerationFailure, InvalidInput,
 from .generate import GenConfig, derive_seed, generate_droca, reachable_count, splitmix64
 from .io import load, load_file, store, store_file
 from .learning import LearnConfig, SimulatedTeacher, Stats, construct_droca, learn
-from .minsepdfa import (Apta, SampleSet, build_apta, build_samples, clique_bound,
-                        find_min_sep_dfa)
+from .minsepdfa import Apta, SampleSet, build_apta, build_samples, find_min_sep_dfa
 from .sat import AtMostOne, CnfInstance, external_path, sat_solve
 from .table import ActionsVector, ObservationTable
 

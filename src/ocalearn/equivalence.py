@@ -66,7 +66,6 @@ def check_sync_equiv(a: Droca, b: Droca, deadline: float | None = None) -> Verdi
     :func:`time.monotonic` instant, it raises
     :class:`EquivalenceTimeout`.
     """
-    _require_same_alphabet(a, b)
     return _product_search(a, b, deadline)
 
 
@@ -81,7 +80,6 @@ def voca_check_equiv(a: Droca, b: Droca, deadline: float | None = None) -> Verdi
     """
     if not (a.is_voca() and b.is_voca()):
         raise InvalidInput("automaton is not visibly one-counter")
-    _require_same_alphabet(a, b)
     return _product_search(a, b, deadline)
 
 
@@ -96,12 +94,6 @@ def _words_back(parents, node, alphabet):
     return "".join(reversed(letters))
 
 
-def _require_same_alphabet(a: Droca, b: Droca) -> None:
-    if a.alphabet != b.alphabet:
-        raise InvalidInput(
-            f"alphabet mismatch: {a.alphabet!r} vs {b.alphabet!r}")
-
-
 def _product_search(a: Droca, b: Droca, deadline: float | None) -> Verdict:
     """The length-lex-minimal violation, or ``EQUIVALENT``.
 
@@ -110,9 +102,12 @@ def _product_search(a: Droca, b: Droca, deadline: float | None) -> Verdict:
     neither found a violation nor run out of nodes, the summary decision
     settles the pair, and the search resumes from the same queue and
     parent map only when the decision found a violation, so it ends.
-    Each machine's tables are read here, once, and handed to both.
+    Each machine's tables are read here, once, and handed to both; a
+    malformed machine is named before a mismatch of the alphabets.
     """
     tables_a, tables_b = a.indexed_tables(), b.indexed_tables()
+    if a.alphabet != b.alphabet:
+        raise InvalidInput(f"alphabet mismatch: {a.alphabet!r} vs {b.alphabet!r}")
     _, _, fin_a, init_a = tables_a
     _, _, fin_b, init_b = tables_b
     if fin_a[init_a] != fin_b[init_b]:

@@ -29,8 +29,7 @@ def store(automaton: Droca) -> str:
     """Serialize in canonical form: fixed key order, transitions sorted
     by state order then letter order."""
     def delta_obj(delta):
-        return {f"{q},{a}": list(delta[(q, a)]) for q in automaton.states
-                for a in automaton.alphabet if (q, a) in delta}
+        return {f"{q},{a}": list(delta[q, a]) for q in automaton.states for a in automaton.alphabet}
 
     obj = {
         "type": "voca" if automaton.is_voca() else "droca",

@@ -89,13 +89,12 @@ class Apta:
 
     def domains(self, deadline: float | None = None) -> tuple[int, list[int]]:
         """Clique pre-colouring (Heule & Verwer, ICGI 2010) of the
-        finished tree, worked out on the first call: the size of
-        :func:`clique_bound`'s clique, and per node a bitmask of the
-        colours it may not take.  The k-th clique node may take colour k
-        alone, and every node incompatible with it loses colour k; the
-        masks are worked out per subtree class, as a node clashes with
-        what its class clashes with.  ``deadline`` is read as in
-        :func:`clique_bound`."""
+        finished tree, worked out on the first call: the size of the
+        clique of :func:`_class_clique`, which reads ``deadline``, and per
+        node a bitmask of the colours it may not take.  The first node of
+        the k-th clique class may take colour k alone, and every node
+        incompatible with it loses colour k; the masks are worked out per
+        subtree class, as a node clashes with what its class clashes with."""
         if self._domains is None:
             class_of, conflicts, clique = _class_clique(self, deadline)
             class_excluded = [0] * len(conflicts)
@@ -157,10 +156,10 @@ def build_apta(samples: SampleSet) -> Apta:
     return apta
 
 
-def clique_bound(apta: Apta, deadline: float | None = None) -> list[tuple[int, list[int]]]:
-    """A clique of pairwise incompatible prefix-tree nodes, as pairs of
-    one node and the nodes incompatible with it; its size is a lower
-    bound on the size of any DFA consistent with the labels and outputs.
+def _class_clique(apta: Apta, deadline: float | None) -> tuple[list[int], list[int], list[int]]:
+    """A clique of pairwise incompatible prefix-tree nodes, a lower bound
+    on the size of any DFA consistent with the labels and outputs: the
+    subtree class of each node, each class's conflicts and the clique's classes.
 
     Two nodes are incompatible when some common suffix leads them to
     opposite labels or to differing outputs of one sign; no DFA may give
@@ -176,21 +175,11 @@ def clique_bound(apta: Apta, deadline: float | None = None) -> list[tuple[int, l
     symbol clashes with it.  That last mask is kept per (symbol, child
     class); it is the OR of the parent masks on that symbol of the
     child's conflicts, which are complete, as the child is numbered
-    first.  The clique is picked greedily among the classes, in order of
-    descending degree, and each class is represented by its first node.
-    ``deadline``, a :func:`time.monotonic` instant, is read once every
-    32 classes of the second pass; past it the search raises
-    :class:`SolverTimeout`.
+    first.  The clique's classes are picked greedily, in order of
+    descending degree.  ``deadline``, a :func:`time.monotonic` instant, is
+    read once every 32 classes of the second pass; past it the search
+    raises :class:`SolverTimeout`.
     """
-    class_of, conflicts, clique = _class_clique(apta, deadline)
-    return [(class_of.index(c), [v for v, d in enumerate(class_of) if conflicts[c] >> d & 1])
-            for c in clique]
-
-
-def _class_clique(apta: Apta, deadline: float | None) -> tuple[list[int], list[int], list[int]]:
-    """The subtree class of each node, each class's conflicts as a
-    bitmask over the classes, and the clique's classes, in order; see
-    :func:`clique_bound`."""
     class_of = [0] * apta.num_nodes
     classes: dict[tuple, int] = {}
     kinds: list[tuple] = []                 # (label, output, edges) of each class
@@ -264,7 +253,7 @@ def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1,
     """Smallest complete DFA accepting every positive and rejecting every
     negative sample, whose states each reach words of one sign with equal
     vectors only, found by growing the state count from the larger of
-    ``at_least`` and :func:`clique_bound`.  ``solve`` maps a
+    ``at_least`` and the clique of :meth:`Apta.domains`.  ``solve`` maps a
     :class:`CnfInstance` to a model or None.  The DFA comes with the
     prefix tree, the state of each node and each state's outputs, from
     the one run over the tree that checks the model.
@@ -280,7 +269,7 @@ def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1,
     never drops.
 
     ``deadline``, a :func:`time.monotonic` instant, is read at entry,
-    while the clique bound is built (see :func:`clique_bound`), before
+    while the clique bound is built (see :func:`_class_clique`), before
     each rung's encoding and throughout it (see :func:`encode_size_n`);
     past it the search raises :class:`SolverTimeout`.
     """

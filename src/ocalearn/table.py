@@ -26,9 +26,8 @@ class ActionsVector:
     """Sign of the counter after a word, plus per-letter counter deltas.
 
     ``deltas[i]`` is the counter change caused by appending the i-th
-    alphabet letter.  At sign 0 no delta can be -1 (the counter cannot
-    go negative).  Two vectors are *similar* unless they share a sign
-    and differ; dissimilar vectors must end up in different states.
+    alphabet letter, never -1 at sign 0.  Two differing vectors of one
+    sign are *dissimilar*: they must end up in different states.
     """
 
     sign: int
@@ -41,11 +40,6 @@ class ActionsVector:
             raise InvalidInput(f"deltas must be in -1..1, got {self.deltas!r}")
         if self.sign == 0 and any(d < 0 for d in self.deltas):
             raise InvalidInput("decrement delta at counter sign 0")
-
-    def similar(self, other: "ActionsVector") -> bool:
-        if len(self.deltas) != len(other.deltas):
-            raise InvalidInput("action vectors over different alphabets")
-        return self.sign != other.sign or self == other
 
     def __str__(self):
         body = ",".join(f"{d:+d}" if d else "0" for d in self.deltas)

@@ -136,7 +136,7 @@ def _conflicts(children, labels, outputs):
             memo[key] = (labels[u] is not None and labels[v] is not None
                          and labels[u] != labels[v]) or (
                 outputs[u] is not None and outputs[v] is not None
-                and not outputs[u].similar(outputs[v])) or any(
+                and outputs[u].sign == outputs[v].sign and outputs[u] != outputs[v]) or any(
                 sym in children[v] and incompatible(child, children[v][sym])
                 for sym, child in children[u].items())
         return memo[key]
@@ -280,9 +280,10 @@ def full_encoding(apta, n):
 
 
 def pairwise_clique_bound(apta, deadline=None):
-    """:func:`ocalearn.minsepdfa.clique_bound` by pairwise class scans:
-    the same classes, clique, representatives and clash lists, and the
-    deadline read at the same classes."""
+    """The clique of :meth:`ocalearn.minsepdfa.Apta.domains` by pairwise
+    class scans: the same classes and clique, read at the same classes,
+    as pairs of each clique class's first node and the nodes that clash
+    with it."""
     class_of = [0] * apta.num_nodes
     classes = {}
     labels, outputs, edges, conflicts = [], [], [], []

@@ -201,8 +201,11 @@ def test_malformed_machines_raise_named_errors(anbna):
     # that are no (target, action) tuple (an int, a triple, a list), keys
     # that are no (state, letter) tuple (one that does not unpack into
     # two, and a string that does, on a machine whose state and letter it
-    # spells) and a bool action, which equals 1, through every call that
-    # reads the dense tables, steps, runs or stores
+    # spells), a bool action, which equals 1, no states, a repeated
+    # letter, a letter of two characters, the letter ',', an empty state
+    # id, a state id with ',' and a transition from an unknown state,
+    # through every call that reads the dense tables, steps, runs or
+    # stores; and a symbol outside the alphabet of a DFA
     def changed(delta0=anbna.delta0, delta1=anbna.delta1, **fields):
         machine = dict(states=anbna.states, alphabet=anbna.alphabet, initial=anbna.initial,
                        delta0=delta0, delta1=delta1, finals=anbna.finals)
@@ -239,6 +242,14 @@ def test_malformed_machines_raise_named_errors(anbna):
          r"delta0 key 'qa' is not a \(state, letter\) tuple"),
         (changed(delta0={**anbna.delta0, ("q0", "a"): ("q0", True)}),
          r"delta0\[q0,a\] has invalid action True"),
+        (changed(states=()), "no states"),
+        (changed(alphabet="aba"), "repeated letter 'a'"),
+        (changed(alphabet=("a", "bc")), "letter 'bc' is not a single character"),
+        (changed(alphabet="ab,"), "letter ',' clashes with the transition key format"),
+        (changed(states=anbna.states + ("",)), "state id '' is not a nonempty string"),
+        (changed(states=anbna.states + ("q,4",)), "state id 'q,4' contains ','"),
+        (changed(delta0={**anbna.delta0, ("zz", "a"): ("q0", 0)}),
+         r"delta0\[zz,a\] is from the unknown state 'zz'"),
     )
     calls = (lambda m: check_sync_equiv(m, anbna), lambda m: check_sync_equiv(anbna, m),
              reachable_count, lambda m: m.is_voca(), lambda m: m.voca_action_map(),
@@ -249,11 +260,14 @@ def test_malformed_machines_raise_named_errors(anbna):
         for call in calls:
             with pytest.raises(InvalidInput, match=message):
                 call(machine)
+    with pytest.raises(InvalidInput, match="symbol 'c0' not in DFA alphabet"):
+        anbna.characteristic_dfa().accepts(("a0", "c0"))
 
 
 def test_validate_names_every_unhashable_part(anbna):
+    # an entry that is not a pair, the value 5, adds no violation
     broken = Droca(["q0", ["r"]], ["a", ["b"]], ["q0"],
-                   {("q0", "a"): (["q0"], 1)}, {("q0", "a"): ("q0", {0})}, [])
+                   {("q0", "a"): (["q0"], 1), ("q0", "b"): 5}, {("q0", "a"): ("q0", {0})}, [])
     assert validate(broken) == [
         "state id ['r'] is unhashable", "letter ['b'] is unhashable",
         "initial state ['q0'] is unhashable", "delta0[q0,a] targets the unhashable ['q0']",

@@ -45,7 +45,7 @@ def test_alphabet_mismatch_raises(anbna):
     other = Droca(states=["s"], alphabet=["a"], initial="s",
                   delta0={("s", "a"): ("s", 0)}, delta1={("s", "a"): ("s", 0)},
                   finals=[])
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="alphabet mismatch"):
         check_sync_equiv(anbna, other)
 
 
@@ -371,26 +371,49 @@ def test_decision_reads_the_clock_inside_its_sweeps(monkeypatch):
     # raises there
     a, b = _ring(8), _with_letter_count(_ring(8), 300)
     reads = []
-
-    def clock(limit):
-        def monotonic():
-            reads.append(None)
-            return 0.0 if len(reads) < limit else 2.0
-        return SimpleNamespace(monotonic=monotonic)
-
-    monkeypatch.setattr(errors, "time", clock(float("inf")))
+    monkeypatch.setattr(errors, "time", _clock(reads, float("inf")))
     assert _decide(a, b, 1.0)
     total = len(reads)
     assert total > 100
     reads.clear()
-    monkeypatch.setattr(errors, "time", clock(total // 2))
+    monkeypatch.setattr(errors, "time", _clock(reads, total // 2))
     with pytest.raises(EquivalenceTimeout):
         _decide(a, b, 1.0)
     assert len(reads) == total // 2
     reads.clear()
-    monkeypatch.setattr(errors, "time", clock(float("inf")))
+    monkeypatch.setattr(errors, "time", _clock(reads, float("inf")))
     assert _decide(a, b, None)
     assert reads == []
+
+
+def test_decision_reads_the_clock_inside_its_reachability_walk(monkeypatch):
+    # a 2050-state cycle, on which a and b both step to the next state,
+    # against its split copy: the product has 2051 pairs and one sweep
+    # of 2051 rows, so the clock is read at the first pair and then only
+    # at the 4096th of the walk's 4101 steps, where a deadline that
+    # passes raises
+    states = [f"c{i}" for i in range(2050)]
+    delta = {(q, x): (states[(i + 1) % 2050], int(x == "a"))
+             for i, q in enumerate(states) for x in "ab"}
+    a = Droca(states, "ab", states[0], delta, delta, [])
+    b = split_copy(a, random.Random(7))
+    reads = []
+    monkeypatch.setattr(errors, "time", _clock(reads, float("inf")))
+    assert _decide(a, b, 1.0)
+    assert len(reads) == 2
+    reads.clear()
+    monkeypatch.setattr(errors, "time", _clock(reads, 2))
+    with pytest.raises(EquivalenceTimeout):
+        _decide(a, b, 1.0)
+    assert len(reads) == 2
+
+
+def _clock(reads, limit):
+    """A clock that logs each read in ``reads`` and passes 1.0 at read ``limit``."""
+    def monotonic():
+        reads.append(None)
+        return 0.0 if len(reads) < limit else 2.0
+    return SimpleNamespace(monotonic=monotonic)
 
 
 def test_passed_deadline_raises_and_no_deadline_reads_no_clock(monkeypatch):

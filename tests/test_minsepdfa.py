@@ -9,7 +9,7 @@ from ocalearn import (ActionsVector, AtMostOne, GenConfig, InvalidInput, Observa
                       SolverTimeout, build_apta, build_samples, derive_seed, encode_size_n,
                       errors, find_min_sep_dfa, generate_droca, learn, minsepdfa, sat_solve)
 from ocalearn.colouring import decode_dfa
-from ocalearn.minsepdfa import Apta, clique_bound
+from ocalearn.minsepdfa import Apta
 from conftest import make_anbna, random_machine
 from test_table import golden_table
 from oracles import (_build_trie, _conflicts, clique_domains, full_encoding, full_variables,
@@ -128,7 +128,7 @@ def test_separation_and_merging_semantics(anbna):
     for vectors in by_state.values():
         for u in vectors:
             for v in vectors:
-                assert u.similar(v)
+                assert u.sign != v.sign or u == v
 
 
 def cold_ladder(samples):
@@ -252,21 +252,21 @@ def test_clique_reads_the_deadline_once_every_32_classes(monkeypatch):
 
     monkeypatch.setattr(errors, "time", SimpleNamespace(monotonic=monotonic))
     apta = build_apta(samples)
-    for search in (lambda: clique_bound(apta, 1.0),
+    for search in (lambda: apta.domains(1.0),
                    lambda: find_min_sep_dfa(samples, deadline=1.0)):
         reads.clear()
         with pytest.raises(SolverTimeout):
             search()
         assert len(reads) == 3
     reads.clear()
-    assert clique_bound(apta) and apta.domains() and reads == []
+    assert apta.domains() and reads == []
 
 
 def test_clique_bound_matches_the_pairwise_oracle(monkeypatch):
-    # the bitmask clique, its representatives and clash lists, the colour
-    # domains and the deadline reads are those of the pairwise scans, on
-    # random trees, labelled only or with outputs, and on every tree of
-    # the 7-state frontier sessions
+    # the colour domains and the deadline reads are those of the pairwise
+    # scans, on random trees, labelled only or with outputs, and on every
+    # tree of the 7-state frontier sessions; equal domains fix the
+    # clique's representatives and clash lists
     trees = []
     build = minsepdfa.build_apta
     monkeypatch.setattr(minsepdfa, "build_apta", lambda samples: trees.append(samples) or build(samples))
@@ -295,16 +295,12 @@ def test_clique_bound_matches_the_pairwise_oracle(monkeypatch):
     for samples in trees:
         apta, oracle = build_apta(samples), build_apta(samples)
         reads.clear()
-        clique = clique_bound(apta, 1.0)
+        domains = apta.domains(1.0)
         read = len(reads)
         reads.clear()
-        pairwise = pairwise_clique_bound(oracle, 1.0)
-        assert clique == pairwise
+        assert domains == clique_domains(pairwise_clique_bound(oracle, 1.0), oracle.num_nodes)
         assert len(reads) == read
         most_reads = max(most_reads, read)
-        reads.clear()
-        assert apta.domains(1.0) == clique_domains(pairwise, oracle.num_nodes)
-        assert len(reads) == read
     assert most_reads >= 3     # some tree has more than 64 classes
 
 
@@ -343,7 +339,7 @@ def test_clique_bound_at_most_the_oracle_size():
         pos = tuple(w for w, lab in seen.items() if lab)
         neg = tuple(w for w, lab in seen.items() if not lab)
         samples = SampleSet(pos=pos, neg=neg, alphabet=tuple(symbols))
-        bound = len(clique_bound(build_apta(samples)))
+        bound = build_apta(samples).domains()[0]
         size = min_sep_dfa_size(pos, neg)
         assert 1 <= bound <= size
         if bound == size:
@@ -365,7 +361,7 @@ def test_clique_bound_at_most_the_size_on_filled_tables():
         apta = build_apta(samples)
         assert sum(output is not None for output in apta.outputs) == len(table.words())
         split_signs += any(len(vectors) > 1 for vectors in apta.vectors)
-        assert len(clique_bound(apta)) <= cold_ladder(samples).size
+        assert apta.domains()[0] <= cold_ladder(samples).size
     assert split_signs >= len(tables) // 2
 
 
@@ -374,7 +370,7 @@ def test_clique_bound_of_a_three_state_language():
     # labels, so they need three states
     samples = SampleSet(pos=((), ("a",) * 3), neg=(("a",), ("a",) * 2),
                         alphabet=("a",))
-    assert len(clique_bound(build_apta(samples))) == 3
+    assert build_apta(samples).domains()[0] == 3
     assert find_min_sep_dfa(samples).size == cold_ladder(samples).size == 3
     # the error names the rung the search started from
     with pytest.raises(SolverError, match="of 3 to"):
@@ -388,7 +384,7 @@ def test_dissimilar_vectors_of_one_sign_need_two_states():
     samples = SampleSet(pos=((), ("a0",)), neg=(), alphabet=("a0", "a1"),
                         outputs=(((), ActionsVector(0, (0,))),
                                  (("a0",), ActionsVector(0, (1,)))))
-    assert len(clique_bound(build_apta(samples))) == 2
+    assert build_apta(samples).domains()[0] == 2
     assert find_min_sep_dfa(samples).size == 2
     plain = SampleSet(pos=samples.pos, neg=(), alphabet=samples.alphabet)
     assert find_min_sep_dfa(plain).size == 1
@@ -399,7 +395,7 @@ def test_vectors_of_different_signs_share_a_state():
         samples = SampleSet(pos=((), ("a0",)), neg=(), alphabet=("a0", "a1"),
                             outputs=(((), ActionsVector(*first)),
                                      (("a0",), ActionsVector(*second))))
-        assert len(clique_bound(build_apta(samples))) == 1
+        assert build_apta(samples).domains()[0] == 1
         assert find_min_sep_dfa(samples).size == 1
 
 
@@ -479,7 +475,7 @@ def test_clique_nodes_are_pinned_and_incompatible_nodes_lose_their_colour():
         for word in sorted(words, key=len)[1:]:
             node_of[word] = children[node_of[word[:-1]]][word[-1]]
         conflicts = _conflicts(children, labels, outputs)
-        clique = clique_bound(apta)
+        clique = pairwise_clique_bound(apta)
         assert len(clique) >= 3
         n = cold_ladder(samples).size
         cnf = encode_size_n(apta, n)

@@ -410,12 +410,33 @@ def test_backend_selector_validation():
     assert external_path("builtin") is None
 
 
-def _replying_solver(tmp_path, reply):
-    """A fake solver script that prints ``reply`` whatever its input."""
-    path = tmp_path / "replying_solver"
-    path.write_text(f"#!{sys.executable}\nprint({reply!r})\n")
+def _script_solver(tmp_path, body):
+    """A fake solver: a Python script that runs ``body`` whatever its input."""
+    path = tmp_path / "script_solver"
+    path.write_text(f"#!{sys.executable}\n{body}\n")
     path.chmod(path.stat().st_mode | stat.S_IXUSR)
     return f"external:{path}"
+
+
+def _replying_solver(tmp_path, reply):
+    """A fake solver script that prints ``reply`` whatever its input."""
+    return _script_solver(tmp_path, f"print({reply!r})")
+
+
+def test_external_reply_without_a_status_line_is_a_solver_error(tmp_path):
+    backend = _replying_solver(tmp_path, "c no verdict")
+    with pytest.raises(SolverError, match=r"no status line in solver output \(exit 0\)"):
+        sat_solve(CnfInstance(1, [(1,)]), backend)
+
+
+def test_external_solver_past_its_deadline_is_stopped(tmp_path):
+    # the script is the solver process itself, so the timeout kills it; a
+    # shell wrapper would be killed and leave its sleeping child running
+    backend = _script_solver(tmp_path, "import time\ntime.sleep(5)")
+    start = time.monotonic()
+    with pytest.raises(SolverTimeout, match="ran past its deadline"):
+        sat_solve(CnfInstance(1, [(1,)]), backend, start + 0.3)
+    assert time.monotonic() - start < 2
 
 
 def test_external_literal_that_is_not_an_int_is_a_solver_error(tmp_path):

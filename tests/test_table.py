@@ -31,15 +31,6 @@ def test_actions_vector_examples(anbna):
     assert table.actions("a") == ActionsVector(1, (1, -1))
 
 
-def test_similar_examples():
-    assert ActionsVector(0, (1, 1)).similar(ActionsVector(1, (1, -1)))
-    assert not ActionsVector(0, (1, 1)).similar(ActionsVector(0, (0, 1)))
-    v = ActionsVector(1, (1, 0))
-    assert v.similar(v)
-    with pytest.raises(InvalidInput):
-        ActionsVector(0, (1,)).similar(ActionsVector(0, (1, 1)))
-
-
 def test_actions_vector_invariants():
     with pytest.raises(InvalidInput):
         ActionsVector(0, (-1, 0))
