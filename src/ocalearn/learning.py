@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 
-from .automata import Configuration, Droca, doubled, extend_known
+from .automata import Droca, doubled
 from .equivalence import Counterexample, check_sync_equiv
 # not called here; bound because perfbench/tracer.py wraps it by this name
 from .equivalence import voca_check_equiv  # noqa: F401
@@ -56,35 +56,55 @@ STATS_FIELDS = tuple(f.name for f in fields(Stats) if f.name != "counterexamples
 class SimulatedTeacher:
     """Teacher backed by a hidden automaton.
 
-    Membership and counter-value queries run the hidden machine.  The
-    teacher keeps the configuration of every word it has run, prefixes
-    included, and runs a word on from its longest such prefix.
-    Synchronous-equivalence queries hand back the minimal counterexample
-    of :func:`check_sync_equiv`, which raises
+    Membership and counter-value queries run the hidden machine on its
+    dense tables, which are built, and so validated, when the teacher is
+    made.  The teacher keeps the (state index, counter) pair of every
+    word it has run, prefixes included, and runs a word on from its
+    longest such prefix; a letter outside the alphabet raises
+    :class:`InvalidInput`.  Synchronous-equivalence queries hand back
+    the minimal counterexample of :func:`check_sync_equiv`, which raises
     :class:`EquivalenceTimeout` past ``deadline``.  The hidden machine
-    builds its dense tables, and so is validated, when the teacher is
-    made, and keeps them for every query; each hypothesis, queried once,
+    keeps its tables for every query; each hypothesis, queried once,
     drops its own.  Every call increments the session statistics.
     """
 
     def __init__(self, hidden: Droca, stats: Stats | None = None):
-        hidden.indexed_tables()     # refuses a malformed machine before any query
+        d0, d1, final_mask, initial = hidden.indexed_tables()
         self.hidden = hidden
         self.alphabet = hidden.alphabet
         self.stats = stats if stats is not None else Stats()
-        self._configs = {"": Configuration(hidden.initial, 0)}
-        self._step = lambda config, word, j: hidden.step(config, word[j])
+        self._tables = (d0, d1)
+        self._finals = tuple(map(int, final_mask))
+        self._letters = {a: i for i, a in enumerate(hidden.alphabet)}
+        self._runs: dict[str, tuple[int, int]] = {"": (initial, 0)}
 
-    def _run(self, word: str) -> Configuration:
-        return extend_known(self._configs, word, self._step)
+    def _run(self, word: str) -> tuple[int, int]:
+        runs = self._runs
+        i = len(word)
+        run = runs.get(word)
+        while run is None:
+            i -= 1
+            run = runs.get(word[:i])
+        d0, d1 = self._tables
+        letters = self._letters
+        state, counter = run
+        for j in range(i, len(word)):
+            try:
+                a = letters[word[j]]
+            except KeyError:
+                raise InvalidInput(f"letter {word[j]!r} not in alphabet") from None
+            state, action = (d1 if counter else d0)[state][a]
+            counter += action
+            run = runs[word[:j + 1]] = (state, counter)
+        return run
 
     def mq(self, word: str) -> int:
         self.stats.n_mq += 1
-        return int(self._run(word).state in self.hidden.finals)
+        return self._finals[self._run(word)[0]]
 
     def cv(self, word: str) -> int:
         self.stats.n_cv += 1
-        return self._run(word).counter
+        return self._run(word)[1]
 
     def seq(self, hypothesis: Droca, deadline: float | None = None) -> Counterexample | None:
         self.stats.n_seq += 1

@@ -61,9 +61,9 @@ def build_samples(table) -> SampleSet:
     the teacher for every cell not yet cached."""
     pos, neg, outputs = [], [], []
     for w in table.words():     # distinct words, so distinct encodings
-        enc = table.enc(w)
-        (pos if table.membership(w) else neg).append(enc)
-        outputs.append((enc, table.actions(w)))
+        enc, bit, vector = table.sample(w)
+        (pos if bit else neg).append(enc)
+        outputs.append((enc, vector))
     return SampleSet(pos=tuple(pos), neg=tuple(neg),
                      alphabet=doubled_alphabet(table.alphabet), outputs=tuple(outputs))
 

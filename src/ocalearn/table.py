@@ -57,9 +57,11 @@ class ObservationTable:
     per-word fact is worked out once too: a word's action vector, its
     cell (membership and vector, interned to a small int), its encoding,
     derived from its parent's, and a label's row, extended by one cell
-    per suffix as S grows.  All scan orders (P insertion, then alphabet,
-    then S insertion) are fixed, which makes a learning session
-    deterministic for a given teacher.
+    per suffix as S grows.  Each read looks in its cache first, and a
+    letter outside the alphabet raises :class:`InvalidInput` in both
+    modes.  All scan orders (P insertion, then alphabet, then S
+    insertion) are fixed, which makes a learning session deterministic
+    for a given teacher.
     """
 
     def __init__(self, teacher, action_map: dict[tuple[str, int], int] | None = None):
@@ -76,6 +78,7 @@ class ObservationTable:
         self._cell_of: dict[str, int] = {}
         self._rows: dict[str, tuple[int, tuple[int, ...]]] = {}
         self._codes: dict[str, tuple[str, ...]] = {"": ()}
+        self._symbols = {a: (doubled(a, 0), doubled(a, 1)) for a in self.alphabet}
 
     # -- structure ---------------------------------------------------
 
@@ -108,30 +111,37 @@ class ObservationTable:
     # -- cells (a miss asks the teacher) and derived views -----------
 
     def membership(self, word: str) -> int:
-        try:
-            return self.memb[word]
-        except KeyError:
+        bit = self.memb.get(word)
+        if bit is None:
             bit = self.memb[word] = int(self.teacher.mq(word))
-            return bit
+        return bit
 
     def counter_value(self, word: str) -> int:
-        cv = self.cv
-        try:
-            return cv[word]
-        except KeyError:
+        value = self.cv.get(word)
+        if value is None:
             if self.action_map is None:
-                value = cv[word] = self.teacher.cv(word)
-                return value
-        return extend_known(cv, word, self._derive_cv)
+                value = self.cv[word] = self.teacher.cv(word)
+            else:
+                value = extend_known(self.cv, word, self._derive_cv)
+        return value
 
     def _derive_cv(self, value: int, word: str, j: int) -> int:
-        return value + self.action_map[(word[j], sgn(value))]
+        try:
+            return value + self.action_map[(word[j], sgn(value))]
+        except KeyError:
+            raise InvalidInput(f"letter {word[j]!r} not in alphabet") from None
 
     def actions(self, word: str) -> ActionsVector:
         vector = self._vector_of.get(word)
         if vector is None:
-            base = self.counter_value(word)
-            key = (sgn(base), tuple(self.counter_value(word + a) - base for a in self.alphabet))
+            cv, deltas = self.cv, []
+            base = cv.get(word)
+            if base is None:
+                base = self.counter_value(word)
+            for a in self.alphabet:
+                value = cv.get(word + a)
+                deltas.append((self.counter_value(word + a) if value is None else value) - base)
+            key = (sgn(base), tuple(deltas))
             vector = self._vectors.get(key)
             if vector is None:
                 vector = self._vectors[key] = ActionsVector(*key)
@@ -147,6 +157,15 @@ class ObservationTable:
             cell = self._cell_of[word] = self._cell_ids.setdefault(key, len(self._cell_ids))
         return cell
 
+    def sample(self, word: str) -> tuple[tuple[str, ...], int, ActionsVector]:
+        """The word's encoding, membership bit and action vector, each
+        read from its cache before it is worked out."""
+        code, bit = self._codes.get(word), self.memb.get(word)
+        vector = self._vector_of.get(word)
+        return (self.enc(word) if code is None else code,
+                self.membership(word) if bit is None else bit,
+                self.actions(word) if vector is None else vector)
+
     def enc(self, word: str) -> tuple[str, ...]:
         """Encoded form of a table word, from its prefixes' counter-values:
         the encoding of its longest encoded prefix, extended a letter at
@@ -154,17 +173,24 @@ class ObservationTable:
         return extend_known(self._codes, word, self._encode_step)
 
     def _encode_step(self, code: tuple[str, ...], word: str, j: int) -> tuple[str, ...]:
-        return code + (doubled(word[j], sgn(self.counter_value(word[:j]))),)
+        try:
+            return code + (self._symbols[word[j]][sgn(self.counter_value(word[:j]))],)
+        except KeyError:
+            raise InvalidInput(f"letter {word[j]!r} not in alphabet") from None
 
     def row(self, label: str) -> tuple[int, tuple[int, ...]]:
         """The label's counter-value and the cells of label + s, s in S."""
         row = self._rows.get(label)
         if row is None:
-            row = (self.counter_value(label), ())
+            value = self.cv.get(label)
+            row = (self.counter_value(label) if value is None else value, ())
         value, cells = row
         if len(cells) < len(self.suffixes):     # S only grows, in insertion order
-            cells += tuple(self._cell(label + s) for s in islice(self.suffixes, len(cells), None))
-            row = self._rows[label] = (value, cells)
+            cell_of, new = self._cell_of, []
+            for s in islice(self.suffixes, len(cells), None):
+                cell = cell_of.get(label + s)
+                new.append(self._cell(label + s) if cell is None else cell)
+            row = self._rows[label] = (value, cells + tuple(new))
         return row
 
     # -- closedness and consistency ------------------------------------

@@ -305,6 +305,29 @@ def test_learn_reads_the_deadline_in_the_construction_phase(monkeypatch, owner, 
     assert err.value.stats.n_sat == 0
 
 
+@pytest.mark.parametrize("voca", [False, True], ids=["queried", "derived"])
+def test_each_word_is_asked_at_most_once_per_query_kind(monkeypatch, voca):
+    # the table reads its caches before it asks, so over a whole session
+    # the teacher answers each word at most once per kind of query
+    tables = []
+
+    class RecordedTable(ObservationTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(learning, "ObservationTable", RecordedTable)
+    for i in range(12):
+        seed = derive_seed(77, i)
+        target = (random_voca(seed, max_states=5) if voca else
+                  generate_droca(GenConfig(n_states=2 + seed % 5, alphabet_size=2, seed=seed)))
+        _, stats = learn(SimulatedTeacher(target), LearnConfig(voca=voca))
+        table = tables[i]
+        assert stats.n_mq == len(table.memb)
+        assert stats.n_cv == (0 if voca else len(table.cv))
+    assert len(tables) == 12
+
+
 def test_learn_voca_mode_uses_no_cv_queries():
     target = random_voca(8, max_states=4)
     teacher = SimulatedTeacher(target)

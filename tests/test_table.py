@@ -242,6 +242,21 @@ def test_counter_values_derived_from_the_action_map():
 
 
 
+@pytest.mark.parametrize("voca", [False, True], ids=["queried", "derived"])
+def test_an_unknown_letter_is_named_in_both_modes(voca):
+    # a counter-value the teacher answers and one derived from the action
+    # map refuse a letter outside the alphabet with one named error, as
+    # does an encoding; the table answers on afterwards
+    machine = random_voca(3, 5)
+    table = ObservationTable(SimulatedTeacher(machine),
+                             machine.voca_action_map() if voca else None)
+    for read in (table.counter_value, table.enc):
+        with pytest.raises(InvalidInput, match="letter 'z' not in alphabet"):
+            read("az")
+    assert table.counter_value("ab") == machine.counter_effect("ab")
+    assert table.enc("ab") == machine.encode("ab")
+
+
 def test_samples_read_exactly_the_table_closure(anbna):
     # the teacher is asked for the membership of every table word and the
     # counter-value of every prefix and one-letter extension of one: the
