@@ -225,6 +225,14 @@ def extend_known(known, word, step):
     return value
 
 
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def doubled(letter: str, sign: int) -> str:
     """Symbol of the doubled alphabet: letter tagged with a counter sign."""
     return f"{letter}{sign}"

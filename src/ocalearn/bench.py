@@ -15,7 +15,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InvalidInput, LearnTimeout
+from .errors import InvalidInput, LearnTimeout, check_type
 from .generate import GenConfig, derive_seed, generate_droca
 from .learning import STATS_FIELDS, LearnConfig, SimulatedTeacher, Stats, learn
 from .sat import external_path
@@ -38,6 +38,11 @@ class BenchConfig:
     solver: str = "builtin"     # a sat_solve backend
 
     def __post_init__(self):
+        for name in ("min_states", "max_states", "samples", "seed", "min_alphabet",
+                     "max_alphabet", "jobs"):
+            check_type(name, getattr(self, name), int)
+        check_type("timeout_s", self.timeout_s, int, float)
+        check_type("solver", self.solver, str)
         if self.max_states < self.min_states or self.max_alphabet < self.min_alphabet:
             raise InvalidInput("empty state or alphabet range")
         for n_states, alphabet_size in ((self.min_states, self.min_alphabet),
@@ -80,9 +85,12 @@ def _row(stats: Stats, reason: str) -> dict:
 
 def _run_tasks(tasks, jobs: int) -> list[dict]:
     """Rows of ``tasks``, run in this process for one job, else in
-    worker processes, at most ``jobs`` at a time.  A worker that dies
-    breaks its pool: the samples in flight are lost with it and become
-    ``BrokenProcessPool`` rows, and a fresh pool runs the rest."""
+    worker processes, at most ``jobs`` at a time and in pools of no more
+    workers than samples left, as a forked pool starts them all at its
+    first submit.  A worker that dies breaks its pool: the samples in
+    flight are lost with it and become ``BrokenProcessPool`` rows, one
+    whose submit finds the pool broken is queued again, and a fresh pool
+    runs the rest."""
     if jobs == 1:
         return [run_sample(*task) for task in tasks]
     # imported here, so that ``import ocalearn`` does not load multiprocessing
@@ -91,7 +99,7 @@ def _run_tasks(tasks, jobs: int) -> list[dict]:
     rows: list[dict | None] = [None] * len(tasks)
     todo = deque(range(len(tasks)))
     while todo:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
             running = {}
             broken = False
             while running or (todo and not broken):

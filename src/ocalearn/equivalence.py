@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import Droca
+from .automata import Droca, _bits
 from .errors import EquivalenceTimeout, InvalidInput, check_deadline
 
 COUNTER_DESYNC = "counter-desync"
@@ -248,11 +248,3 @@ def _decide_by_summaries(tables_a: tuple, tables_b: tuple, deadline: float | Non
                 seen[m] |= fresh
                 work.extend((r, m) for r in _bits(fresh))
     return not (seen[0] & bad[0] or seen[1] & bad[1])
-
-
-def _bits(mask: int):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the deadline check
-that the SAT, colouring, minimal-DFA and equivalence layers share."""
+"""Exception types, the type check of config fields, and the deadline
+check that the SAT, colouring, minimal-DFA and equivalence layers share."""
 
 import time
 
@@ -57,3 +57,11 @@ def check_deadline(deadline: float | None, error: type[WorkbenchError] = SolverT
     a None deadline reads no clock."""
     if deadline is not None and time.monotonic() > deadline:
         raise error(f"{error.__name__}: the deadline has passed")
+
+
+def check_type(name: str, value, *kinds: type) -> None:
+    """Raise :class:`InvalidInput` naming the field ``name`` unless
+    ``value`` is an instance of one of ``kinds``; a ``bool`` is no ``int``."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise InvalidInput(f"{name} must be {expected}, got {value!r}")

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .automata import Droca
-from .errors import GenerationFailure, InvalidInput
+from .errors import GenerationFailure, InvalidInput, check_type
 
 _MASK = (1 << 64) - 1
 _MAX_ATTEMPTS = 1_000_000
@@ -36,8 +36,10 @@ def splitmix64(x: int) -> int:
 
 def derive_seed(master: int, *indices: int) -> int:
     """Split a master seed by a sequence of indices, deterministically."""
+    check_type("master", master, int)
     seed = splitmix64(master & _MASK)
     for index in indices:
+        check_type("index", index, int)
         seed = splitmix64(seed ^ splitmix64(index & _MASK))
     return seed
 
@@ -50,6 +52,8 @@ class GenConfig:
     restricted: bool = False
 
     def __post_init__(self):
+        for name in ("n_states", "alphabet_size", "seed"):
+            check_type(name, getattr(self, name), int)
         if self.n_states < 2:
             raise InvalidInput("n_states must be at least 2")
         if not 1 <= self.alphabet_size <= len(_LETTERS):

@@ -17,11 +17,11 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 
-from .automata import Droca, doubled
+from .automata import Droca, doubled, extend_known
 from .equivalence import Counterexample, check_sync_equiv
 # not called here; bound because perfbench/tracer.py wraps it by this name
 from .equivalence import voca_check_equiv  # noqa: F401
-from .errors import EquivalenceTimeout, InvalidInput, LearnTimeout, SolverTimeout
+from .errors import EquivalenceTimeout, InvalidInput, LearnTimeout, SolverTimeout, check_type
 from .minsepdfa import build_samples, find_min_sep_dfa
 from .sat import external_path, sat_solve
 from .table import ObservationTable
@@ -59,13 +59,14 @@ class SimulatedTeacher:
     Membership and counter-value queries run the hidden machine on its
     dense tables, which are built, and so validated, when the teacher is
     made.  The teacher keeps the (state index, counter) pair of every
-    word it has run, prefixes included, and runs a word on from its
-    longest such prefix; a letter outside the alphabet raises
-    :class:`InvalidInput`.  Synchronous-equivalence queries hand back
-    the minimal counterexample of :func:`check_sync_equiv`, which raises
-    :class:`EquivalenceTimeout` past ``deadline``.  The hidden machine
-    keeps its tables for every query; each hypothesis, queried once,
-    drops its own.  Every call increments the session statistics.
+    word it has run, prefixes included: :func:`extend_known` runs a word
+    on from its longest such prefix with ``_step``, bound at each call so
+    that a teacher holds no reference to itself.  A letter outside the
+    alphabet raises :class:`InvalidInput`.  Synchronous-equivalence
+    queries hand back the minimal counterexample of :func:`check_sync_equiv`,
+    which raises :class:`EquivalenceTimeout` past ``deadline``.  The hidden
+    machine keeps its tables for every query; each hypothesis, queried
+    once, drops its own.  Every call increments the session statistics.
     """
 
     def __init__(self, hidden: Droca, stats: Stats | None = None):
@@ -78,33 +79,21 @@ class SimulatedTeacher:
         self._letters = {a: i for i, a in enumerate(hidden.alphabet)}
         self._runs: dict[str, tuple[int, int]] = {"": (initial, 0)}
 
-    def _run(self, word: str) -> tuple[int, int]:
-        runs = self._runs
-        i = len(word)
-        run = runs.get(word)
-        while run is None:
-            i -= 1
-            run = runs.get(word[:i])
-        d0, d1 = self._tables
-        letters = self._letters
+    def _step(self, run: tuple[int, int], word: str, j: int) -> tuple[int, int]:
         state, counter = run
-        for j in range(i, len(word)):
-            try:
-                a = letters[word[j]]
-            except KeyError:
-                raise InvalidInput(f"letter {word[j]!r} not in alphabet") from None
-            state, action = (d1 if counter else d0)[state][a]
-            counter += action
-            run = runs[word[:j + 1]] = (state, counter)
-        return run
+        try:
+            state, action = self._tables[counter > 0][state][self._letters[word[j]]]
+        except KeyError:
+            raise InvalidInput(f"letter {word[j]!r} not in alphabet") from None
+        return state, counter + action
 
     def mq(self, word: str) -> int:
         self.stats.n_mq += 1
-        return self._finals[self._run(word)[0]]
+        return self._finals[extend_known(self._runs, word, self._step)[0]]
 
     def cv(self, word: str) -> int:
         self.stats.n_cv += 1
-        return self._run(word)[1]
+        return extend_known(self._runs, word, self._step)[1]
 
     def seq(self, hypothesis: Droca, deadline: float | None = None) -> Counterexample | None:
         self.stats.n_seq += 1
@@ -123,10 +112,13 @@ class LearnConfig:
     solver: str = "builtin"     # a sat_solve backend
 
     def __post_init__(self):
+        check_type("solver", self.solver, str)
         external_path(self.solver)  # rejects an unknown backend before any query
-        if self.timeout_s is not None and not self.timeout_s >= 0:
-            # also NaN: no clock reading is ever past a NaN deadline
-            raise InvalidInput("timeout must be a non-negative number")
+        if self.timeout_s is not None:
+            check_type("timeout_s", self.timeout_s, int, float)
+            if not self.timeout_s >= 0:
+                # also NaN: no clock reading is ever past a NaN deadline
+                raise InvalidInput("timeout must be a non-negative number")
 
 
 def construct_droca(table: ObservationTable, *, solve=sat_solve, at_least: int = 1,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, doubled_alphabet
+from .automata import Dfa, _bits, doubled_alphabet
 from .colouring import decode_dfa, encode_size_n
 from .errors import InvalidInput, SampleConflict, SolverError, check_deadline
 from .sat import sat_solve
@@ -57,13 +57,13 @@ class SampleSet:
 
 
 def build_samples(table) -> SampleSet:
-    """Assemble the sample set of an observation table; its reads ask
-    the teacher for every cell not yet cached."""
+    """Assemble the sample set of an observation table through ``enc``,
+    ``membership`` and ``actions``; a cell not yet cached asks the teacher."""
     pos, neg, outputs = [], [], []
     for w in table.words():     # distinct words, so distinct encodings
-        enc, bit, vector = table.sample(w)
-        (pos if bit else neg).append(enc)
-        outputs.append((enc, vector))
+        enc = table.enc(w)
+        (pos if table.membership(w) else neg).append(enc)
+        outputs.append((enc, table.actions(w)))
     return SampleSet(pos=tuple(pos), neg=tuple(neg),
                      alphabet=doubled_alphabet(table.alphabet), outputs=tuple(outputs))
 
@@ -99,11 +99,8 @@ class Apta:
             class_of, conflicts, clique = _class_clique(self, deadline)
             class_excluded = [0] * len(conflicts)
             for k, c in enumerate(clique):
-                bit, rest = 1 << k, conflicts[c]
-                while rest:
-                    low = rest & -rest
-                    class_excluded[low.bit_length() - 1] |= bit
-                    rest ^= low
+                for other in _bits(conflicts[c]):
+                    class_excluded[other] |= 1 << k
             excluded = [class_excluded[c] for c in class_of]
             for k, c in enumerate(clique):
                 excluded[class_of.index(c)] = ~(1 << k)
@@ -174,11 +171,11 @@ def _class_clique(apta: Apta, deadline: float | None) -> tuple[list[int], list[i
     sign, and, per child on a symbol, the classes whose child on that
     symbol clashes with it.  That last mask is kept per (symbol, child
     class); it is the OR of the parent masks on that symbol of the
-    child's conflicts, which are complete, as the child is numbered
-    first.  The clique's classes are picked greedily, in order of
-    descending degree.  ``deadline``, a :func:`time.monotonic` instant, is
-    read once every 32 classes of the second pass; past it the search
-    raises :class:`SolverTimeout`.
+    child's conflicts (read through :func:`_bits`), which are complete, as
+    the child is numbered first.  The clique's classes are picked
+    greedily, in order of descending degree.  ``deadline``, a
+    :func:`time.monotonic` instant, is read once every 32 classes of the
+    second pass; past it the search raises :class:`SolverTimeout`.
     """
     class_of = [0] * apta.num_nodes
     classes: dict[tuple, int] = {}
@@ -219,11 +216,8 @@ def _class_clique(apta: Apta, deadline: float | None) -> tuple[list[int], list[i
                 sym, child = edge
                 of = parents[sym]
                 m = 0
-                rest = conflicts[child] & is_child[sym]
-                while rest:
-                    low = rest & -rest
-                    m |= of[low.bit_length() - 1]
-                    rest ^= low
+                for other in _bits(conflicts[child] & is_child[sym]):
+                    m |= of[other]
                 clashing[edge] = m
             mask |= m
         conflicts.append(mask)

@@ -52,16 +52,17 @@ class ObservationTable:
     ``memb`` and ``cv`` cache the teacher's answers: a word is queried
     at its first read and never again.  Given the public (letter, sign)
     -> action map of a visibly one-counter target, the table asks no
-    counter-values: it derives each from the longest cached prefix, a
-    letter at a time, and caches the prefixes on the way.  Every other
-    per-word fact is worked out once too: a word's action vector, its
-    cell (membership and vector, interned to a small int), its encoding,
-    derived from its parent's, and a label's row, extended by one cell
-    per suffix as S grows.  Each read looks in its cache first, and a
-    letter outside the alphabet raises :class:`InvalidInput` in both
-    modes.  All scan orders (P insertion, then alphabet, then S
-    insertion) are fixed, which makes a learning session deterministic
-    for a given teacher.
+    counter-values: it derives each, as it does each encoding, with
+    :func:`extend_known`, from the longest cached prefix a letter at a
+    time.  Every other per-word fact is worked out once too: a word's
+    action vector, its cell (membership and vector, interned to a small
+    int) and a label's row, extended by one cell per suffix as S grows.
+    Each read looks in its cache first, and ``row`` and ``actions`` peek
+    at the cell and counter-value caches before a call.  A letter
+    outside the alphabet raises :class:`InvalidInput` in both modes.
+    All scan orders (P insertion, then alphabet, then S insertion) are
+    fixed, which makes a learning session deterministic for a given
+    teacher.
     """
 
     def __init__(self, teacher, action_map: dict[tuple[str, int], int] | None = None):
@@ -156,15 +157,6 @@ class ObservationTable:
             key = (self.membership(word), self.actions(word))
             cell = self._cell_of[word] = self._cell_ids.setdefault(key, len(self._cell_ids))
         return cell
-
-    def sample(self, word: str) -> tuple[tuple[str, ...], int, ActionsVector]:
-        """The word's encoding, membership bit and action vector, each
-        read from its cache before it is worked out."""
-        code, bit = self._codes.get(word), self.memb.get(word)
-        vector = self._vector_of.get(word)
-        return (self.enc(word) if code is None else code,
-                self.membership(word) if bit is None else bit,
-                self.actions(word) if vector is None else vector)
 
     def enc(self, word: str) -> tuple[str, ...]:
         """Encoded form of a table word, from its prefixes' counter-values:

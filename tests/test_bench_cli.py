@@ -1,13 +1,16 @@
+import concurrent.futures
 import csv
 import json
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from ocalearn import InvalidInput, bench, derive_seed, store
+from ocalearn import (GenConfig, GenerationFailure, InvalidInput, LearnConfig, bench,
+                      derive_seed, generate, generate_droca, store)
 from ocalearn.bench import CSV_HEADER, BenchConfig, run_benchmark
 from ocalearn.learning import STATS_FIELDS
 from ocalearn.cli import main
@@ -93,6 +96,86 @@ def test_bench_survives_a_dead_worker(monkeypatch):
             assert row["success"] == 1 and row["reason"] == ""
         else:
             assert row["success"] == 0
+
+
+def test_bench_pools_fork_no_more_workers_than_samples_left(monkeypatch):
+    # a forked pool starts all its workers at its first submit, so a pool
+    # for two samples is made with two workers, not jobs
+    made = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    class Recording(executor):
+        def __init__(self, max_workers=None, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    rows = run_benchmark(BenchConfig(min_states=2, max_states=2, samples=2, seed=9,
+                                     timeout_s=60, jobs=3))
+    assert made == [2]
+    assert [row["reason"] for row in rows] == ["", ""]
+
+
+def test_bench_requeues_a_sample_whose_submit_finds_the_pool_broken(monkeypatch):
+    # the first pool breaks at its second submit: that sample goes back to
+    # the front of the queue, and a fresh pool, sized to the one sample
+    # left, runs it; pools run their samples in this process
+    made = []
+
+    class BreakingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            self.submits = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def submit(self, fn, *args):
+            self.submits += 1
+            if len(made) == 1 and self.submits == 2:
+                raise BrokenProcessPool("a worker died")
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BreakingPool)
+    base = dict(min_states=2, max_states=2, samples=2, seed=9, timeout_s=60)
+    rows = run_benchmark(BenchConfig(jobs=3, **base))
+    assert made == [2, 1]
+    assert [row["seed"] for row in rows] == [derive_seed(9, 2, 2, i) for i in range(2)]
+    strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+    assert strip(rows) == strip(run_benchmark(BenchConfig(**base)))
+    assert all(row["success"] == 1 and row["reason"] == "" for row in rows)
+
+
+def test_generation_failure_is_named_and_becomes_a_bench_row(monkeypatch):
+    monkeypatch.setattr(generate, "_MAX_ATTEMPTS", 0)
+    with pytest.raises(GenerationFailure, match="after 0 attempts"):
+        generate_droca(GenConfig(n_states=2, alphabet_size=2, seed=1))
+    rows = run_benchmark(BenchConfig(min_states=2, max_states=2, samples=1, seed=1,
+                                     timeout_s=60))
+    assert [(row["success"], row["reason"]) for row in rows] == [(0, "GenerationFailure")]
+
+
+@pytest.mark.parametrize("field, make", [
+    ("n_states", lambda: GenConfig(n_states=3.0, alphabet_size=2, seed=1)),
+    ("alphabet_size", lambda: GenConfig(n_states=3, alphabet_size=2.0, seed=1)),
+    ("n_states", lambda: GenConfig(n_states="3", alphabet_size=2, seed=1)),
+    ("seed", lambda: GenConfig(n_states=3, alphabet_size=2, seed=1.5)),
+    ("timeout_s", lambda: LearnConfig(timeout_s="5")),
+    ("solver", lambda: LearnConfig(solver=None)),
+    ("samples", lambda: BenchConfig(min_states=2, max_states=2, samples=2.5, seed=0,
+                                    timeout_s=5)),
+    ("timeout_s", lambda: BenchConfig(min_states=2, max_states=2, samples=1, seed=0,
+                                      timeout_s="5")),
+    ("master", lambda: derive_seed(1.5, 2)),
+])
+def test_a_wrong_typed_config_field_is_named(field, make):
+    with pytest.raises(InvalidInput, match=f"^{field} must be "):
+        make()
 
 
 def test_bench_config_validation():
