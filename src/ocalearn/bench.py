@@ -11,6 +11,7 @@ grid regardless of completion order.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ class BenchConfig:
     max_alphabet: int = 2
     restricted: bool = False
     jobs: int = 1
-    out_path: str | None = None
+    out_path: str | os.PathLike | None = None
     solver: str = "builtin"     # a sat_solve backend
 
     def __post_init__(self):
@@ -42,6 +43,9 @@ class BenchConfig:
                      "max_alphabet", "jobs"):
             check_type(name, getattr(self, name), int)
         check_type("timeout_s", self.timeout_s, int, float)
+        check_type("restricted", self.restricted, bool)
+        if self.out_path is not None:
+            check_type("out_path", self.out_path, str, os.PathLike)
         check_type("solver", self.solver, str)
         if self.max_states < self.min_states or self.max_alphabet < self.min_alphabet:
             raise InvalidInput("empty state or alphabet range")

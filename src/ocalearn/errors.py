@@ -61,7 +61,8 @@ def check_deadline(deadline: float | None, error: type[WorkbenchError] = SolverT
 
 def check_type(name: str, value, *kinds: type) -> None:
     """Raise :class:`InvalidInput` naming the field ``name`` unless
-    ``value`` is an instance of one of ``kinds``; a ``bool`` is no ``int``."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    ``value`` is an instance of one of ``kinds``; a ``bool`` passes only
+    where ``bool`` is one of them, and is no ``int``."""
+    if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
         expected = " or ".join(kind.__name__ for kind in kinds)
         raise InvalidInput(f"{name} must be {expected}, got {value!r}")

@@ -5,16 +5,17 @@ final states (each with probability 0.5, rejecting the empty and the
 full set), sample uniform targets with actions in {0,+1} for the
 zero-counter table and {0,+1,-1} for the positive-counter table, and
 count the states reachable on the configuration graph up to counter
-n^2.  The restricted variant additionally resamples until final states
-are entered only by zero-mode transitions that keep the counter at
-zero, which makes acceptance by final state coincide with acceptance by
-final state plus empty counter.
+n^2, a search that stops once it has seen every state of a sign bound
+on them (see :func:`reachable_count`).  The restricted variant
+additionally resamples until final states are entered only by
+zero-mode transitions that keep the counter at zero, which makes
+acceptance by final state coincide with acceptance by final state plus
+empty counter.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .automata import Droca
@@ -23,6 +24,9 @@ from .errors import GenerationFailure, InvalidInput, check_type
 _MASK = (1 << 64) - 1
 _MAX_ATTEMPTS = 1_000_000
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+# counter sign -> action -> the signs it may leave; a -1 at a positive
+# counter is read at index -1, and may reach zero or stay positive
+_SIGNS_AFTER = (((0,), (1,)), ((1,), (1,), (1, 0)))
 
 
 def splitmix64(x: int) -> int:
@@ -54,6 +58,7 @@ class GenConfig:
     def __post_init__(self):
         for name in ("n_states", "alphabet_size", "seed"):
             check_type(name, getattr(self, name), int)
+        check_type("restricted", self.restricted, bool)
         if self.n_states < 2:
             raise InvalidInput("n_states must be at least 2")
         if not 1 <= self.alphabet_size <= len(_LETTERS):
@@ -105,19 +110,54 @@ def _restricted_ok(finals, delta0, delta1) -> bool:
 
 def reachable_count(automaton: Droca) -> int:
     """Distinct states visited by BFS over configurations with counter
-    at most ``|A|**2``, starting from the initial configuration; the
-    search stops once every state has been seen."""
+    at most ``|A|**2``, starting from the initial configuration.
+
+    The search stops once it has seen every state of
+    :func:`_sign_bound`, which no run can leave, so the count is exact
+    and a machine with a state that no sign pair reaches is counted
+    without exhausting its configuration graph.  A configuration is the
+    int ``c·|A| + q``, and the set of those seen grows with the search.
+    """
     d0, d1, _, init = automaton.indexed_tables()
-    cap = automaton.size ** 2
-    seen = {(init, 0)}
+    n = automaton.size
+    bound = _sign_bound(d0, d1, init)
+    limit = (n * n + 1) * n             # the first code past counter |A|²
+    seen = {init}
     states = {init}
-    queue = deque(seen)
-    while queue and len(states) < automaton.size:
-        q, n = queue.popleft()
-        for t, e in (d0[q] if n == 0 else d1[q]):
-            child = (t, n + e)
-            if child[1] <= cap and child not in seen:
+    queue = [init]
+    head = 0
+    while len(states) < bound and head < len(queue):
+        code = queue[head]
+        head += 1
+        q = code % n
+        base = code - q
+        for t, e in (d1[q] if base else d0[q]):
+            child = base + t + e * n
+            if child < limit and child not in seen:
                 seen.add(child)
                 states.add(t)
                 queue.append(child)
     return len(states)
+
+
+def _sign_bound(d0, d1, init) -> int:
+    """How many states the (state, counter sign) pairs reachable from
+    ``(init, zero)`` hold, when a -1 step at a positive counter may land
+    on either sign: the configuration graph abstracted to signs (Cousot
+    & Cousot, POPL 1977), so every state any run reaches is among them."""
+    n = len(d0)
+    seen = bytearray(2 * n)             # (q, sign) at 2q + sign
+    seen[2 * init] = 1
+    count = 1
+    stack = [2 * init]
+    while stack and count < n:
+        x = stack.pop()
+        signs = _SIGNS_AFTER[x & 1]
+        for t, e in (d1 if x & 1 else d0)[x >> 1]:
+            for sign in signs[e]:
+                y = 2 * t + sign
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+                    count += not seen[y ^ 1]
+    return count

@@ -112,6 +112,7 @@ class LearnConfig:
     solver: str = "builtin"     # a sat_solve backend
 
     def __post_init__(self):
+        check_type("voca", self.voca, bool)
         check_type("solver", self.solver, str)
         external_path(self.solver)  # rejects an unknown backend before any query
         if self.timeout_s is not None:

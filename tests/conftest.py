@@ -57,6 +57,20 @@ def random_machine(seed: int, max_states: int = 5, alphabet_size: int = 2,
                                     seed=derive_seed(seed, 77), restricted=restricted))
 
 
+def ring_machine(n: int) -> Droca:
+    """An n-state machine whose equivalence decision has dense returns:
+    ``a`` counts up to the next state, ``b`` jumps to state 7i+3 and
+    counts down at a positive counter."""
+    states = [f"q{i}" for i in range(n)]
+    delta0, delta1 = {}, {}
+    for i, q in enumerate(states):
+        delta0[(q, "a")] = delta1[(q, "a")] = (states[(i + 1) % n], 1)
+        delta0[(q, "b")] = (states[(7 * i + 3) % n], 0)
+        delta1[(q, "b")] = (states[(7 * i + 3) % n], -1)
+    return Droca(states, "ab", states[0], delta0, delta1,
+                 [q for i, q in enumerate(states) if i % 3 == 0])
+
+
 def random_voca(seed: int, max_states: int = 5, alphabet_size: int = 2,
                 action_map=None) -> Droca:
     """Random visibly one-counter automaton, optionally with a fixed

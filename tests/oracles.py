@@ -51,6 +51,10 @@ counter (|A||B|)^2 + 1 and length 2K^5, or at the paper's VOCA bounds
 2(K+K^2) + 1 and 4K(K+K^2) when both machines are VOCAs with one action
 map, and calls a pair equivalent when no violation lies within them.
 
+The reachability oracle is the generator's count before its sign
+bound: breadth-first search over (state, counter) pairs with the
+counter capped at |A|^2, stopping only once every state has been seen.
+
 The column oracle reads a machine's (letter, sign) -> action map off
 ``delta0`` and ``delta1`` themselves, one column of states at a time.
 
@@ -507,6 +511,26 @@ def capped_equiv(a, b):
                 return False, word + letter, "accept-mismatch"
             queue.append(child)
     return True, None, None
+
+
+def reachable_count(automaton):
+    """Distinct states visited by BFS over configurations with counter
+    at most ``|A|**2``, starting from the initial configuration; the
+    search stops once every state has been seen."""
+    d0, d1, _, init = automaton.indexed_tables()
+    cap = automaton.size ** 2
+    seen = {(init, 0)}
+    states = {init}
+    queue = deque(seen)
+    while queue and len(states) < automaton.size:
+        q, n = queue.popleft()
+        for t, e in (d0[q] if n == 0 else d1[q]):
+            child = (t, n + e)
+            if child[1] <= cap and child not in seen:
+                seen.add(child)
+                states.add(t)
+                queue.append(child)
+    return len(states)
 
 
 def action_map_by_columns(m):

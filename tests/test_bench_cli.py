@@ -18,9 +18,9 @@ from conftest import make_anbna, random_voca
 
 
 def test_bench_row_count_and_order(tmp_path):
-    out = tmp_path / "rows.csv"
+    out = tmp_path / "rows.csv"     # a path object, which open() takes as well as a str
     config = BenchConfig(min_states=2, max_states=3, samples=5, seed=3,
-                         timeout_s=60, out_path=str(out))
+                         timeout_s=60, out_path=out)
     rows = run_benchmark(config)
     assert len(rows) == 10
     assert [row["target_states"] for row in rows] == [2] * 5 + [3] * 5
@@ -172,6 +172,12 @@ def test_generation_failure_is_named_and_becomes_a_bench_row(monkeypatch):
     ("timeout_s", lambda: BenchConfig(min_states=2, max_states=2, samples=1, seed=0,
                                       timeout_s="5")),
     ("master", lambda: derive_seed(1.5, 2)),
+    ("voca", lambda: LearnConfig(voca="no")),
+    ("restricted", lambda: GenConfig(n_states=3, alphabet_size=2, seed=1, restricted="no")),
+    ("restricted", lambda: BenchConfig(min_states=2, max_states=2, samples=1, seed=0,
+                                       timeout_s=5, restricted="no")),
+    ("out_path", lambda: BenchConfig(min_states=2, max_states=2, samples=1, seed=0,
+                                     timeout_s=5, out_path=7)),
 ])
 def test_a_wrong_typed_config_field_is_named(field, make):
     with pytest.raises(InvalidInput, match=f"^{field} must be "):

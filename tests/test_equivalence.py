@@ -8,7 +8,7 @@ import pytest
 from ocalearn import (ACCEPT_MISMATCH, COUNTER_DESYNC, Droca, EquivalenceTimeout,
                       InvalidInput, check_sync_equiv, derive_seed, equivalence, errors,
                       validate, voca_check_equiv)
-from conftest import random_machine, random_voca, split_copy
+from conftest import random_machine, random_voca, ring_machine, split_copy
 from oracles import brute_force_equiv, capped_equiv
 
 
@@ -320,20 +320,6 @@ def test_decision_follows_nested_returns():
             assert (verdict.equivalent, ce and ce.word, ce and ce.kind) == expected
 
 
-def _ring(n):
-    """An n-state machine whose equivalence decision has dense returns:
-    ``a`` counts up to the next state, ``b`` jumps to state 7i+3 and
-    counts down at a positive counter."""
-    states = [f"q{i}" for i in range(n)]
-    delta0, delta1 = {}, {}
-    for i, q in enumerate(states):
-        delta0[(q, "a")] = delta1[(q, "a")] = (states[(i + 1) % n], 1)
-        delta0[(q, "b")] = (states[(7 * i + 3) % n], 0)
-        delta1[(q, "b")] = (states[(7 * i + 3) % n], -1)
-    return Droca(states, "ab", states[0], delta0, delta1,
-                 [q for i, q in enumerate(states) if i % 3 == 0])
-
-
 def _with_letter_count(m, size):
     """``m`` times a count of the letters read modulo ``size``: equivalent
     to ``m`` and ``size`` times larger, so its product with ``m`` has
@@ -355,7 +341,7 @@ def test_deadline_cuts_a_long_equivalent_search():
     # 2400-state letter-counting copy passes that search in milliseconds
     # and spends it in the decision's sweeps, about half a second in all
     # on a shared 2-core host
-    big, small = _ring(1000), _ring(8)
+    big, small = ring_machine(1000), ring_machine(8)
     for a, b, seconds in ((big, split_copy(big, random.Random(1)), 0.2),
                           (small, _with_letter_count(small, 300), 0.15)):
         start = time.monotonic()
@@ -369,7 +355,7 @@ def test_decision_reads_the_clock_inside_its_sweeps(monkeypatch):
     # whose rows read thousands of return bits; the clock is read every
     # few thousand of them, and a deadline that passes at some read
     # raises there
-    a, b = _ring(8), _with_letter_count(_ring(8), 300)
+    a, b = ring_machine(8), _with_letter_count(ring_machine(8), 300)
     reads = []
     monkeypatch.setattr(errors, "time", _clock(reads, float("inf")))
     assert _decide(a, b, 1.0)

@@ -1,10 +1,14 @@
+import hashlib
+import random
+import tracemalloc
 from collections import deque
 
 import pytest
 
-from ocalearn import (GenConfig, InvalidInput, derive_seed, generate_droca,
+from ocalearn import (Droca, GenConfig, InvalidInput, derive_seed, generate, generate_droca,
                       reachable_count, splitmix64, store, validate)
-from conftest import random_machine
+from conftest import random_machine, ring_machine
+import oracles
 
 
 def test_reachable_count_golden(anbna):
@@ -44,6 +48,80 @@ def test_reachable_count_matches_a_wider_search():
                     reachable.add(state)
                     queue.append(child)
         assert reachable_count(machine) == len(reachable)
+
+
+def _sparse_machine(seed):
+    """A machine of 2-20 states over 1-3 letters from any initial state,
+    whose zero-counter steps keep the counter at zero four times in five,
+    so that many states are reached only through counter moves, or not
+    at all."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 21)
+    letters = "abc"[:rng.randrange(1, 4)]
+    states = [f"q{i}" for i in range(n)]
+    delta0 = {(q, a): (rng.choice(states), int(rng.random() < 0.2))
+              for q in states for a in letters}
+    delta1 = {(q, a): (rng.choice(states), rng.randrange(3) - 1)
+              for q in states for a in letters}
+    return Droca(states, letters, rng.choice(states), delta0, delta1, states[:1])
+
+
+def test_reachable_count_equals_the_exhaustive_count():
+    # the sign bound's early stop changes no count: on 2,000 machines,
+    # hundreds with states no capped run reaches although the bound holds
+    # them, the count equals the search that stops only at every state
+    loose = unreachable = 0
+    for i in range(2000):
+        machine = _sparse_machine(derive_seed(808, i))
+        count = reachable_count(machine)
+        assert count == oracles.reachable_count(machine), i
+        d0, d1, _, init = machine.indexed_tables()
+        loose += generate._sign_bound(d0, d1, init) > count
+        unreachable += count < machine.size
+    assert loose >= 100 and unreachable >= 500
+
+
+def test_reachable_count_of_a_large_machine_stays_small_in_memory():
+    # no table over all |A|·(|A|²+1) configurations: a 1000-state machine
+    # would need a gigabyte for it
+    machine = ring_machine(1000)
+    machine.indexed_tables()
+    tracemalloc.start()
+    try:
+        assert reachable_count(machine) == 1000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+# sha-256 of store(generate_droca(...)) as recorded before the count's
+# sign bound: a change in the draws the generator makes, or in the
+# machines it accepts, fails here first
+_GRID_DIGEST = "12615f1355cde43bf32f5635ddc5fdb2f6a9e2d6d667e9b34c70de1f297b2828"
+_FRONTIER_DIGESTS = {(20, 0): "165d641be5171cab", (20, 1): "54c8fa1ed7f71fb0",
+                     (20, 2): "45667df8e4dfe681", (30, 0): "c94957bd9349c67c",
+                     (30, 1): "0d44390ce09338ac", (30, 2): "9ce02d352b383815",
+                     (50, 0): "1aa13c118f42143a", (50, 1): "b75211fbab99fd84",
+                     (50, 2): "c478ef37e7b4f06d"}
+
+
+def test_generation_is_pinned_by_digest():
+    grid = hashlib.sha256()
+    for n in range(2, 9):
+        for k in range(1, 4):
+            for restricted in (False, True):
+                machine = generate_droca(GenConfig(
+                    n_states=n, alphabet_size=k, seed=derive_seed(700, n, k, int(restricted)),
+                    restricted=restricted))
+                grid.update(store(machine).encode())
+    assert grid.hexdigest() == _GRID_DIGEST
+    frontier = {}
+    for n, i in _FRONTIER_DIGESTS:
+        machine = generate_droca(GenConfig(n_states=n, alphabet_size=2,
+                                           seed=derive_seed(555, n, i)))
+        frontier[n, i] = hashlib.sha256(store(machine).encode()).hexdigest()[:16]
+    assert frontier == _FRONTIER_DIGESTS
 
 
 def test_generation_basic_shape():
