@@ -12,12 +12,13 @@ only on the state pair and the sign of the shared counter.  So
 equivalence is control-state reachability in a one-counter system,
 decided exactly by summarising the runs that return to their starting
 counter (pushdown saturation with one stack symbol, Bouajjani, Esparza
-& Maler, CONCUR 1997).  A length-lex breadth-first search over the
-product finds the witness: it runs first, for at most |A|·|B| nodes,
-and resumes after the decision only on pairs the decision refutes, so it
-needs no counter or length caps.  The paper's witness bounds, height
-K^4 and length 2*K^5 in general and 2(K+K^2) and 4K(K+K^2) for VOCAs
-with one action map, are theorems the tests check.
+& Maler, CONCUR 1997).  One length-lex breadth-first search over the
+product finds the witness.  When it has dequeued |A|·|B| nodes and
+still has work, it takes the decision once: it stops there if the pair
+is equivalent and otherwise searches on, so it needs no counter or
+length caps.  The paper's witness bounds, height K^4 and length 2*K^5
+in general and 2(K+K^2) and 4K(K+K^2) for VOCAs with one action map,
+are theorems the tests check.
 """
 
 from __future__ import annotations
@@ -97,53 +98,35 @@ def _words_back(parents, node, alphabet):
 def _product_search(a: Droca, b: Droca, deadline: float | None) -> Verdict:
     """The length-lex-minimal violation, or ``EQUIVALENT``.
 
-    A length-lex search over the product first dequeues at most
-    ``|a|·|b|`` nodes, which refutes most inequivalent pairs.  If it has
-    neither found a violation nor run out of nodes, the summary decision
-    settles the pair, and the search resumes from the same queue and
-    parent map only when the decision found a violation, so it ends.
-    Each machine's tables are read here, once, and handed to both; a
-    malformed machine is named before a mismatch of the alphabets.
+    A breadth-first search over (state_a, state_b, shared counter) expands
+    nodes in order and letters in alphabet order, so it generates words in
+    length-lex order and checks each where it is generated: a letter on
+    which the counter actions differ is a counter desync, and a new node
+    whose acceptance bits differ is an acceptance mismatch.  A node already
+    in ``parents`` was checked under a smaller word, so the first violation
+    found is the length-lex-minimal one.  Most inequivalent pairs are
+    refuted within ``|a|·|b|`` dequeued nodes; if the queue is not empty
+    then, the summary decision is taken once, and the search goes on only
+    when it found a violation, so it ends.  The deadline is read at the
+    first node and every few thousand.  Tables are read once, before the
+    alphabets are compared, so a malformed machine is named first.
     """
     tables_a, tables_b = a.indexed_tables(), b.indexed_tables()
     if a.alphabet != b.alphabet:
         raise InvalidInput(f"alphabet mismatch: {a.alphabet!r} vs {b.alphabet!r}")
-    _, _, fin_a, init_a = tables_a
-    _, _, fin_b, init_b = tables_b
+    alphabet = a.alphabet
+    d0a, d1a, fin_a, init_a = tables_a
+    d0b, d1b, fin_b, init_b = tables_b
     if fin_a[init_a] != fin_b[init_b]:
         return Verdict(False, Counterexample("", ACCEPT_MISMATCH))
     start = (init_a, init_b, 0)
     parents = {start: (None, -1)}
     queue = deque([start])
-    witness = _length_lex_search(tables_a, tables_b, a.alphabet, queue, parents,
-                                 a.size * b.size, deadline)
-    if witness is None and queue:
-        if _decide_by_summaries(tables_a, tables_b, deadline):
-            return EQUIVALENT
-        witness = _length_lex_search(tables_a, tables_b, a.alphabet, queue, parents,
-                                     None, deadline)
-    return EQUIVALENT if witness is None else Verdict(False, witness)
-
-
-def _length_lex_search(tables_a: tuple, tables_b: tuple, alphabet: tuple, queue: deque,
-                       parents: dict, limit: int | None,
-                       deadline: float | None) -> Counterexample | None:
-    """BFS over (state_a, state_b, shared counter) in length-lex order,
-    on the machines' :meth:`~Droca.indexed_tables`, dequeuing at most
-    ``limit`` nodes (all when it is None).
-
-    Expanding nodes breadth-first, letters in alphabet order, generates
-    words in length-lex order, so each word is checked where it is
-    generated: a letter on which the counter actions differ is a counter
-    desync, and a new node whose acceptance bits differ is an acceptance
-    mismatch.  A node already in ``parents`` was checked under a smaller
-    word, so the first violation found is the length-lex-minimal one.
-    The deadline is read at the first node and then every few thousand.
-    """
-    d0a, d1a, fin_a, _ = tables_a
-    d0b, d1b, fin_b, _ = tables_b
+    budget = a.size * b.size
     dequeued = 0
-    while queue and dequeued != limit:
+    while queue:
+        if dequeued == budget and _decide_by_summaries(tables_a, tables_b, deadline):
+            return EQUIVALENT
         if not dequeued % _DEADLINE_CHECK_EVERY:
             check_deadline(deadline, EquivalenceTimeout)
         dequeued += 1
@@ -156,15 +139,16 @@ def _length_lex_search(tables_a: tuple, tables_b: tuple, alphabet: tuple, queue:
             tb, eb = row_b[ai]
             if ea != eb:
                 word = _words_back(parents, node, alphabet) + alphabet[ai]
-                return Counterexample(word, COUNTER_DESYNC)
+                return Verdict(False, Counterexample(word, COUNTER_DESYNC))
             child = (ta, tb, n + ea)
             if child in parents:
                 continue
             parents[child] = (node, ai)
             if fin_a[ta] != fin_b[tb]:
-                return Counterexample(_words_back(parents, child, alphabet), ACCEPT_MISMATCH)
+                word = _words_back(parents, child, alphabet)
+                return Verdict(False, Counterexample(word, ACCEPT_MISMATCH))
             queue.append(child)
-    return None
+    return EQUIVALENT
 
 
 def _decide_by_summaries(tables_a: tuple, tables_b: tuple, deadline: float | None) -> bool:

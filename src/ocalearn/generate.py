@@ -70,47 +70,46 @@ def generate_droca(config: GenConfig) -> Droca:
 
     Deterministic for a fixed config: the whole machine is resampled on
     every rejection, so each accepted machine follows the conditional
-    distribution of the unrestricted sampler.
+    distribution of the unrestricted sampler.  Draws are checked as rows
+    of state indices, and only the accepted one is built as a machine.
     """
     rng = random.Random(config.seed & _MASK)
-    states = tuple(f"q{i}" for i in range(config.n_states))
-    letters = tuple(_LETTERS[:config.alphabet_size])
-    n = config.n_states
+    n, k = config.n_states, config.alphabet_size
     for _ in range(_MAX_ATTEMPTS):
-        finals = frozenset(q for q in states if rng.random() < 0.5)
-        if not finals or len(finals) == n:
+        finals = [rng.random() < 0.5 for _ in range(n)]
+        if not any(finals) or all(finals):
             continue
-        delta0 = {}
-        delta1 = {}
-        for q in states:
-            for a in letters:
-                delta0[(q, a)] = (states[rng.randrange(n)], rng.randrange(2))
-        for q in states:
-            for a in letters:
-                delta1[(q, a)] = (states[rng.randrange(n)], rng.randrange(3) - 1)
-        if config.restricted and not _restricted_ok(finals, delta0, delta1):
+        d0 = [tuple((rng.randrange(n), rng.randrange(2)) for _ in range(k)) for _ in range(n)]
+        d1 = [tuple((rng.randrange(n), rng.randrange(3) - 1) for _ in range(k)) for _ in range(n)]
+        if config.restricted and not _restricted_ok(finals, d0, d1):
             continue
-        machine = Droca(states=states, alphabet=letters, initial=states[0],
-                        delta0=delta0, delta1=delta1, finals=finals)
-        if reachable_count(machine) == n:
-            return machine
+        if _reachable(d0, d1, 0) == n:
+            states = tuple(f"q{i}" for i in range(n))
+            letters = _LETTERS[:k]
+            delta0, delta1 = ({(states[q], a): (states[t], e)
+                               for q, row in enumerate(rows) for a, (t, e) in zip(letters, row)}
+                              for rows in (d0, d1))
+            return Droca(states=states, alphabet=letters, initial=states[0], delta0=delta0,
+                         delta1=delta1, finals=[q for q, f in zip(states, finals) if f])
     raise GenerationFailure(
         f"no machine with {n} reachable states after {_MAX_ATTEMPTS} attempts")
 
 
-def _restricted_ok(finals, delta0, delta1) -> bool:
-    for target, _ in delta1.values():
-        if target in finals:
-            return False
-    for target, action in delta0.values():
-        if target in finals and action != 0:
-            return False
-    return True
+def _restricted_ok(finals, d0, d1) -> bool:
+    """Are final states entered only by zero-counter steps of action 0?"""
+    return (not any(finals[t] for row in d1 for t, _ in row)
+            and not any(finals[t] and e for row in d0 for t, e in row))
 
 
 def reachable_count(automaton: Droca) -> int:
     """Distinct states visited by BFS over configurations with counter
-    at most ``|A|**2``, starting from the initial configuration.
+    at most ``|A|**2``, starting from the initial configuration."""
+    d0, d1, _, init = automaton.indexed_tables()
+    return _reachable(d0, d1, init)
+
+
+def _reachable(d0, d1, init) -> int:
+    """:func:`reachable_count` on dense rows ``d0[q][a] = (target, action)``.
 
     The search stops once it has seen every state of
     :func:`_sign_bound`, which no run can leave, so the count is exact
@@ -118,8 +117,7 @@ def reachable_count(automaton: Droca) -> int:
     without exhausting its configuration graph.  A configuration is the
     int ``c·|A| + q``, and the set of those seen grows with the search.
     """
-    d0, d1, _, init = automaton.indexed_tables()
-    n = automaton.size
+    n = len(d0)
     bound = _sign_bound(d0, d1, init)
     limit = (n * n + 1) * n             # the first code past counter |A|²
     seen = {init}

@@ -50,9 +50,11 @@ def load(text: str, complete_with_sink: bool = False) -> Droca:
     fresh non-final sink state instead of being rejected.
     """
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:     # syntax, nesting depth, int digits
         raise ParseError("json", f"not readable JSON: {exc}") from None
+    if isinstance(obj, tuple):
+        raise ParseError(obj[0], f"key {obj[1]!r} repeated" if obj[1:] else "repeated field")
     if not isinstance(obj, dict):
         raise ParseError("json", "top-level value must be an object")
     for field in _FIELDS:
@@ -110,6 +112,21 @@ def load_file(path, complete_with_sink: bool = False) -> Droca:
 def store_file(automaton: Droca, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(store(automaton))
+
+
+def _object(pairs):
+    """The object hook of :func:`load`, marking a repeated key with a
+    tuple, which JSON cannot write: an object that repeats ``key``
+    becomes ``(key,)``, and one that holds a mark under ``field`` becomes
+    ``(field, key)``, so ``load`` names the top-level field."""
+    for field, value in pairs:
+        if isinstance(value, tuple):
+            return field, value[-1]
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    keys = [key for key, _ in pairs]
+    return next(key for key in keys if keys.count(key) > 1),
 
 
 def _parse_delta(name, raw):

@@ -131,6 +131,30 @@ def test_generation_basic_shape():
     assert validate(machine) == []
 
 
+def test_generation_builds_only_the_accepted_machine(monkeypatch):
+    # a rejected draw is counted on its rows and never named or built:
+    # one call that rejects draws on their count constructs one Droca
+    counts, built = [], []
+    count_rows = generate._reachable
+
+    def counted(*rows):
+        counts.append(count_rows(*rows))
+        return counts[-1]
+
+    class CountedDroca(Droca):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(generate, "_reachable", counted)
+    monkeypatch.setattr(generate, "Droca", CountedDroca)
+    machine = generate_droca(GenConfig(n_states=6, alphabet_size=1, seed=0))
+    assert len(counts) > 1 and counts[-1] == 6 > max(counts[:-1])
+    assert built == [machine]
+
+
 def test_generation_deterministic():
     config = GenConfig(n_states=4, alphabet_size=2, seed=7)
     assert store(generate_droca(config)) == store(generate_droca(config))

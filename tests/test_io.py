@@ -120,6 +120,24 @@ def test_load_rejects_malformed_fields(anbna):
         assert err.value.field == field
 
 
+def test_load_rejects_repeated_keys():
+    # built from raw text, since json.dumps writes no key twice: a delta
+    # map with two transitions for one (state, letter) is not taken as
+    # deterministic by keeping the last one, nor is a field given twice
+    delta = '{"q0,a": ["q1", 0], "q1,a": ["q1", 0]}'
+    text = ('{"type": "droca", "alphabet": ["a"], "states": ["q0", "q1"], "initial": "q0", '
+            '"finals": ["q1"], "delta0": %s, "delta1": %s%s}')
+    assert load(text % (delta, delta, "")).delta0[("q0", "a")] == ("q1", 0)
+    repeated = delta[:-1] + ', "q0,a": ["q0", 1]}'
+    for args, field, key in (((repeated, delta, ""), "delta0", "q0,a"),
+                             ((delta, repeated, ""), "delta1", "q0,a"),
+                             ((delta, delta, ', "type": "voca"'), "type", None)):
+        with pytest.raises(ParseError) as err:
+            load(text % args)
+        assert err.value.field == field
+        assert (f"key {key!r} repeated" if key else "repeated field") in str(err.value)
+
+
 def test_complete_with_sink_avoids_a_state_named_sink(anbna):
     obj = json.loads(store(anbna).replace("q3", "sink"))
     del obj["delta0"]["q0,b"]
