@@ -6,9 +6,12 @@ ICGI 2010, with the output variables of Moore-machine identification).
 The clique pins of :meth:`~ocalearn.minsepdfa.Apta.domains` decide most
 of that CNF: unit propagation of its clauses, run on the tree itself,
 colours most nodes, fixes most transitions and refutes most rungs that
-cannot be coloured.  :func:`encode_size_n` emits only the variables and
-clauses left open, each at-most-one row as one group, and
-:func:`decode_dfa` reads a model through the fixed values.
+cannot be coloured.  The builtin solver's first descent, run on the tree
+as well, answers most other rungs without a clause: 240 of the 258 of a
+``learn-random`` benchmark round, 10 of its 16 on ``learn-frontier``.
+:func:`encode_size_n` numbers only the variables left open and builds
+their clauses, each at-most-one row as one group, only when they are
+read; :func:`decode_dfa` reads a model through the fixed values.
 """
 
 from __future__ import annotations
@@ -30,16 +33,27 @@ class ColouringCnf(CnfInstance):
     values that unit propagation fixed.  ``color[v][i]``,
     ``accepting[i]``, ``trans[a][i][j]`` and ``out[s][i][k]`` follow the
     variables of the full encoding; each entry is a fixed value, a bool,
-    or the number of a free variable, an int.  A refuted instance holds
-    the empty clause alone, and no entries."""
+    or the number of a free variable, an int.  ``model`` is the builtin
+    solver's model where the encoder's descent found it, else None.
+    ``clauses``, given as a list or as the function that builds it, is
+    built on its first read.  A refuted instance holds the empty clause
+    alone, and no entries."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, clauses):
+        self.num_vars = 0
         self._well_formed = True
+        self._clauses = clauses
+        self.model: dict[int, bool] | None = None
         self.color: list = []
         self.accepting: list = []
         self.trans: dict = {}
         self.out: list = []
+
+    @property
+    def clauses(self) -> list:
+        if callable(self._clauses):
+            self._clauses = self._clauses()
+        return self._clauses
 
 
 class _Refuted(Exception):
@@ -47,13 +61,16 @@ class _Refuted(Exception):
 
 
 def _propagate(apta: Apta, n: int, excluded: list[int], deadline: float | None):
-    """Level-0 unit propagation of the full encoding, on the prefix tree.
+    """Level-0 unit propagation of the full encoding, on the prefix tree,
+    then the builtin solver's descent up to its first conflict.
 
-    Returns each node's colour domain and, per symbol and state, the
-    set of possible successors, as bitmasks, then per state its fixed
-    acceptance and per sign its fixed vector index (None where free).
-    A node or successor set left with one element has its variable
-    true; left with none, it raises :class:`_Refuted`.  The rules are
+    Returns the values at level 0 and those after the descent, None where
+    it met a conflict: each node's colour domain and, per symbol and
+    state, the set of possible successors, as bitmasks, then per state
+    its fixed acceptance and per sign its fixed vector index (None where
+    free).  A node or successor set left with one element has its
+    variable true; left with none at level 0, it raises
+    :class:`_Refuted`.  The rules are
     the unit steps of the clauses: a coloured labelled node fixes its
     state's acceptance, and a fixed acceptance removes that colour from
     every node with the other label; a coloured node with an output of a
@@ -62,7 +79,13 @@ def _propagate(apta: Apta, n: int, excluded: list[int], deadline: float | None):
     i narrows its (symbol, i) successor set to its child's colours; and
     a successor set {j} colours with j the child of every parent
     coloured i, and removes colour i from every parent whose child lacks
-    j.  At n = 1 every successor set starts as a single state."""
+    j.  At n = 1 every successor set starts as a single state.
+
+    With every activity at 0, the solver decides the lowest free
+    variable with the phase False, and the colours come first, by node
+    and colour.  So the descent removes the lowest colour of the lowest
+    open node and propagates again, until every node is coloured.  Both
+    read ``deadline`` every 32 steps, on one count."""
     full = (1 << n) - 1
     dom = [~mask & full for mask in excluded]
     succ = {sym: [full] * n for sym in apta.alphabet}
@@ -109,56 +132,69 @@ def _propagate(apta: Apta, n: int, excluded: list[int], deadline: float | None):
                 singles.append((sym, i))
 
     steps = 0
-    while pending or singles:
-        if not steps % _CHECK_EVERY:
-            check_deadline(deadline)
-        steps += 1
-        if singles:
-            # trans(sym, i, j) is true: a parent coloured i colours its
-            # child j, and a parent whose child lacks j loses colour i
-            sym, i = singles.pop()
-            s, bit = succ[sym][i], 1 << i
-            for p, w in edges[sym]:
-                if dom[p] == bit:
+
+    def run():
+        nonlocal steps
+        while pending or singles:
+            if not steps % _CHECK_EVERY:
+                check_deadline(deadline)
+            steps += 1
+            if singles:
+                # trans(sym, i, j) is true: a parent coloured i colours its
+                # child j, and a parent whose child lacks j loses colour i
+                sym, i = singles.pop()
+                s, bit = succ[sym][i], 1 << i
+                for p, w in edges[sym]:
+                    if dom[p] == bit:
+                        restrict(w, s)
+                    elif dom[p] & bit and not dom[w] & s:
+                        restrict(p, ~bit)
+                continue
+            v = pending.pop()
+            d = dom[v]
+            if apta.parent_edges[v] is not None:
+                p, sym = apta.parent_edges[v]
+                dp, row = dom[p], succ[sym]
+                if not dp & (dp - 1):       # the parent's successor is among v's colours
+                    narrow(sym, dp.bit_length() - 1, d)
+                elif dp & decided[sym]:
+                    for i in range(n):      # a parent colour whose one successor v lacks
+                        s = row[i]
+                        if dp >> i & 1 and not s & (s - 1) and not s & d:
+                            restrict(p, ~(1 << i))
+            if d & (d - 1) or coloured[v]:
+                continue
+            coloured[v] = 1
+            i = d.bit_length() - 1
+            label, output = apta.labels[v], apta.outputs[v]
+            if label is not None and accepting[i] is None:
+                accepting[i] = label
+                for w in labelled[not label]:
+                    if dom[w] & d:
+                        restrict(w, ~d)
+            if output is not None and split[output[0]] and held[output[0]][i] is None:
+                held[output[0]][i] = output[1]
+                for k, nodes in carriers[output[0]].items():
+                    if k != output[1]:
+                        for w in nodes:
+                            if dom[w] & d:
+                                restrict(w, ~d)
+            for sym, w in apta.children[v].items():
+                narrow(sym, i, dom[w])
+                s = succ[sym][i]
+                if not s & (s - 1):
                     restrict(w, s)
-                elif dom[p] & bit and not dom[w] & s:
-                    restrict(p, ~bit)
-            continue
-        v = pending.pop()
-        d = dom[v]
-        if apta.parent_edges[v] is not None:
-            p, sym = apta.parent_edges[v]
-            dp, row = dom[p], succ[sym]
-            if not dp & (dp - 1):       # the parent's successor is among v's colours
-                narrow(sym, dp.bit_length() - 1, d)
-            elif dp & decided[sym]:
-                for i in range(n):      # a parent colour whose one successor v lacks
-                    s = row[i]
-                    if dp >> i & 1 and not s & (s - 1) and not s & d:
-                        restrict(p, ~(1 << i))
-        if d & (d - 1) or coloured[v]:
-            continue
-        coloured[v] = 1
-        i = d.bit_length() - 1
-        label, output = apta.labels[v], apta.outputs[v]
-        if label is not None and accepting[i] is None:
-            accepting[i] = label
-            for w in labelled[not label]:
-                if dom[w] & d:
-                    restrict(w, ~d)
-        if output is not None and split[output[0]] and held[output[0]][i] is None:
-            held[output[0]][i] = output[1]
-            for k, nodes in carriers[output[0]].items():
-                if k != output[1]:
-                    for w in nodes:
-                        if dom[w] & d:
-                            restrict(w, ~d)
-        for sym, w in apta.children[v].items():
-            narrow(sym, i, dom[w])
-            s = succ[sym][i]
-            if not s & (s - 1):
-                restrict(w, s)
-    return dom, succ, accepting, held
+    run()
+    level0 = (dom[:], {sym: row[:] for sym, row in succ.items()}, accepting[:],
+              [row[:] for row in held])
+    try:
+        for v in range(len(dom)):
+            while dom[v] & (dom[v] - 1):    # decide color(v, i) false for v's lowest colour i
+                restrict(v, ~(dom[v] & -dom[v]))
+                run()
+    except _Refuted:
+        return level0, None
+    return level0, (dom, succ, accepting, held)
 
 
 def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> ColouringCnf:
@@ -201,6 +237,16 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> Colourin
     rung whose nodes propagation colours entirely is the empty CNF.
     :func:`decode_dfa` reads a model through the fixed values.
 
+    The propagation goes on with the builtin solver's own descent, which
+    meets its first conflict where the descent of :func:`_propagate`
+    empties a domain: the rules are the unit steps of these clauses.
+    Where it empties none, the solver meets no conflict, so the instance
+    carries its model (``model``): the colours of the descent, each free
+    acceptance and vector False unless fixed, and each free successor
+    row at its last open successor.  Its clauses are then built on their
+    first read, which the builtin backend skips; where the descent met
+    a conflict they are built at once, from the level-0 values.
+
     Each clause is a list of its own, of distinct, non-complementary,
     declared literals, and each group one of at least two distinct
     variables, so the builtin SAT backend watches them without a check
@@ -208,18 +254,17 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> Colourin
     the literals inside a clause.
 
     ``deadline``, a :func:`time.monotonic` instant, is read while the
-    clique is built, every few dozen steps of the propagation, every few
-    dozen nodes of both clause passes over the nodes and once per state
-    and symbol of the transition clauses; past it the encoder raises
-    :class:`SolverTimeout`.
+    clique is built and every 32 steps of the propagation and its
+    descent; the clause passes, when the clauses are built, read it
+    every 32 nodes of both passes over the nodes and once per state and
+    symbol of the transition clauses.  Past it the encoder, or the first
+    read of ``clauses``, raises :class:`SolverTimeout`.
     """
-    cnf = ColouringCnf()
-    clauses = cnf.clauses
     try:
-        dom, succ, accepting, held = _propagate(apta, n, apta.domains(deadline)[1], deadline)
+        (dom, succ, accepting, held), settled = _propagate(apta, n, apta.domains(deadline)[1],
+                                                           deadline)
     except _Refuted:
-        clauses.append([])
-        return cnf
+        return ColouringCnf([[]])
     unit = [tuple(j == i for j in range(n)) for i in range(n)]     # a fixed one-hot row
     count = 0
 
@@ -264,54 +309,71 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> Colourin
         k = len(vectors) if len(vectors) > 1 else 0
         out.append([numbered((1 << k) - 1, k) if k and index is None and carried >> i & 1
                     else tuple(j == index for j in range(k)) for i, index in enumerate(fixed)])
+
+    def passes():
+        """The clauses that the level-0 values leave unsatisfied."""
+        clauses = []
+        free = [[x for x in row if x] if d & (d - 1) else None for row, d in zip(color, dom)]
+        for v, lits in enumerate(free):
+            if not v % _CHECK_EVERY:
+                check_deadline(deadline)
+            if lits is None:
+                continue
+            clauses.append(lits)
+            clauses.append(AtMostOne(lits))
+            row, label, output = color[v], apta.labels[v], apta.outputs[v]
+            if label is not None:
+                clauses.extend([[-x, accepting_var[i] if label else -accepting_var[i]]
+                                for i, x in enumerate(row) if x and accepting[i] is None])
+            if output is not None and out[output[0]][0]:
+                sign, k = output
+                clauses.extend([[-x, out[sign][i][k]]
+                                for i, x in enumerate(row) if x and held[sign][i] is None])
+        for rows in out:
+            clauses.extend([AtMostOne(row) for row in rows if type(row) is list])
+        for rows in trans.values():
+            for row in rows:
+                check_deadline(deadline)
+                if type(row) is list:
+                    lits = [x for x in row if x]
+                    clauses.append(lits)
+                    clauses.append(AtMostOne(lits))
+        for v in range(1, apta.num_nodes):
+            if not v % _CHECK_EVERY:
+                check_deadline(deadline)
+            parent, sym = apta.parent_edges[v]
+            if free[v] is None and free[parent] is None:
+                continue        # both coloured: the successor is fixed to the child's colour
+            d, lits, rows = dom[v], color[v], trans[sym]
+            for i, x in enumerate(color[parent]):
+                if x is False:
+                    continue
+                head = () if x is True else (-x,)   # a coloured parent's literal is false
+                s = succ[sym][i]
+                if not s & (s - 1):         # trans(sym,i,j) is true, and j one of v's colours
+                    if free[v] is not None:
+                        clauses.append([*head, lits[s.bit_length() - 1]])
+                elif free[v] is not None:
+                    clauses.extend([[*head, -t, lits[j]] if d >> j & 1 else [*head, -t]
+                                    for j, t in enumerate(rows[i]) if t])
+                else:
+                    clauses.extend([[*head, -t] for j, t in enumerate(rows[i]) if t and not d >> j & 1])
+        return clauses
+
+    cnf = ColouringCnf(passes if settled else passes())
     cnf.num_vars = count
     cnf.color, cnf.accepting, cnf.trans, cnf.out = color, accepting_var, trans, out
-
-    free = [[x for x in row if x] if d & (d - 1) else None for row, d in zip(color, dom)]
-    for v, lits in enumerate(free):
-        if not v % _CHECK_EVERY:
-            check_deadline(deadline)
-        if lits is None:
-            continue
-        clauses.append(lits)
-        clauses.append(AtMostOne(lits))
-        row, label, output = color[v], apta.labels[v], apta.outputs[v]
-        if label is not None:
-            clauses.extend([[-x, accepting_var[i] if label else -accepting_var[i]]
-                            for i, x in enumerate(row) if x and accepting[i] is None])
-        if output is not None and out[output[0]][0]:
-            sign, k = output
-            clauses.extend([[-x, out[sign][i][k]]
-                            for i, x in enumerate(row) if x and held[sign][i] is None])
-    for rows in out:
-        clauses.extend([AtMostOne(row) for row in rows if type(row) is list])
-    for rows in trans.values():
-        for row in rows:
-            check_deadline(deadline)
-            if type(row) is list:
-                lits = [x for x in row if x]
-                clauses.append(lits)
-                clauses.append(AtMostOne(lits))
-    for v in range(1, apta.num_nodes):
-        if not v % _CHECK_EVERY:
-            check_deadline(deadline)
-        parent, sym = apta.parent_edges[v]
-        if free[v] is None and free[parent] is None:
-            continue        # both coloured: the successor is fixed to the child's colour
-        d, lits, rows = dom[v], color[v], trans[sym]
-        for i, x in enumerate(color[parent]):
-            if x is False:
-                continue
-            head = () if x is True else (-x,)   # a coloured parent's literal is false
-            s = succ[sym][i]
-            if not s & (s - 1):         # trans(sym,i,j) is true, and j one of v's colours
-                if free[v] is not None:
-                    clauses.append([*head, lits[s.bit_length() - 1]])
-            elif free[v] is not None:
-                clauses.extend([[*head, -t, lits[j]] if d >> j & 1 else [*head, -t]
-                                for j, t in enumerate(rows[i]) if t])
-            else:
-                clauses.extend([[*head, -t] for j, t in enumerate(rows[i]) if t and not d >> j & 1])
+    if settled:
+        doms, successors, accepts, holds = settled
+        # each row with the index of its one true entry, None for none
+        hot = [*zip(color, [d.bit_length() - 1 for d in doms]),
+               *[([x], 0 if accepts[i] else None) for i, x in enumerate(accepting_var)
+                 if type(x) is int],
+               *[(row, s.bit_length() - 1) for sym, rows in trans.items()
+                 for row, s in zip(rows, successors[sym])],
+               *[(row, k) for rows, fixed in zip(out, holds) for row, k in zip(rows, fixed)]]
+        cnf.model = {x: i == j for row, j in hot if type(row) is list
+                     for i, x in enumerate(row) if x}
     return cnf
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .automata import Dfa, _bits, doubled_alphabet
 from .colouring import decode_dfa, encode_size_n
-from .errors import InvalidInput, SampleConflict, SolverError, check_deadline
+from .errors import InvalidInput, SampleConflict, SolverError, check_deadline, check_type
 from .sat import sat_solve
 from .table import ActionsVector
 
@@ -272,6 +272,7 @@ def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1,
     each rung's encoding and throughout it (see :func:`encode_size_n`);
     past it the search raises :class:`SolverTimeout`.
     """
+    check_type("at_least", at_least, int)
     if at_least < 1:
         raise InvalidInput(f"at_least must be at least 1, got {at_least!r}")
     check_deadline(deadline)

@@ -61,12 +61,12 @@ class CnfInstance:
 
 def _expanded(clauses):
     """The clauses with each :class:`AtMostOne` group replaced by its
-    pairwise clauses; a member that is not a positive int raises
-    :class:`InvalidInput`."""
+    pairwise clauses; a member that is a bool or not a positive int
+    raises :class:`InvalidInput`."""
     for clause in clauses:
         if type(clause) is not AtMostOne:
             yield clause
-        elif all(isinstance(x, int) and x > 0 for x in clause):
+        elif all(_is_int(x) and x > 0 for x in clause):
             yield from clause.pairwise()
         else:
             raise InvalidInput(f"at-most-one group {clause!r} has a member that is "
@@ -95,18 +95,25 @@ def sat_solve(cnf: CnfInstance, backend: str = "builtin",
     checked first, for either backend (:class:`InvalidInput` on a bad
     variable count or literal), and the builtin one solves a copy without
     repeated literals and tautologies, with each :class:`AtMostOne` group
-    expanded into its pairwise clauses; an encoder instance is solved in
-    place, its groups watched as such, which may reorder the literals
-    inside its clauses.  The external backend reads every group as its
-    pairwise clauses (:meth:`CnfInstance.to_dimacs`).
+    expanded into its pairwise clauses.  An encoder instance that carries
+    the model of its descent (``ColouringCnf.model``) gets a copy of it
+    from the builtin backend, before its clauses are read, so they are
+    never built; any other is solved in place, its groups watched as
+    such, which may reorder the literals inside its clauses.  The
+    external backend reads every group as its pairwise clauses
+    (:meth:`CnfInstance.to_dimacs`).
     ``deadline`` is a :func:`time.monotonic` instant; past it the call
     raises :class:`SolverTimeout`, at entry as well as while solving.
     """
     path = external_path(backend)
-    clauses = cnf.clauses if cnf._well_formed else _checked(cnf.num_vars, cnf.clauses)
+    clauses = None if cnf._well_formed else _checked(cnf.num_vars, cnf.clauses)
     check_deadline(deadline)
     if path is not None:
         return _solve_external(cnf, path, deadline)
+    if clauses is None:
+        if cnf.model is not None:
+            return dict(cnf.model)
+        clauses = cnf.clauses
     return _Cdcl(cnf.num_vars, clauses, deadline).solve()
 
 
@@ -115,8 +122,9 @@ def _checked(num_vars, clauses) -> list[list[int]]:
     tautologies skipped, and each :class:`AtMostOne` group as its
     pairwise clauses; a ``num_vars`` that is not a non-negative int, a
     literal that is not an int in ``±1..num_vars``, or a group member
-    that is not positive, raises :class:`InvalidInput`."""
-    if not (isinstance(num_vars, int) and num_vars >= 0):
+    that is not positive, raises :class:`InvalidInput`.  A bool is no
+    int here, as in :func:`~ocalearn.errors.check_type`."""
+    if not (_is_int(num_vars) and num_vars >= 0):
         raise InvalidInput(f"variable count {num_vars!r} is not a non-negative int")
     checked = []
     for clause in _expanded(clauses):
@@ -124,7 +132,7 @@ def _checked(num_vars, clauses) -> list[list[int]]:
         lits = []
         tautology = False
         for lit in clause:
-            if not (isinstance(lit, int) and 0 < abs(lit) <= num_vars):
+            if not (_is_int(lit) and 0 < abs(lit) <= num_vars):
                 raise InvalidInput(f"literal {lit!r} is not an int in ±1..{num_vars}")
             if -lit in seen:
                 tautology = True
@@ -134,6 +142,10 @@ def _checked(num_vars, clauses) -> list[list[int]]:
         if not tautology:
             checked.append(lits)
     return checked
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _solve_external(cnf, exe, deadline):

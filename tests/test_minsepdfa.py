@@ -1,16 +1,20 @@
 import random
+from collections import Counter
+from contextlib import contextmanager
 from itertools import count
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ocalearn import (ActionsVector, AtMostOne, GenConfig, InvalidInput, ObservationTable,
-                      SampleConflict, SampleSet, SimulatedTeacher, SolverError,
-                      SolverTimeout, build_apta, build_samples, derive_seed, encode_size_n,
-                      errors, find_min_sep_dfa, generate_droca, learn, minsepdfa, sat_solve)
+from ocalearn import (ActionsVector, AtMostOne, GenConfig, InvalidInput, LearnConfig,
+                      ObservationTable, SampleConflict, SampleSet, SimulatedTeacher,
+                      SolverError, SolverTimeout, build_apta, build_samples, colouring,
+                      construct_droca, derive_seed, encode_size_n, errors, find_min_sep_dfa,
+                      generate_droca, learn, learning, minsepdfa, sat_solve)
 from ocalearn.colouring import decode_dfa
 from ocalearn.minsepdfa import Apta
-from conftest import make_anbna, random_machine
+from conftest import make_anbna, random_machine, random_voca
 from test_table import golden_table
 from oracles import (_build_trie, _conflicts, clique_domains, full_encoding, full_variables,
                      min_sep_dfa_size, pairwise_clique_bound, propagate_units)
@@ -193,12 +197,14 @@ def test_encoder_clauses_are_well_formed():
 
 
 def test_encoder_reads_the_deadline_as_it_goes(monkeypatch):
-    # the encoding reads the clock every 32 steps of its propagation,
-    # every 32 nodes of both clause passes over the nodes and once per
-    # state and symbol of the transition clauses; the same CNF comes out
-    # while the deadline holds, a deadline that passes at some read, the
-    # first or the last among them, raises there, and no deadline reads
-    # no clock
+    # the encoding reads the clock every 32 steps of its propagation and
+    # of the descent after it, on one count of steps; the clause passes
+    # read it when the clauses are first read, every 32 nodes of both
+    # passes over the nodes and once per state and symbol of the
+    # transition clauses.  The same CNF and model come out while the
+    # deadline holds, a deadline that passes at some read of either, the
+    # first, a middle one or the last, raises there, and no deadline
+    # reads no clock
     rng = random.Random(3)
     table = ObservationTable(SimulatedTeacher(random_machine(3, max_states=6, alphabet_size=2)))
     for _ in range(20):
@@ -214,24 +220,49 @@ def test_encoder_reads_the_deadline_as_it_goes(monkeypatch):
             return 0.0 if len(reads) < limit else 2.0
         return SimpleNamespace(monotonic=monotonic)
 
+    def in_descent(excinfo):
+        # the propagator has kept its level-0 values once it descends
+        tb = excinfo.tb
+        while tb.tb_frame.f_code is not colouring._propagate.__code__:
+            tb = tb.tb_next
+        return "level0" in tb.tb_frame.f_locals
+
     monkeypatch.setattr(errors, "time", clock(float("inf")))
     apta.domains()      # the clique reads the deadline only while it is built
-    assert encode_size_n(apta, n, 1.0).clauses == encode_size_n(apta, n).clauses
-    total = len(reads)
+    cnf = encode_size_n(apta, n, 1.0)
+    encoding = len(reads)
+    reads.clear()
+    plain = encode_size_n(apta, n)
+    assert cnf.model is not None and cnf.model == plain.model
+    assert cnf.clauses == plain.clauses
+    passes = len(reads)
     assert apta.num_nodes > 200
-    clause_passes = (len(range(0, apta.num_nodes, 32)) + len(range(32, apta.num_nodes, 32))
-                     + n * len(apta.alphabet))
-    assert total > clause_passes    # the propagation reads it too
-    for limit in (1, total // 2, total):
+    assert passes == (len(range(0, apta.num_nodes, 32)) + len(range(32, apta.num_nodes, 32))
+                      + n * len(apta.alphabet))
+    monkeypatch.setattr(colouring, "_CHECK_EVERY", 1)   # a read at every step
+    reads.clear()
+    encode_size_n(apta, n, 1.0)
+    monkeypatch.setattr(colouring, "_CHECK_EVERY", 32)
+    assert encoding == len(range(0, len(reads), 32)) > 2
+    descending = []
+    for limit in (1, encoding // 2, encoding):
         reads.clear()
         monkeypatch.setattr(errors, "time", clock(limit))
-        with pytest.raises(SolverTimeout):
+        with pytest.raises(SolverTimeout) as excinfo:
             encode_size_n(apta, n, 1.0)
         assert len(reads) == limit
+        descending.append(in_descent(excinfo))
+    assert descending[0] is False and descending[-1] is True
+    for limit in (1, passes // 2, passes):
+        reads.clear()
+        monkeypatch.setattr(errors, "time", clock(encoding + limit))
+        cnf = encode_size_n(apta, n, 1.0)
+        with pytest.raises(SolverTimeout):
+            cnf.clauses
+        assert len(reads) == encoding + limit
     reads.clear()
     monkeypatch.setattr(errors, "time", clock(float("inf")))
-    encode_size_n(apta, n)
-    assert reads == []
+    assert encode_size_n(apta, n).clauses and reads == []
 
 
 def test_clique_reads_the_deadline_once_every_32_classes(monkeypatch):
@@ -324,6 +355,17 @@ def test_ladder_start_must_be_positive():
     for k in (0, -1):
         with pytest.raises(InvalidInput):
             find_min_sep_dfa(samples, at_least=k)
+
+
+def test_ladder_start_must_be_an_int():
+    # a bool is no int, as for every other int argument
+    samples = SampleSet(pos=((),), neg=(), alphabet=("a0",))
+    table = ObservationTable(SimulatedTeacher(make_anbna()))
+    for k in ("2", None, 2.5, True):
+        for search in (lambda: find_min_sep_dfa(samples, at_least=k),
+                       lambda: construct_droca(table, at_least=k)):
+            with pytest.raises(InvalidInput, match="at_least must be int"):
+                search()
 
 
 def test_clique_bound_at_most_the_oracle_size():
@@ -568,3 +610,68 @@ def test_residual_is_the_unit_propagation_of_the_full_encoding():
             checked["sat"] += 1
     assert min(checked.values()) > 0
     assert one_state.domains()[0] == 1
+
+
+@contextmanager
+def descent_checked():
+    """Learning sessions run inside this check every rung against the
+    builtin solver on the clauses built from the rung's own instance,
+    solved as a fresh copy: the model of the encoder's descent must be
+    the solver's, and any other rung must be the refuted empty clause or
+    meet a conflict there.  Yields the count of rungs of each kind."""
+    from test_sat import _LoggedCdcl
+
+    rungs = Counter()
+    find = learning.find_min_sep_dfa
+
+    def find_checked(samples, solve, **kwargs):
+        def checked(cnf):
+            clauses = [c if type(c) is AtMostOne else list(c) for c in cnf.clauses]
+            solver = _LoggedCdcl(cnf.num_vars, clauses, None)
+            model = solver.solve()
+            if cnf.model is not None:
+                assert cnf.model == model
+                rungs["descent"] += 1
+            elif cnf.clauses == [[]]:
+                rungs["refuted"] += 1
+            else:
+                assert any(type(entry) is tuple for entry in solver.log)
+                rungs["conflict"] += 1
+            answer = solve(cnf)
+            assert answer == model
+            return answer
+        return find(samples, solve=checked, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(learning, "find_min_sep_dfa", find_checked)
+        yield rungs
+
+
+def test_the_descent_is_the_builtin_solver_on_the_benchmark_corpora():
+    # the learning corpora of perfbench, whose run seed only renames
+    # states: the criterion-6 corpus and the 7-state frontier targets
+    corpora = {"learn-random": [generate_droca(GenConfig(2 + seed % 5, 2, seed))
+                                for seed in (derive_seed(424242, i) for i in range(100))],
+               "learn-frontier": [generate_droca(GenConfig(7, 2, derive_seed(555, 7, i)))
+                                  for i in range(4)]}
+    mix = {}
+    for name, targets in corpora.items():
+        with descent_checked() as rungs:
+            for target in targets:
+                learn(SimulatedTeacher(target), LearnConfig(timeout_s=60))
+        mix[name] = dict(rungs)
+    assert mix == {"learn-random": {"descent": 240, "conflict": 14, "refuted": 4},
+                   "learn-frontier": {"descent": 10, "conflict": 4, "refuted": 2}}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(2, 8),
+       alphabet_size=st.integers(1, 3), voca=st.booleans())
+def test_the_descent_is_the_builtin_solver_on_random_targets(seed, n_states, alphabet_size,
+                                                             voca):
+    # visibly one-counter targets are learnt in that mode
+    target = (random_voca(seed, max_states=n_states, alphabet_size=alphabet_size) if voca
+              else generate_droca(GenConfig(n_states, alphabet_size, seed)))
+    with descent_checked() as rungs:
+        learn(SimulatedTeacher(target), LearnConfig(timeout_s=60, voca=voca))
+    assert rungs["descent"] > 0

@@ -85,6 +85,19 @@ def test_hand_built_instances_are_checked_before_an_external_solver_runs(tmp_pat
     assert marker.exists()
 
 
+def test_a_bool_is_neither_a_literal_nor_a_variable_count(tmp_path):
+    # True == 1, yet a bool is no int here, as check_type refuses one
+    # where an int is meant; to_dimacs would write "p cnf True 1".  The
+    # external backend refuses them before it looks for its executable
+    backends = ("builtin", f"external:{tmp_path / 'absent_solver'}")
+    for num_vars, clauses in ((2, [[True, -2]]), (2, [(1, False)]), (True, [[1]]),
+                              (False, []), (3, [AtMostOne((True, 2))])):
+        for backend in backends:
+            with pytest.raises(InvalidInput):
+                sat_solve(CnfInstance(num_vars, clauses), backend)
+    assert sat_solve(CnfInstance(2, [[1, -2]])) == {1: False, 2: False}
+
+
 def test_hand_built_instances_drop_repeated_literals_and_tautologies():
     clauses = [(1, 1, -2), (2, -2), (-1, -1), (2, 3, 2)]
     cnf = CnfInstance(3, clauses)
