@@ -9,9 +9,10 @@ colours most nodes, fixes most transitions and refutes most rungs that
 cannot be coloured.  The builtin solver's first descent, run on the tree
 as well, answers most other rungs without a clause: 240 of the 258 of a
 ``learn-random`` benchmark round, 10 of its 16 on ``learn-frontier``.
-:func:`encode_size_n` numbers only the variables left open and builds
-their clauses, each at-most-one row as one group, only when they are
-read; :func:`decode_dfa` reads a model through the fixed values.
+:func:`encode_size_n` numbers only the variables that propagation
+leaves open and builds exactly the clauses it leaves, each at-most-one
+row as one group, only when they are read; :func:`decode_dfa` reads a
+model through the fixed values.
 """
 
 from __future__ import annotations
@@ -219,23 +220,11 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> Colourin
     in the order above (colours by node then colour, acceptance,
     transitions by symbol, state and successor, outputs), and holds only
     the clauses that the fixed values leave unsatisfied, in the full
-    encoding's order, without their false literals: the builtin solver
-    then meets the formula it would have after its own level-0
-    propagation.  A refuted rung, among them every rung below the clique
-    size, is the empty clause alone.
-
-    A row that no clause left mentions outside itself is fixed as well,
-    to the values the builtin solver would give it: a successor row
-    (a, i), where no node that may take colour i has an a-child, to its
-    last open successor, n - 1; the acceptance of a state that no
-    labelled node may take, to False; and the vector row of a state that
-    no node with an output of that sign may take, to all False.  The
-    solver decides variables of equal activity in index order with the
-    phase False, and these take part in no conflict, so each row's last
-    open successor is the only one it sets true, and dropping the rows
-    changes neither its other decisions nor its model of the rest.  A
-    rung whose nodes propagation colours entirely is the empty CNF.
-    :func:`decode_dfa` reads a model through the fixed values.
+    encoding's order, without their false literals: exactly the formula
+    the builtin solver would have after its own level-0 propagation.  A
+    refuted rung, among them every rung below the clique size, is the
+    empty clause alone.  :func:`decode_dfa` reads a model through the
+    fixed values.
 
     The propagation goes on with the builtin solver's own descent, which
     meets its first conflict where the descent of :func:`_propagate`
@@ -280,35 +269,15 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> Colourin
                 row[i] = count
         return row
 
-    # The states that some node may take: with a label, with an output of
-    # each sign, with a child on each symbol.  A free acceptance, vector
-    # or successor row outside these masks is in no clause but its own
-    # rows.  Open nodes suffice: a coloured node fixes its state's
-    # acceptance and vectors, and narrows its successor row to its
-    # child's colours, which leaves the row free only for an open child.
-    labelled, carrying, parents = 0, [0, 0], dict.fromkeys(succ, 0)
-    for v, d in enumerate(dom):
-        if d & (d - 1):
-            if apta.labels[v] is not None:
-                labelled |= d
-            if apta.outputs[v] is not None:
-                carrying[apta.outputs[v][0]] |= d
-            for sym in apta.children[v]:
-                parents[sym] |= d
-            if v:
-                p, sym = apta.parent_edges[v]
-                parents[sym] |= dom[p]
     color = [numbered(d) if d & (d - 1) else unit[d.bit_length() - 1] for d in dom]
-    accepting_var = [value if value is not None else numbered(1, 1)[0] if labelled >> i & 1
-                     else False for i, value in enumerate(accepting)]
-    trans = {sym: [numbered(s) if s & (s - 1) and parents[sym] >> i & 1
-                   else unit[s.bit_length() - 1] for i, s in enumerate(rows)]
+    accepting_var = [numbered(1, 1)[0] if value is None else value for value in accepting]
+    trans = {sym: [numbered(s) if s & (s - 1) else unit[s.bit_length() - 1] for s in rows]
              for sym, rows in succ.items()}
     out = []
-    for vectors, fixed, carried in zip(apta.vectors, held, carrying):
+    for vectors, fixed in zip(apta.vectors, held):
         k = len(vectors) if len(vectors) > 1 else 0
-        out.append([numbered((1 << k) - 1, k) if k and index is None and carried >> i & 1
-                    else tuple(j == index for j in range(k)) for i, index in enumerate(fixed)])
+        out.append([numbered((1 << k) - 1, k) if k and index is None
+                    else tuple(j == index for j in range(k)) for index in fixed])
 
     def passes():
         """The clauses that the level-0 values leave unsatisfied."""

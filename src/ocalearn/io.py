@@ -60,8 +60,9 @@ def load(text: str, complete_with_sink: bool = False) -> Droca:
     for field in _FIELDS:
         if field not in obj:
             raise ParseError(field, "missing")
-    for extra in set(obj) - set(_FIELDS):
-        raise ParseError(extra, "unknown field")
+    for extra in obj:
+        if extra not in _FIELDS:
+            raise ParseError(extra, "unknown field")
     if obj["type"] not in ("droca", "voca"):
         raise ParseError("type", f"expected 'droca' or 'voca', got {obj['type']!r}")
     for field in ("alphabet", "states", "finals"):

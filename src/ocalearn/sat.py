@@ -19,7 +19,7 @@ import heapq
 import time
 from itertools import islice
 
-from .errors import InvalidInput, SolverError, SolverTimeout, check_deadline
+from .errors import InvalidInput, SolverError, SolverTimeout, check_deadline, check_type
 
 
 class AtMostOne(tuple):
@@ -75,7 +75,8 @@ def _expanded(clauses):
 
 def external_path(backend: str) -> str | None:
     """The executable of an ``"external:<executable>"`` backend, None for
-    ``"builtin"``; any other string is rejected."""
+    ``"builtin"``; any other value is rejected."""
+    check_type("backend", backend, str)
     if backend == "builtin":
         return None
     if backend.startswith("external:"):

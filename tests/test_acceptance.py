@@ -12,7 +12,7 @@ import pytest
 
 from ocalearn import (ACCEPT_MISMATCH, GenConfig, LearnConfig, ObservationTable,
                       SimulatedTeacher, check_sync_equiv, derive_seed,
-                      generate_droca, learn, voca_check_equiv)
+                      generate_droca, learn, store, voca_check_equiv)
 from ocalearn.bench import BenchConfig, run_benchmark
 from ocalearn.minsepdfa import SampleSet, find_min_sep_dfa
 from conftest import make_anbna, make_five_state_a_plus, random_voca
@@ -250,6 +250,24 @@ def test_corpus_sessions_are_pinned_byte_for_byte(session_corpus, frontier_sessi
         "66e147f1100f80a5bdb0c2eae3ab142d2519d285095bda6d21e21b71e90cf897"
     assert _session_digest(frontier_sessions) == \
         "6167dca4f69d68de66838a099a9699ee23c118e3e31a15a8c667dfcebdafa28f"
+
+
+def test_mid_size_sessions_are_pinned_byte_for_byte():
+    # 20- and 30-state sessions: 13 of their 26 rungs are refuted or left
+    # to the solver after the encoder's descent meets a conflict, paths
+    # the corpora above rarely take.  Pins each stored hypothesis, its
+    # counterexamples and every query count but the wall time
+    digest = hashlib.sha256()
+    for n, i in ((20, 0), (20, 2), (30, 0), (30, 1)):
+        target = generate_droca(GenConfig(n_states=n, alphabet_size=2,
+                                          seed=derive_seed(555, n, i)))
+        hypothesis, stats = learn(SimulatedTeacher(target), LearnConfig(timeout_s=60))
+        record = (store(hypothesis), [(ce.word, ce.kind) for ce in stats.counterexamples],
+                  (stats.n_seq, stats.n_mq, stats.n_cv, stats.n_sat, stats.final_d,
+                   stats.max_ce_len))
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == \
+        "ee1eb83616b561fa8e53ce68b216afba71737f332fa2eb348447b47dbbd93884"
 
 
 # -- criterion 7: counterexample bounds and oracle agreement ----------------

@@ -1,9 +1,15 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from ocalearn import ParseError, check_sync_equiv, load, load_file, store, validate
 from conftest import random_machine
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_roundtrip_golden(anbna):
@@ -118,6 +124,18 @@ def test_load_rejects_malformed_fields(anbna):
         with pytest.raises(ParseError) as err:
             load(json.dumps(obj))
         assert err.value.field == field
+    # of two unknown fields the first in the document is named, whatever
+    # the process's string hashing: each seed runs in an interpreter of its own
+    obj = json.loads(store(anbna))
+    obj["zeta"] = obj["alpha"] = 0
+    code = ("import sys; from ocalearn import ParseError, load\n"
+            "try: load(sys.stdin.read())\n"
+            "except ParseError as err: print(err.field)")
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(seed))
+        proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(obj), env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "zeta\n"), (seed, proc.stderr)
 
 
 def test_load_rejects_repeated_keys():

@@ -551,19 +551,18 @@ def flattened(color, accepting, trans, out):
 def test_residual_is_the_unit_propagation_of_the_full_encoding():
     # generic unit propagation of the oracle's full encoding, with its
     # at-most-one rows as pairwise clauses, refutes exactly the rungs
-    # that the encoder refutes.  Otherwise the encoder fixes the values it fixes, and also
-    # the rows of successors, acceptance and outputs that no other clause
-    # mentions; it numbers the variables left, in order, and keeps the
-    # other clauses, clause for clause, each group expanded.  The builtin
-    # model of the residual, lifted through the fixed values, is the
-    # builtin model of the full encoding, so the values of those rows are
-    # the builtin solver's own.  The one-state tree also covers n = 1,
-    # where every successor set starts as one state.
+    # that the encoder refutes.  Otherwise the encoder fixes exactly the
+    # values that propagation fixes, numbers the variables left, in order,
+    # and keeps the residual clauses, clause for clause, each group
+    # expanded.  The builtin model of the residual, lifted through the
+    # fixed values, is the builtin model of the full encoding.  The
+    # one-state tree also covers n = 1, where every successor set starts
+    # as one state.
     from test_sat import _anbna_apta
 
     one_state = build_apta(SampleSet(pos=((), ("a0",), ("a0", "b0"), ("b0", "b0", "a0")),
                                      neg=(), alphabet=("a0", "b0")))
-    checked = {"refuted": 0, "sat": 0, "rows": 0, "empty": 0}
+    checked = {"refuted": 0, "sat": 0, "empty": 0}
     for apta in sample_aptas() + [_anbna_apta(), one_state]:
         for n in range(1, apta.domains()[0] + 2):
             full = full_encoding(apta, n)
@@ -575,28 +574,17 @@ def test_residual_is_the_unit_propagation_of_the_full_encoding():
                 continue
             fixed, residual = propagated
             color, accepting, trans, out, _ = full_variables(apta, n)
-            unconstrained = set()
-            for row in ([row for rows in trans.values() for row in rows]
-                        + [[x] for x in accepting] + out[0] + out[1]):
-                open_vars = {x for x in row if x not in fixed}
-                if all({abs(lit) for lit in clause} <= open_vars for clause in residual
-                       if any(abs(lit) in open_vars for lit in clause)):
-                    unconstrained |= open_vars
-            checked["rows"] += bool(unconstrained)
             variables = flattened(color, accepting, trans, out)
             values = flattened(cnf.color, cnf.accepting, cnf.trans, cnf.out)
             assert variables == list(range(1, full.num_vars + 1)) and len(values) == len(variables)
             entries = list(zip(variables, values))
-            fixed_here = {x: e for x, e in entries if type(e) is bool}
-            assert set(fixed_here) == set(fixed) | unconstrained
-            assert {x: fixed_here[x] for x in fixed} == fixed
+            assert {x: e for x, e in entries if type(e) is bool} == fixed
             numbering = {x: e for x, e in entries if type(e) is not bool}
             assert list(numbering.values()) == list(range(1, cnf.num_vars + 1))
-            kept = [clause for clause in residual if not unconstrained & {abs(lit) for lit in clause}]
             expanded = [pair for clause in cnf.clauses for pair in
                         (clause.pairwise() if type(clause) is AtMostOne else [clause])]
             assert expanded == [[numbering[lit] if lit > 0 else -numbering[-lit]
-                                 for lit in clause] for clause in kept]
+                                 for lit in clause] for clause in residual]
             checked["empty"] += not cnf.clauses
             model = sat_solve(cnf)
             expected = sat_solve(full)

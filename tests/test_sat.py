@@ -418,8 +418,11 @@ def test_external_backend_missing_executable():
 
 
 def test_backend_selector_validation():
-    with pytest.raises(Exception):
-        external_path("magic")
+    for backend in ("magic", 5, None):
+        with pytest.raises(InvalidInput):
+            external_path(backend)
+        with pytest.raises(InvalidInput):
+            sat_solve(CnfInstance(), backend=backend)
     assert external_path("builtin") is None
 
 
