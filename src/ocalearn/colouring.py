@@ -17,6 +17,7 @@ model through the fixed values.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .automata import Dfa
@@ -131,6 +132,7 @@ def _propagate(apta: Apta, n: int, excluded: list[int], deadline: float | None):
             if not s & (s - 1):
                 decided[sym] |= 1 << i
                 singles.append((sym, i))
+        return s
 
     steps = 0
 
@@ -146,15 +148,15 @@ def _propagate(apta: Apta, n: int, excluded: list[int], deadline: float | None):
                 sym, i = singles.pop()
                 s, bit = succ[sym][i], 1 << i
                 for p, w in edges[sym]:
-                    if dom[p] == bit:
+                    if dom[p] == bit and dom[w] != s:
                         restrict(w, s)
                     elif dom[p] & bit and not dom[w] & s:
                         restrict(p, ~bit)
                 continue
             v = pending.pop()
             d = dom[v]
-            if apta.parent_edges[v] is not None:
-                p, sym = apta.parent_edges[v]
+            if (edge := apta.parent_edges[v]) is not None:
+                p, sym = edge
                 dp, row = dom[p], succ[sym]
                 if not dp & (dp - 1):       # the parent's successor is among v's colours
                     narrow(sym, dp.bit_length() - 1, d)
@@ -181,9 +183,8 @@ def _propagate(apta: Apta, n: int, excluded: list[int], deadline: float | None):
                             if dom[w] & d:
                                 restrict(w, ~d)
             for sym, w in apta.children[v].items():
-                narrow(sym, i, dom[w])
-                s = succ[sym][i]
-                if not s & (s - 1):
+                s = narrow(sym, i, dom[w])
+                if not s & (s - 1) and dom[w] != s:
                     restrict(w, s)
     run()
     level0 = (dom[:], {sym: row[:] for sym, row in succ.items()}, accepting[:],
@@ -254,30 +255,36 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> Colourin
                                                            deadline)
     except _Refuted:
         return ColouringCnf([[]])
-    unit = [tuple(j == i for j in range(n)) for i in range(n)]     # a fixed one-hot row
+    unit = _one_hot(n)
     count = 0
+    model = {}      # the descent's values, kept only where it met no conflict
+    doms, successors, accepts, holds = settled or (dom, succ, accepting, held)
 
-    def numbered(mask, width=n):
+    def numbered(mask, hot, width=n):
         """A row of ``width`` entries: a new variable at each bit of
-        ``mask``, in order, and False elsewhere.  It is a list, and a
-        row fixed in full is a tuple."""
+        ``mask``, in order, and False elsewhere; ``model`` gets each new
+        variable, true at index ``hot`` alone.  It is a list, and a row
+        fixed in full is a tuple."""
         nonlocal count
         row = [False] * width
         for i in range(width):
             if mask >> i & 1:
                 count += 1
                 row[i] = count
+                model[count] = i == hot
         return row
 
-    color = [numbered(d) if d & (d - 1) else unit[d.bit_length() - 1] for d in dom]
-    accepting_var = [numbered(1, 1)[0] if value is None else value for value in accepting]
-    trans = {sym: [numbered(s) if s & (s - 1) else unit[s.bit_length() - 1] for s in rows]
-             for sym, rows in succ.items()}
+    color = [numbered(d, e.bit_length() - 1) if d & (d - 1) else unit[d.bit_length() - 1]
+             for d, e in zip(dom, doms)]
+    accepting_var = [numbered(1, 0 if accept else None, 1)[0] if value is None else value
+                     for value, accept in zip(accepting, accepts)]
+    trans = {sym: [numbered(s, t.bit_length() - 1) if s & (s - 1) else unit[s.bit_length() - 1]
+                   for s, t in zip(rows, successors[sym])] for sym, rows in succ.items()}
     out = []
-    for vectors, fixed in zip(apta.vectors, held):
+    for vectors, fixed, hot in zip(apta.vectors, held, holds):
         k = len(vectors) if len(vectors) > 1 else 0
-        out.append([numbered((1 << k) - 1, k) if k and index is None
-                    else tuple(j == index for j in range(k)) for index in fixed])
+        out.append([() if not k else numbered((1 << k) - 1, h, k) if index is None
+                    else _one_hot(k)[index] for index, h in zip(fixed, hot)])
 
     def passes():
         """The clauses that the level-0 values leave unsatisfied."""
@@ -333,34 +340,34 @@ def encode_size_n(apta: Apta, n: int, deadline: float | None = None) -> Colourin
     cnf.num_vars = count
     cnf.color, cnf.accepting, cnf.trans, cnf.out = color, accepting_var, trans, out
     if settled:
-        doms, successors, accepts, holds = settled
-        # each row with the index of its one true entry, None for none
-        hot = [*zip(color, [d.bit_length() - 1 for d in doms]),
-               *[([x], 0 if accepts[i] else None) for i, x in enumerate(accepting_var)
-                 if type(x) is int],
-               *[(row, s.bit_length() - 1) for sym, rows in trans.items()
-                 for row, s in zip(rows, successors[sym])],
-               *[(row, k) for rows, fixed in zip(out, holds) for row, k in zip(rows, fixed)]]
-        cnf.model = {x: i == j for row, j in hot if type(row) is list
-                     for i, x in enumerate(row) if x}
+        cnf.model = model
     return cnf
+
+
+@cache
+def _one_hot(n: int) -> tuple[tuple[bool, ...], ...]:
+    """The n fixed rows of width n with one true entry, shared by every rung."""
+    return tuple(tuple(j == i for j in range(n)) for i in range(n))
 
 
 def decode_dfa(cnf: ColouringCnf, assignment: dict[int, bool]) -> Dfa:
     """The DFA of a model of an :func:`encode_size_n` instance, read
     through its fixed values; its initial state is the root's colour.  A
-    model of a refuted instance, or one that gives the root no colour or
-    some state no successor on some symbol, raises :class:`SolverError`."""
+    model of a refuted instance raises :class:`SolverError`, as does one
+    that leaves out a variable read here (named), gives the root no
+    colour or gives some state no successor on some symbol."""
     if not cnf.color:
         raise SolverError("the backend satisfied the empty clause")
-
-    def value(x):
-        return assignment[x] if type(x) is int else x   # a bool is fixed
     n = len(cnf.accepting)
-    finals = frozenset(i for i, x in enumerate(cnf.accepting) if value(x))
-    transition = {(i, sym): j for sym, rows in cnf.trans.items()
-                  for i, row in enumerate(rows) for j, x in enumerate(row) if value(x)}
-    initial = next((i for i, x in enumerate(cnf.color[0]) if value(x)), None)
+    try:    # an entry is a fixed bool or a variable of the model, a positive int
+        finals = frozenset(i for i, x in enumerate(cnf.accepting)
+                           if x is True or x and assignment[x])
+        transition = {(i, sym): j for sym, rows in cnf.trans.items() for i, row in enumerate(rows)
+                      for j, x in enumerate(row) if x is True or x and assignment[x]}
+        initial = next((i for i, x in enumerate(cnf.color[0]) if x is True or x and assignment[x]),
+                       None)
+    except KeyError as missing:
+        raise SolverError(f"the model leaves out variable {missing.args[0]}") from None
     if initial is None:
         raise SolverError("the model gives the prefix-tree root no colour")
     if len(transition) < n * len(cnf.trans):

@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from functools import cache
 
 from .automata import Droca, doubled, extend_known
 from .equivalence import Counterexample, check_sync_equiv
@@ -156,34 +157,42 @@ def construct_droca(table: ObservationTable, *, solve=sat_solve, at_least: int =
     """
     skeleton = find_min_sep_dfa(build_samples(table), solve=solve, at_least=at_least,
                                 deadline=deadline)
-    names = {q: sys.intern(f"s{q}") for q in skeleton.states}   # shared by every hypothesis
-    apta, states = skeleton.apta, skeleton.node_states
+    names = _state_names(skeleton.size)
+    apta, states, outputs = skeleton.apta, skeleton.node_states, skeleton.apta.outputs
 
     vectors = [list(index) for index in apta.vectors]   # each sign's vectors, by index
     actions = {(q, sign, letter): delta for (q, sign), (_, index) in skeleton.outputs.items()
                for letter, delta in zip(table.alphabet, vectors[sign][index].deltas)}
+    steps = {sym: (sym[:-1], int(sym[-1])) for sym in apta.alphabet}    # letter and sign
     words = [""]    # the plain word of each node
     for v, (u, sym) in enumerate(apta.parent_edges[1:], 1):
-        letter = sym[:-1]
+        letter, sign = steps[sym]
         words.append(words[u] + letter)
-        if apta.outputs[u] is None:
+        if outputs[u] is None:
             delta = table.counter_value(words[v]) - table.counter_value(words[u])
-            if actions.setdefault((states[u], int(sym[-1]), letter), delta) != delta:
+            if actions.setdefault((states[u], sign, letter), delta) != delta:
                 raise PrefixConflict(words[u])
 
     defaults = table.action_map or {}
     delta0, delta1 = {}, {}
+    modes = {a: ((0, delta0, doubled(a, 0), defaults.get((a, 0), 0)),
+                 (1, delta1, doubled(a, 1), defaults.get((a, 1), 0))) for a in table.alphabet}
     entries = {}    # one (target, action) tuple per distinct entry
     for q in skeleton.states:
-        for a in table.alphabet:
+        for a, signs in modes.items():
             key = (names[q], a)     # one key for both modes
-            for sign, delta in ((0, delta0), (1, delta1)):
-                target = skeleton.transition[(q, doubled(a, sign))]
-                entry = (names[target], actions.get((q, sign, a), defaults.get((a, sign), 0)))
+            for sign, delta, sym, default in signs:
+                entry = (names[skeleton.transition[(q, sym)]], actions.get((q, sign, a), default))
                 delta[key] = entries.setdefault(entry, entry)
-    return Droca(states=tuple(names[q] for q in skeleton.states), alphabet=table.alphabet,
+    return Droca(states=names, alphabet=table.alphabet,
                  initial=names[skeleton.initial], delta0=delta0, delta1=delta1,
                  finals=frozenset(names[q] for q in skeleton.finals))
+
+
+@cache
+def _state_names(n: int) -> tuple[str, ...]:
+    """The names of states 0 to n - 1, shared by every hypothesis."""
+    return tuple(sys.intern(f"s{q}") for q in range(n))
 
 
 class PrefixConflict(Exception):

@@ -57,13 +57,17 @@ class SampleSet:
 
 
 def build_samples(table) -> SampleSet:
-    """Assemble the sample set of an observation table through ``enc``,
-    ``membership`` and ``actions``; a cell not yet cached asks the teacher."""
+    """Assemble the sample set of an observation table from its caches of
+    encodings, membership bits and action vectors; a word missing from one
+    goes through ``enc``, ``membership`` or ``actions``, which may ask the teacher."""
     pos, neg, outputs = [], [], []
+    codes, memb, vector_of = table._codes, table.memb, table._vector_of
     for w in table.words():     # distinct words, so distinct encodings
-        enc = table.enc(w)
-        (pos if table.membership(w) else neg).append(enc)
-        outputs.append((enc, table.actions(w)))
+        enc, bit, vector = codes.get(w), memb.get(w), vector_of.get(w)
+        if enc is None:
+            enc = table.enc(w)
+        (pos if (table.membership(w) if bit is None else bit) else neg).append(enc)
+        outputs.append((enc, table.actions(w) if vector is None else vector))
     return SampleSet(pos=tuple(pos), neg=tuple(neg),
                      alphabet=doubled_alphabet(table.alphabet), outputs=tuple(outputs))
 
@@ -108,15 +112,15 @@ class Apta:
         return self._domains
 
     def insert(self, word, label: bool | None, output: tuple[int, int] | None) -> None:
-        node = 0
+        node, children = 0, self.children
         for sym in word:
-            nxt = self.children[node].get(sym)
+            nxt = children[node].get(sym)
             if nxt is None:
                 if sym not in self.alphabet:
                     raise InvalidInput(f"symbol {sym!r} is not in the sample alphabet")
-                nxt = len(self.children)
-                self.children[node][sym] = nxt
-                self.children.append({})
+                nxt = len(children)
+                children[node][sym] = nxt
+                children.append({})
                 self.parent_edges.append((node, sym))
                 self.labels.append(None)
                 self.outputs.append(None)
@@ -163,7 +167,10 @@ def _class_clique(apta: Apta, deadline: float | None) -> tuple[list[int], list[i
     them one state, so a set of pairwise incompatible nodes needs as many
     states.  Nodes with equal labelled subtrees are interchangeable and
     never incompatible, so the nodes are hash-consed into subtree classes,
-    children first, and a class's children are numbered before it.
+    children first, and a class's children are numbered before it.  A
+    class is keyed by its label, its output and its (symbol, child class)
+    edges sorted by symbol, so the order in which the children were
+    inserted does not matter.
 
     Each class's conflicts, a bitmask over all classes, are then worked
     out in that order from OR-ed bitmasks, with no pairwise scan: the
@@ -186,14 +193,21 @@ def _class_clique(apta: Apta, deadline: float | None) -> tuple[list[int], list[i
     signed = [0, 0]                         # ... with an output of each sign
     same_output: dict[tuple[int, int], int] = {}    # ... with each output
     parents: dict = {sym: {} for sym in apta.alphabet}  # sym -> class -> classes with it as sym-child
+    is_child = dict.fromkeys(apta.alphabet, 0)          # sym -> classes that are a sym-child
     for v in reversed(range(apta.num_nodes)):   # a child is numbered after its parent
-        label, output = apta.labels[v], apta.outputs[v]
-        out = tuple((sym, class_of[child]) for sym, child in apta.children[v].items())
-        key = (label, output, frozenset(out))
+        label, output, children = apta.labels[v], apta.outputs[v], apta.children[v]
+        if not children:
+            out = ()
+        elif len(children) == 1:
+            [(sym, child)] = children.items()
+            out = ((sym, class_of[child]),)
+        else:
+            out = tuple(sorted([(sym, class_of[child]) for sym, child in children.items()]))
+        key = (label, output, out)
         c = classes.get(key)
         if c is None:
             c = classes[key] = len(kinds)
-            kinds.append((label, output, out))
+            kinds.append(key)
             bit = 1 << c
             if label is not None:
                 labelled[label] |= bit
@@ -202,8 +216,8 @@ def _class_clique(apta: Apta, deadline: float | None) -> tuple[list[int], list[i
                 same_output[output] = same_output.get(output, 0) | bit
             for sym, child in out:
                 parents[sym][child] = parents[sym].get(child, 0) | bit
+                is_child[sym] |= 1 << child
         class_of[v] = c
-    is_child = {sym: sum(1 << child for child in of) for sym, of in parents.items()}
     conflicts: list[int] = []           # bitmask of the classes each one clashes with
     clashing: dict[tuple, int] = {}     # (sym, class) -> classes whose sym-child clashes with it
     for c, (label, output, out) in enumerate(kinds):
@@ -228,7 +242,7 @@ def _class_clique(apta: Apta, deadline: float | None) -> tuple[list[int], list[i
         conflicts.append(mask)
     clique = []
     members = 0
-    for c in sorted(range(len(kinds)), key=lambda c: -conflicts[c].bit_count()):
+    for c in sorted(range(len(kinds)), key=[-mask.bit_count() for mask in conflicts].__getitem__):
         if members & ~conflicts[c] == 0:
             members |= 1 << c
             clique.append(c)
@@ -239,12 +253,11 @@ class SeparatingDfa(Dfa):
     """A DFA of :func:`find_min_sep_dfa`, with the prefix tree it
     separates, the state of each tree node, and the output that each
     state holds per counter sign, keyed by (state, sign).  These three
-    are plain attributes, not dataclass fields: they take no part in
-    equality, and importing the module generates no code for them."""
+    are plain attributes, not dataclass fields, so they take no part in
+    equality; they and the DFA's fields are set in one ``__dict__`` update."""
 
     def __init__(self, dfa: Dfa, apta: Apta, node_states: list, outputs: dict):
-        super().__init__(**vars(dfa))
-        self.apta, self.node_states, self.outputs = apta, node_states, outputs
+        self.__dict__.update(vars(dfa), apta=apta, node_states=node_states, outputs=outputs)
 
 
 def find_min_sep_dfa(samples: SampleSet, solve=sat_solve, at_least: int = 1,
@@ -294,11 +307,11 @@ def _check_separates(dfa: Dfa, apta: Apta) -> tuple[list, dict]:
     """The state of each node, each sample prefix stepped once, and the
     output each state holds per sign; a node that the DFA mislabels or
     whose vector it merges with another raises :class:`SolverError`."""
-    states, held = [], {}
+    states, held, transition, finals = [], {}, dfa.transition, dfa.finals
     for v, (edge, label, output) in enumerate(zip(apta.parent_edges, apta.labels, apta.outputs)):
-        state = dfa.initial if edge is None else dfa.transition[(states[edge[0]], edge[1])]
+        state = dfa.initial if edge is None else transition[(states[edge[0]], edge[1])]
         states.append(state)
-        if label is not None and (state in dfa.finals) != label:
+        if label is not None and (state in finals) != label:
             raise SolverError(f"decoded DFA mislabels sample {apta.word(v)!r}")
         if output is not None and held.setdefault((state, output[0]), output) != output:
             raise SolverError(f"decoded DFA merges two vectors of sign {output[0]} at "

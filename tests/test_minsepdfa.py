@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from ocalearn import (ActionsVector, AtMostOne, GenConfig, InvalidInput, LearnConfig,
                       ObservationTable, SampleConflict, SampleSet, SimulatedTeacher,
                       SolverError, SolverTimeout, build_apta, build_samples, colouring,
-                      construct_droca, derive_seed, encode_size_n, errors, find_min_sep_dfa,
-                      generate_droca, learn, learning, minsepdfa, sat_solve)
+                      construct_droca, derive_seed, doubled_alphabet, encode_size_n, errors,
+                      find_min_sep_dfa, generate_droca, learn, learning, minsepdfa, sat_solve)
 from ocalearn.colouring import decode_dfa
-from ocalearn.minsepdfa import Apta
+from ocalearn.minsepdfa import Apta, _class_clique
 from conftest import make_anbna, random_machine, random_voca
 from test_table import golden_table
 from oracles import (_build_trie, _conflicts, clique_domains, full_encoding, full_variables,
@@ -36,6 +36,51 @@ def test_build_samples_golden(anbna):
     assert samples.alphabet == ("a0", "a1", "b0", "b1")
     for word in outputs:
         assert all(sym in samples.alphabet for sym in word)
+
+
+def test_build_samples_asks_the_teacher_only_on_a_miss():
+    # on tables where some encodings, bits and vectors were read and
+    # others never were, in both modes, the sample set and the teacher's
+    # query counts are those of calling enc, membership and actions on
+    # each word, the order in which they ask the teacher included
+    def by_methods(table):
+        pos, neg, outputs = [], [], []
+        for w in table.words():
+            enc = table.enc(w)
+            (pos if table.membership(w) else neg).append(enc)
+            outputs.append((enc, table.actions(w)))
+        return SampleSet(pos=tuple(pos), neg=tuple(neg),
+                         alphabet=doubled_alphabet(table.alphabet), outputs=tuple(outputs))
+
+    missed = Counter()
+    for seed in range(8):
+        voca = seed % 2 == 1
+        machine = (random_voca(seed, max_states=5) if voca
+                   else random_machine(seed, max_states=5))
+        rng = random.Random(seed)
+        grown = ["".join(rng.choices(machine.alphabet, k=rng.randrange(1, 6)))
+                 for _ in range(4)]
+        results = []
+        for build in (build_samples, by_methods):
+            teacher = SimulatedTeacher(machine)
+            table = ObservationTable(teacher, teacher.voca_action_map() if voca else None)
+            table.repair(1)
+            table.enc(grown[0])
+            for word in grown[1:3]:
+                table.add_prefix(word)
+            table.add_suffix(grown[3])
+            table.actions(grown[1])
+            words = table.words()
+            missed["enc"] += sum(w not in table._codes for w in words)
+            missed["membership"] += sum(w not in table.memb for w in words)
+            missed["actions"] += sum(w not in table._vector_of for w in words)
+            asked = []
+            mq, cv = teacher.mq, teacher.cv
+            teacher.mq = lambda w: asked.append(("mq", w)) or mq(w)
+            teacher.cv = lambda w: asked.append(("cv", w)) or cv(w)
+            results.append((build(table), teacher.stats.n_mq, teacher.stats.n_cv, asked))
+        assert results[0] == results[1]
+    assert min(missed.values()) > 0
 
 
 def test_ops_bounded_by_rows(anbna):
@@ -335,6 +380,20 @@ def test_clique_bound_matches_the_pairwise_oracle(monkeypatch):
     assert most_reads >= 3     # some tree has more than 64 classes
 
 
+def test_a_subtree_class_does_not_depend_on_the_order_of_its_children():
+    # a0 and b0 have equal labelled subtrees, but a0 gets its a0-child
+    # first and b0 its b0-child first: they share one class, and the
+    # colour domains are those of the pairwise oracle
+    samples = SampleSet(pos=(("a0", "a0"), ("a0", "b0", "a0"), ("b0", "b0", "a0"), ("b0", "a0")),
+                        neg=((),), alphabet=("a0", "b0"))
+    apta, oracle = build_apta(samples), build_apta(samples)
+    a0, b0 = apta.children[0]["a0"], apta.children[0]["b0"]
+    assert list(apta.children[a0]) == ["a0", "b0"] and list(apta.children[b0]) == ["b0", "a0"]
+    class_of = _class_clique(apta, None)[0]
+    assert class_of[a0] == class_of[b0]
+    assert apta.domains() == clique_domains(pairwise_clique_bound(oracle), oracle.num_nodes)
+
+
 def test_ladder_start_below_the_minimum_changes_nothing():
     # a lower bound only skips UNSAT rungs: the first satisfiable rung, its
     # CNF and so its model are those of the search from one state
@@ -476,6 +535,23 @@ def test_a_model_that_merges_dissimilar_vectors_is_refused():
                                  (("a0", "a0"), ActionsVector(0, (1,)))))
     with pytest.raises(SolverError, match="merges two vectors of sign 0 at state 1"):
         find_min_sep_dfa(samples, solve=all_true)
+
+
+def test_a_model_that_leaves_out_a_variable_is_refused():
+    # the successor of state 0 on a0 is free at n = 2, so a backend that
+    # answers every rung with an empty model is refused at variable 1,
+    # from the search and from hypothesis construction alike
+    samples = SampleSet(pos=((),), neg=(("a0",),), alphabet=("a0",))
+    assert encode_size_n(build_apta(samples), 2).trans["a0"][0] == [1, 2]
+    with pytest.raises(SolverError, match=r"leaves out variable 1$"):
+        find_min_sep_dfa(samples, solve=lambda cnf: {})
+    # a model without its last variable fails where decoding reads it
+    with pytest.raises(SolverError, match=r"leaves out variable 2$"):
+        find_min_sep_dfa(samples, solve=lambda cnf: {1: False})
+    table = ObservationTable(SimulatedTeacher(random_machine(1, max_states=4)))
+    table.repair(1)
+    with pytest.raises(SolverError, match=r"leaves out variable \d+$"):
+        construct_droca(table, solve=lambda cnf: {} if cnf.num_vars else sat_solve(cnf))
 
 
 def test_build_apta_inserts_each_sample_word_once(monkeypatch):
